@@ -1,95 +1,52 @@
-"""Hot numeric kernels with numba- and numpy-backed implementations.
+"""The YIN lag search, the hot numeric kernel.
 
-The YIN lag search dominates runtime on real recordings, so it has two
-interchangeable implementations: tight loops compiled with numba's @njit,
-and a vectorized pure-numpy fallback. Set SORIMIR_DISABLE_NUMBA=1 to force
-the numpy path (also used automatically when numba is unavailable).
-Both paths implement the same arithmetic; see benchmarks/bench_yin.py.
+The difference function is computed as in YIN's eq. 7 (de Cheveigné &
+Kawahara, JASA 2002): d(τ) = r_t(0) + r_{t+τ}(0) − 2 r_t(τ). The cross term
+r_t(τ) comes from real FFTs of each frame; the energy terms come from a
+cumulative sum of x² taken over each frame's own span, so a loud passage
+never costs precision in a quiet frame after it. Frames are processed in
+fixed blocks, so temporaries stay the same size however long the signal is.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_ENV = "SORIMIR_DISABLE_NUMBA"
+USING_NUMBA = False  # the kernel is pure numpy; kept for run metadata
+BLOCK_FRAMES = 256  # temporaries about 12 MB at span 1381; larger blocks raise peak RSS
 
 
-def _yin_lag_search(x, window, hop, tau_min, tau_max, threshold):
-    """Per-frame YIN lag estimate from the normalized difference function.
-
-    For each frame the cumulative-mean-normalized difference function
-    (CMNDF) is evaluated over lags 1..tau_max; the first lag dipping below
-    `threshold` (searched from tau_min) is walked down to its local minimum
-    and refined by parabolic interpolation. Returns (lags, cmndf_minima)
-    with lag = NaN and minimum = 1.0 for frames without a dip.
-    """
-    n = x.shape[0]
-    span = window + tau_max
-    n_frames = (n - span) // hop + 1
-    lags = np.full(n_frames, np.nan)
-    minima = np.ones(n_frames)
-    d = np.empty(tau_max + 1)
-    dprime = np.empty(tau_max + 1)
-
-    for i in range(n_frames):
-        s = i * hop
-        d[0] = 0.0
-        dprime[0] = 1.0
-        running = 0.0
-        for tau in range(1, tau_max + 1):
-            acc = 0.0
-            for j in range(window):
-                diff = x[s + j] - x[s + j + tau]
-                acc += diff * diff
-            d[tau] = acc
-            running += acc
-            dprime[tau] = d[tau] * tau / running if running > 0.0 else 1.0
-
-        tau_d = -1
-        for tau in range(tau_min, tau_max + 1):
-            if dprime[tau] < threshold:
-                tau_d = tau
-                break
-        if tau_d < 0:
-            continue
-        while tau_d + 1 <= tau_max and dprime[tau_d + 1] < dprime[tau_d]:
-            tau_d += 1
-
-        lag = float(tau_d)
-        val = dprime[tau_d]
-        if tau_d - 1 >= 1 and tau_d + 1 <= tau_max:
-            y0 = dprime[tau_d - 1]
-            y1 = dprime[tau_d]
-            y2 = dprime[tau_d + 1]
-            denom = y0 - 2.0 * y1 + y2
-            if denom > 0.0:
-                delta = 0.5 * (y0 - y2) / denom
-                if -1.0 < delta < 1.0:
-                    lag = tau_d + delta
-                    val = y1 - 0.25 * (y0 - y2) * delta
-        lags[i] = lag
-        minima[i] = val
-
-    return lags, minima
+def _fast_len(n):
+    """Smallest 2·3·5-smooth integer >= n, a size numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def yin_lag_search_numpy(x, window, hop, tau_min, tau_max, threshold):
-    """Vectorized twin of `_yin_lag_search` (same contract, same results)."""
-    n = x.shape[0]
-    span = window + tau_max
-    n_frames = (n - span) // hop + 1
-    starts = np.arange(n_frames) * hop
-    frames = np.lib.stride_tricks.sliding_window_view(x, span)[starts]
-    base = frames[:, :window]
+def _difference(frames, window, tau_max, n_fft):
+    """d[i, τ] for τ in 0..tau_max over rows of `frames` (each window + tau_max long)."""
+    head = np.fft.rfft(frames[:, :window], n=n_fft)
+    cross = np.fft.irfft(np.conj(head) * np.fft.rfft(frames, n=n_fft), n=n_fft)
+    energy = np.zeros((frames.shape[0], frames.shape[1] + 1))
+    np.cumsum(frames * frames, axis=1, out=energy[:, 1:])
+    tail = energy[:, window : window + tau_max + 1] - energy[:, : tau_max + 1]
+    d = energy[:, window, None] + tail - 2.0 * cross[:, : tau_max + 1]
+    np.maximum(d, 0.0, out=d)
+    return d
 
-    d = np.empty((n_frames, tau_max + 1))
-    d[:, 0] = 0.0
-    for tau in range(1, tau_max + 1):
-        diff = base - frames[:, tau : tau + window]
-        d[:, tau] = np.einsum("ij,ij->i", diff, diff)
 
+def _search(d, tau_min, tau_max, threshold):
+    """CMNDF first-dip search over rows of `d`; returns (lags, cmndf_minima)."""
+    n_frames = d.shape[0]
     running = np.cumsum(d[:, 1:], axis=1)
     dprime = np.ones_like(d)
     np.divide(
@@ -139,18 +96,23 @@ def yin_lag_search_numpy(x, window, hop, tau_min, tau_max, threshold):
     return lags, minima
 
 
-def _numba_enabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() not in ("1", "true", "yes")
+def yin_lag_search(x, window, hop, tau_min, tau_max, threshold):
+    """Per-frame YIN lag estimate from the normalized difference function.
 
-
-yin_lag_search_numba = None
-if _numba_enabled():
-    try:
-        from numba import njit
-
-        yin_lag_search_numba = njit(cache=True)(_yin_lag_search)
-    except ImportError:
-        yin_lag_search_numba = None
-
-USING_NUMBA = yin_lag_search_numba is not None
-yin_lag_search = yin_lag_search_numba if USING_NUMBA else yin_lag_search_numpy
+    For each frame the cumulative-mean-normalized difference function
+    (CMNDF) is evaluated over lags 1..tau_max; the first lag dipping below
+    `threshold` (searched from tau_min) is walked down to its local minimum
+    and refined by parabolic interpolation. Returns (lags, cmndf_minima)
+    with lag = NaN and minimum = 1.0 for frames without a dip.
+    """
+    span = window + tau_max
+    n_frames = (x.shape[0] - span) // hop + 1
+    n_fft = _fast_len(span)
+    frames = np.lib.stride_tricks.sliding_window_view(x, span)[::hop]
+    lags = np.empty(n_frames)
+    minima = np.empty(n_frames)
+    for b in range(0, n_frames, BLOCK_FRAMES):
+        e = min(b + BLOCK_FRAMES, n_frames)
+        d = _difference(frames[b:e], window, tau_max, n_fft)
+        lags[b:e], minima[b:e] = _search(d, tau_min, tau_max, threshold)
+    return lags, minima

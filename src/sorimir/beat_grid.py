@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,8 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
             raise FormatError(f"non-numeric value in {row!r}", row=row_no) from None
         if m < 0 or b < 0:
             raise FormatError(f"negative measure/beat index in {row!r}", row=row_no)
+        if not math.isfinite(t):
+            raise FormatError(f"non-finite time {t}", row=row_no)
         if t < 0:
             raise FormatError(f"negative time {t}", row=row_no)
         rows.append((m, b, t, row_no))

@@ -183,18 +183,25 @@ def import_f0_csv(text) -> F0Track:
 
     if not times:
         return F0Track(np.zeros(0), np.zeros(0), hop_s=DEFAULT_HOP_S)
+    t_all = np.array(times)
+    f_all = np.array(freqs)
+    non_finite = ~(np.isfinite(t_all) & np.isfinite(f_all))
+    if non_finite.any():
+        i = int(np.argmax(non_finite))
+        raise FormatError(f"non-finite time or frequency in {times[i]},{freqs[i]}", row=i + 1)
     if abs(times[0]) > _HOP_JITTER_S:
         raise FormatError(f"track must start at time 0, got {times[0]}", row=1)
     hop = times[1] - times[0] if len(times) > 1 else DEFAULT_HOP_S
     if hop <= 0:
         raise FormatError(f"non-increasing time {times[1]}", row=2)
-    for i in range(1, len(times)):
-        delta = times[i] - times[i - 1]
-        if delta <= 0:
+    delta = np.diff(t_all)
+    bad = (delta <= 0) | (np.abs(delta - hop) > _HOP_JITTER_S)
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        if delta[i - 1] <= 0:
             raise FormatError(f"non-increasing time {times[i]}", row=i + 1)
-        if abs(delta - hop) > _HOP_JITTER_S:
-            raise FormatError(f"hop jitter {abs(delta - hop):.6f}s exceeds 1 ms", row=i + 1)
-    return F0Track(np.asarray(freqs), np.asarray(confs), hop_s=hop)
+        raise FormatError(f"hop jitter {abs(delta[i - 1] - hop):.6f}s exceeds 1 ms", row=i + 1)
+    return F0Track(f_all, np.asarray(confs), hop_s=hop)
 
 
 def export_f0_csv(track: F0Track) -> str:

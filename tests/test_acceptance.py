@@ -60,7 +60,7 @@ def test_criterion_1_filter_boundary_semantics():
 
 
 def test_criterion_2_yin_sweep_accuracy_and_runtime():
-    # Warm-up excludes one-time JIT compilation from the timed sweep.
+    # Warm-up keeps one-time costs (lazy imports, first allocations) out of the timed sweep.
     warm = 0.3 * np.sin(2 * np.pi * 500.0 * np.arange(SR // 5) / SR)
     estimate_f0_yin(warm, SR, search_min_hz=300.0, search_max_hz=1100.0)
 

@@ -90,6 +90,14 @@ class TestValidation:
         with pytest.raises(FormatError, match="header"):
             load_beats("m,b,t\n0,0,0.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected_with_row(self, value):
+        lines = beats_csv(12).splitlines()
+        lines[6] = f"0,5,{value}"
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_beats("\n".join(lines) + "\n")
+        assert err.value.row == 6
+
     def test_non_numeric_row(self):
         with pytest.raises(FormatError) as err:
             load_beats("measure,beat,time\n0,0,abc\n")

@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +6,64 @@ import pytest
 from sorimir import _kernels
 
 SR = 44100
+
+# Largest |difference| allowed between the FFT kernel and the direct-sum
+# oracle, on lags (samples) and on CMNDF minima, for frames both call voiced.
+ORACLE_TOL = 1e-9
+
+
+def _yin_lag_search_oracle(x, window, hop, tau_min, tau_max, threshold):
+    """Reference YIN lag search: one frame and one lag at a time, direct sums.
+
+    Same contract as `_kernels.yin_lag_search`. d(τ) is the literal sum of
+    squared differences over the window, with no FFT and no energy terms.
+    """
+    n = x.shape[0]
+    span = window + tau_max
+    n_frames = (n - span) // hop + 1
+    lags = np.full(n_frames, np.nan)
+    minima = np.ones(n_frames)
+    d = np.empty(tau_max + 1)
+    dprime = np.empty(tau_max + 1)
+
+    for i in range(n_frames):
+        s = i * hop
+        d[0] = 0.0
+        dprime[0] = 1.0
+        running = 0.0
+        for tau in range(1, tau_max + 1):
+            diff = x[s : s + window] - x[s + tau : s + tau + window]
+            acc = float(diff @ diff)
+            d[tau] = acc
+            running += acc
+            dprime[tau] = d[tau] * tau / running if running > 0.0 else 1.0
+
+        tau_d = -1
+        for tau in range(tau_min, tau_max + 1):
+            if dprime[tau] < threshold:
+                tau_d = tau
+                break
+        if tau_d < 0:
+            continue
+        while tau_d + 1 <= tau_max and dprime[tau_d + 1] < dprime[tau_d]:
+            tau_d += 1
+
+        lag = float(tau_d)
+        val = dprime[tau_d]
+        if tau_d - 1 >= 1 and tau_d + 1 <= tau_max:
+            y0 = dprime[tau_d - 1]
+            y1 = dprime[tau_d]
+            y2 = dprime[tau_d + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if denom > 0.0:
+                delta = 0.5 * (y0 - y2) / denom
+                if -1.0 < delta < 1.0:
+                    lag = tau_d + delta
+                    val = y1 - 0.25 * (y0 - y2) * delta
+        lags[i] = lag
+        minima[i] = val
+
+    return lags, minima
 
 
 def _mixed_signal():
@@ -20,24 +76,63 @@ def _mixed_signal():
     return x
 
 
-def _run(kernel):
-    x = _mixed_signal()
-    return kernel(x, window=2029, hop=441, tau_min=41, tau_max=147, threshold=0.15)
+def _vibrato_voice(n, sr, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / sr
+    f0 = 520.0 * 2.0 ** ((40.0 / 1200.0) * np.sin(2 * np.pi * 5.5 * t))
+    phase = 2 * np.pi * np.cumsum(f0) / sr
+    return 0.6 * np.sin(phase) + 0.15 * np.sin(2 * phase) + 0.01 * rng.standard_normal(n)
 
 
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path not active")
-def test_numba_and_numpy_paths_agree():
-    lags_nb, min_nb = _run(_kernels.yin_lag_search_numba)
-    lags_np, min_np = _run(_kernels.yin_lag_search_numpy)
-    assert np.array_equal(np.isnan(lags_nb), np.isnan(lags_np))
-    voiced = ~np.isnan(lags_nb)
+def _zero_gap():
+    x = _vibrato_voice(int(0.6 * SR), SR, seed=1)
+    x[int(0.25 * SR) : int(0.45 * SR)] = 0.0
+    return x
+
+
+def _near_silent():
+    x = _vibrato_voice(int(0.6 * SR), SR, seed=2)
+    x[int(0.25 * SR) :] *= 1e-5
+    return x
+
+
+def _block_plus_one():
+    # span 400 + 100 samples, hop 50: exactly BLOCK_FRAMES + 1 frames
+    return _vibrato_voice(500 + _kernels.BLOCK_FRAMES * 50, 22050, seed=3)
+
+
+# (signal, window, hop, tau_min, tau_max); threshold is 0.15 throughout.
+_CASES = {
+    "mixed_leading_silence": (_mixed_signal, 2029, 441, 41, 147),
+    "vibrato_voice": (lambda: _vibrato_voice(SR, SR), 2029, 441, 41, 147),
+    "zero_gap_after_loud": (_zero_gap, 2029, 441, 41, 147),
+    "near_silent_after_loud": (_near_silent, 2029, 441, 41, 147),
+    "block_plus_one_frames": (_block_plus_one, 400, 50, 20, 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_kernel_matches_direct_sum_oracle(case):
+    make, window, hop, tau_min, tau_max = _CASES[case]
+    x = make()
+    got_lags, got_min = _kernels.yin_lag_search(x, window, hop, tau_min, tau_max, 0.15)
+    ref_lags, ref_min = _yin_lag_search_oracle(x, window, hop, tau_min, tau_max, 0.15)
+
+    assert got_lags.shape == ref_lags.shape
+    if case == "block_plus_one_frames":
+        assert got_lags.shape[0] == _kernels.BLOCK_FRAMES + 1
+    voiced = ~np.isnan(ref_lags)
+    assert np.array_equal(~np.isnan(got_lags), voiced)
     assert voiced.any()
-    assert np.allclose(lags_nb[voiced], lags_np[voiced], rtol=1e-9, atol=1e-9)
-    assert np.allclose(min_nb[voiced], min_np[voiced], rtol=1e-6, atol=1e-9)
+    if case in ("mixed_leading_silence", "zero_gap_after_loud"):
+        assert not voiced.all()
+    assert np.abs(got_lags[voiced] - ref_lags[voiced]).max() <= ORACLE_TOL
+    assert np.abs(got_min[voiced] - ref_min[voiced]).max() <= ORACLE_TOL
+    assert np.all(got_min[~voiced] == 1.0)
 
 
 def test_numpy_path_basic_shape():
-    lags, minima = _run(_kernels.yin_lag_search_numpy)
+    lags, minima = _kernels.yin_lag_search(_mixed_signal(), 2029, 441, 41, 147, 0.15)
     assert lags.shape == minima.shape
     voiced = ~np.isnan(lags)
     # 440 Hz at 44.1 kHz -> lag just above 100 samples
@@ -45,13 +140,20 @@ def test_numpy_path_basic_shape():
     assert np.all(minima[~voiced] == 1.0)
 
 
-def test_disable_env_selects_numpy_path():
-    code = (
-        "from sorimir import _kernels;"
-        "print(_kernels.USING_NUMBA, _kernels.yin_lag_search is _kernels.yin_lag_search_numpy)"
-    )
-    env = dict(os.environ, SORIMIR_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["False", "True"]
+def _peak_bytes(seconds, sr=22050):
+    # Default YIN settings at 22.05 kHz: 46 ms frames, 10 ms hop, 60-1600 Hz.
+    x = _vibrato_voice(int(seconds * sr), sr)
+    tracemalloc.start()
+    try:
+        lags, _ = _kernels.yin_lag_search(x, 1014, 220, 14, 367, 0.15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, lags.shape[0]
+
+
+def test_kernel_temporaries_do_not_grow_with_signal_length():
+    peak_short, frames_short = _peak_bytes(10.0)
+    peak_long, frames_long = _peak_bytes(60.0)
+    extra_outputs = 2 * 8 * (frames_long - frames_short)  # lags and minima, float64
+    assert peak_long - peak_short <= extra_outputs + 2**20

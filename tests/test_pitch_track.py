@@ -127,6 +127,18 @@ class TestCsvImport:
         with pytest.raises(FormatError, match="start"):
             import_f0_csv("time,frequency,confidence\n0.50,440,0.9\n0.51,441,0.9\n")
 
+    def test_all_nan_times_rejected(self):
+        with pytest.raises(FormatError, match="non-finite") as err:
+            import_f0_csv("time,frequency,confidence\nnan,440,0.9\nnan,441,0.9\n")
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_frequency_rejected_with_row(self, value):
+        text = f"time,frequency,confidence\n0.00,440,0.9\n0.01,441,0.9\n0.02,{value},0.9\n"
+        with pytest.raises(FormatError, match="non-finite") as err:
+            import_f0_csv(text)
+        assert err.value.row == 3
+
     def test_export_round_trip(self):
         track = F0Track(np.array([440.0, 0.0, 523.25]), np.array([0.9, 0.0, 0.7]), 0.01)
         again = import_f0_csv(export_f0_csv(track))
