@@ -27,7 +27,6 @@ from .patterns import (
     vibrato_metrics,
 )
 from .pitch_track import (
-    F0Frame,
     F0Track,
     FilterConfig,
     estimate_f0_yin,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
-from .pitch_track import F0Track
+from .pitch_track import F0Track, track_cents
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,7 @@ class TrackSegment:
 
     def cents(self, reference_hz: float = 440.0) -> np.ndarray:
         """Per-frame cents relative to `reference_hz`, NaN where unvoiced."""
-        out = np.full(len(self), np.nan)
-        v = self.voiced
-        out[v] = 1200.0 * np.log2(self.f0_hz[v] / reference_hz)
-        return out
+        return track_cents(self, reference_hz)
 
 
 def slice_track(track: F0Track, grid: BeatGrid, start_beat: float, end_beat: float) -> TrackSegment:

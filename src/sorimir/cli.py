@@ -16,23 +16,14 @@ from pathlib import Path
 from . import report
 from .beat_grid import JangdanSpec, load_beats
 from .errors import SorimirError
-from .histogram import (
-    BIN_MIDI,
-    BIN_PITCH_CLASS,
-    MODE_FACTORIES,
-    f0_histogram,
-    mode_affinity,
-    score_duration_histogram,
-)
+from .histogram import BIN_MIDI, BIN_PITCH_CLASS, MODE_FACTORIES, f0_histogram, score_duration_histogram
 from .patterns import (
     DEFAULT_MIN_SUPPORT,
     DEFAULT_N_VALUES,
     DEFAULT_SAMPLES_PER_CONTOUR,
     NGramPattern,
-    mine_ngrams,
     occurrence_contours,
     occurrence_vibrato,
-    tokenize,
 )
 from .pitch_track import (
     DEFAULT_FRAME_S,
@@ -47,8 +38,8 @@ from .pitch_track import (
     import_f0_csv,
     load_wav,
 )
-from .score import event_records, fraction_str, note_sequence, parse_musicxml
-from .report import pattern_index_record
+from .report import dump_json
+from .score import event_records, note_sequence, parse_musicxml
 
 
 def _write_or_print(text: str, out_path: str | None):
@@ -59,8 +50,14 @@ def _write_or_print(text: str, out_path: str | None):
             fh.write(text)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_outputs(args, text: str, svg_text: str):
+    """Write --out and/or --svg; with neither, print the artifact --format names."""
+    if args.out:
+        _write_or_print(text, args.out)
+    if args.svg:
+        _write_or_print(svg_text, args.svg)
+    if not (args.out or args.svg):
+        sys.stdout.write(svg_text if args.format == "svg" else text)
 
 
 def _filter_args(parser: argparse.ArgumentParser):
@@ -171,7 +168,7 @@ def _cmd_score(args) -> int:
         "merge_ties": not args.no_merge_ties,
         "events": event_records(events),
     }
-    _write_or_print(_dump_json(record), args.out)
+    _write_or_print(dump_json(record), args.out)
     return 0
 
 
@@ -187,11 +184,10 @@ def _cmd_f0(args) -> int:
             search_max_hz=args.search_max_hz,
             threshold=args.threshold,
         )
-    elif args.f0_command == "import":
-        track = import_f0_csv(Path(args.infile).read_text())
     else:
         track = import_f0_csv(Path(args.infile).read_text())
-        track = filter_track(track, FilterConfig(args.min_conf, args.min_hz, args.max_hz))
+        if args.f0_command == "filter":
+            track = filter_track(track, FilterConfig(args.min_conf, args.min_hz, args.max_hz))
     _write_or_print(export_f0_csv(track), args.out)
     return 0
 
@@ -201,8 +197,8 @@ def _cmd_beats(args) -> int:
         Path(args.infile).read_text(),
         JangdanSpec(args.jangdan, args.beats_per_measure),
     )
-    _write_or_print(
-        _dump_json(
+    sys.stdout.write(
+        dump_json(
             {
                 "ok": True,
                 "jangdan": grid.spec.name,
@@ -212,8 +208,7 @@ def _cmd_beats(args) -> int:
                 "first_time_s": grid.times[0] if grid.n_beats else None,
                 "last_time_s": grid.times[-1] if grid.n_beats else None,
             }
-        ),
-        None,
+        )
     )
     return 0
 
@@ -224,78 +219,44 @@ def _cmd_histogram(args) -> int:
     track = import_f0_csv(Path(args.f0).read_text())
     if not args.no_filter:
         track = filter_track(track, FilterConfig(args.min_conf, args.min_hz, args.max_hz))
-    reference = args.reference_hz * 2.0 ** (args.tuning_offset_cents / 1200.0)
+    reference = report.reference_hz(
+        {"reference_hz": args.reference_hz, "tuning_offset_cents": args.tuning_offset_cents}
+    )
 
     f0_hist = f0_histogram(track, reference_hz=reference, bin_kind=args.bin_kind)
     score_hist = score_duration_histogram(events, bin_kind=args.bin_kind)
-    affinities = {}
-    for mode_name in args.mode or []:
-        template = MODE_FACTORIES[mode_name]()
-        affinities[mode_name] = {
-            "f0": mode_affinity(f0_hist, template) if f0_hist.total_mass else None,
-            "score": mode_affinity(score_hist, template) if score_hist.total_mass else None,
-        }
-    record = {
-        "daemok": score.daemok_id,
-        "reference_hz": reference,
-        "f0_histogram": f0_hist.to_record(),
-        "score_histogram": score_hist.to_record(),
-        "affinities": affinities,
-    }
-    svg_text = report.render_histogram_figure(f0_hist, score_hist)
-    wrote = False
-    if args.out:
-        _write_or_print(_dump_json(record), args.out)
-        wrote = True
-    if args.svg:
-        _write_or_print(svg_text, args.svg)
-        wrote = True
-    if not wrote:
-        sys.stdout.write(svg_text if args.format == "svg" else _dump_json(record))
+    record = report.histogram_record(score.daemok_id, f0_hist, score_hist, args.mode or [])
+    record["reference_hz"] = reference
+    _write_outputs(args, dump_json(record), report.render_histogram_figure(f0_hist, score_hist))
     return 0
 
 
-def _collect_score_sequences(directory: str, skip_rests: bool) -> dict[str, list[str]]:
-    root = Path(directory)
-    files = sorted(p for p in root.iterdir() if p.suffix.lower() in (".musicxml", ".xml"))
+def _collect_score_events(directory: str) -> dict[str, list]:
+    files = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() in (".musicxml", ".xml"))
     if not files:
         raise SorimirError(f"no .musicxml/.xml files in {directory}")
-    sequences = {}
-    for path in files:
-        score = parse_musicxml(path.read_bytes())
-        events = note_sequence(score, merge_ties=True)
-        if skip_rests:
-            events = [e for e in events if not e.is_rest]
-        sequences[path.stem] = tokenize(events)
-    return sequences
+    return {p.stem: note_sequence(parse_musicxml(p.read_bytes()), merge_ties=True) for p in files}
 
 
 def _pattern_inputs(manifest_path: str, min_support: int):
     entries, settings = report.load_manifest(manifest_path)
     events_by_id, grids, tracks = {}, {}, {}
     for entry in entries:
-        _, events, grid, track = report._load_daemok(entry, settings)
-        events_by_id[entry["id"]] = events
-        grids[entry["id"]] = grid
-        tracks[entry["id"]] = track
-    sequences = {
-        daemok_id: tokenize([e for e in evs if not (settings["skip_rests"] and e.is_rest)])
-        for daemok_id, evs in events_by_id.items()
-    }
-    index = mine_ngrams(sequences, n_values=tuple(settings["n_values"]), min_support=min_support)
-    reference = report._effective_reference(settings)
-    return index, grids, tracks, settings, reference
+        _, events, grid, track = report.load_daemok(entry, settings)
+        events_by_id[entry["id"]], grids[entry["id"]], tracks[entry["id"]] = events, grid, track
+    index = report.mine_index(events_by_id, settings, min_support)
+    return index, grids, tracks, report.reference_hz(settings)
 
 
 def _cmd_patterns(args) -> int:
     if args.patterns_command == "mine":
-        n_values = tuple(int(v) for v in str(args.n).split(",") if v.strip())
-        sequences = _collect_score_sequences(args.scores, args.skip_rests)
-        index = mine_ngrams(sequences, n_values=n_values, min_support=args.min_support)
-        _write_or_print(_dump_json(pattern_index_record(index)), args.out)
+        n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
+        settings = {"n_values": n_values, "skip_rests": args.skip_rests}
+        index = report.mine_index(_collect_score_events(args.scores), settings, args.min_support)
+        _write_or_print(dump_json(report.pattern_index_record(index)), args.out)
         return 0
 
-    index, grids, tracks, settings, reference = _pattern_inputs(args.manifest, args.min_support)
+    index, grids, tracks, reference = _pattern_inputs(args.manifest, args.min_support)
     pattern = NGramPattern.from_text(args.pattern)
 
     if args.patterns_command == "contours":
@@ -303,45 +264,20 @@ def _cmd_patterns(args) -> int:
             index, pattern, grids, tracks,
             samples_per_contour=args.samples, reference_hz=reference,
         )
-        csv_text = report.contours_csv(pattern, contours)
-        svg_text = report.render_contour_overlay(contours)
-        wrote = False
-        if args.out:
-            _write_or_print(csv_text, args.out)
-            wrote = True
-        if args.svg:
-            _write_or_print(svg_text, args.svg)
-            wrote = True
-        if not wrote:
-            sys.stdout.write(svg_text if args.format == "svg" else csv_text)
+        _write_outputs(
+            args, report.contours_csv(pattern, contours), report.render_contour_overlay(contours)
+        )
         return 0
 
     vib = occurrence_vibrato(index, pattern, grids, tracks, reference_hz=reference)
-    record = {
-        "pattern": pattern.text,
-        "occurrences": [
-            {
-                "daemok": occ.daemok_id,
-                "onset_beats": fraction_str(occ.onset_beats),
-                "metrics": None
-                if m is None
-                else {
-                    "rate_hz": m.rate_hz,
-                    "depth_cents": m.depth_cents,
-                    "voiced_fraction": m.voiced_fraction,
-                },
-            }
-            for occ, m in vib
-        ],
-    }
-    _write_or_print(_dump_json(record), args.out)
+    _write_or_print(dump_json(report.vibrato_record(pattern, vib)), args.out)
     return 0
 
 
 def _cmd_run(args) -> int:
     bundle = report.run_pipeline(args.manifest, out_dir=args.out_dir)
-    _write_or_print(
-        _dump_json(
+    sys.stdout.write(
+        dump_json(
             {
                 "ok": True,
                 "daemok": list(bundle.daemok_ids),
@@ -349,8 +285,7 @@ def _cmd_run(args) -> int:
                 "contour_sets": {k: len(v) for k, v in bundle.contour_sets.items()},
                 "outputs": [str(p) for p in bundle.output_files],
             }
-        ),
-        None,
+        )
     )
     return 0
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UndefinedAffinityError
-from .pitch_track import F0Track
+from .pitch_track import F0Track, hz_to_cents
 from .score import NoteEvent, fraction_str, pitch_from_midi, pitch_name
 
 BIN_MIDI = "midi"
@@ -113,7 +113,7 @@ def f0_histogram(
     voiced_f0 = track.f0_hz[track.voiced]
     masses: dict[int, float] = {}
     if voiced_f0.size:
-        midi_float = 69.0 + 12.0 * np.log2(voiced_f0 / reference_hz)
+        midi_float = 69.0 + hz_to_cents(voiced_f0, reference_hz) / 100.0
         bins = _nearest_semitone(midi_float)
         if np.any((bins < 0) | (bins > 127)):
             warnings.warn(

@@ -12,11 +12,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .beat_grid import BeatGrid, slice_track
+from .beat_grid import BeatGrid, TrackSegment, slice_track
 from .errors import ConfigurationError, DependencyError, NotEnoughDataError
 from .pitch_track import F0Track
 from .score import NoteEvent, Pitch, fraction_str, parse_pitch_name, pitch_name
@@ -218,6 +218,29 @@ def _resample_to_normalized(beats: np.ndarray, cents: np.ndarray, samples: int) 
     return out
 
 
+def _placed_segments(
+    index: PatternIndex,
+    pattern: NGramPattern,
+    grids: Mapping[str, BeatGrid],
+    tracks: Mapping[str, F0Track],
+) -> Iterator[tuple[PatternOccurrence, TrackSegment | None]]:
+    """Each occurrence of `pattern` with its F0 slice, or None past the beat grid."""
+    if pattern not in index.occurrences:
+        raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
+    for occ in index.occurrences[pattern]:
+        if occ.daemok_id not in grids:
+            raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
+        if occ.daemok_id not in tracks:
+            raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
+        grid = grids[occ.daemok_id]
+        start = float(occ.onset_beats)
+        end = float(occ.onset_beats + occ.span_beats)
+        if start < 0 or end > grid.last_beat:
+            yield occ, None
+        else:
+            yield occ, slice_track(tracks[occ.daemok_id], grid, start, end)
+
+
 def occurrence_contours(
     index: PatternIndex,
     pattern: NGramPattern,
@@ -234,25 +257,16 @@ def occurrence_contours(
     """
     if samples_per_contour < 2:
         raise ConfigurationError("samples_per_contour must be >= 2")
-    if pattern not in index.occurrences:
-        raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
 
     contours: list[Contour] = []
-    for occ in index.occurrences[pattern]:
-        if occ.daemok_id not in grids:
-            raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
-        if occ.daemok_id not in tracks:
-            raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
-        grid = grids[occ.daemok_id]
-        start = float(occ.onset_beats)
-        end = float(occ.onset_beats + occ.span_beats)
-        if start < 0 or end > grid.last_beat:
+    for occ, segment in _placed_segments(index, pattern, grids, tracks):
+        if segment is None:
             warnings.warn(
-                f"occurrence at {occ.daemok_id} beat {start} runs past the annotated grid; skipped",
+                f"occurrence at {occ.daemok_id} beat {float(occ.onset_beats)} "
+                "runs past the annotated grid; skipped",
                 stacklevel=2,
             )
             continue
-        segment = slice_track(tracks[occ.daemok_id], grid, start, end)
         values = _resample_to_normalized(
             segment.beats, segment.cents(reference_hz), samples_per_contour
         )
@@ -279,25 +293,14 @@ def occurrence_vibrato(
     Occurrences with too little voiced data (or beyond the grid) report
     None instead of metrics.
     """
-    if pattern not in index.occurrences:
-        raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
     results: list[tuple[PatternOccurrence, VibratoMetrics | None]] = []
-    for occ in index.occurrences[pattern]:
-        if occ.daemok_id not in grids:
-            raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
-        if occ.daemok_id not in tracks:
-            raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
-        grid = grids[occ.daemok_id]
-        start = float(occ.onset_beats)
-        end = float(occ.onset_beats + occ.span_beats)
-        if start < 0 or end > grid.last_beat:
-            results.append((occ, None))
-            continue
-        segment = slice_track(tracks[occ.daemok_id], grid, start, end)
-        try:
-            metrics = vibrato_metrics(segment.cents(reference_hz), segment.hop_s)
-        except NotEnoughDataError:
-            metrics = None
+    for occ, segment in _placed_segments(index, pattern, grids, tracks):
+        metrics = None
+        if segment is not None:
+            try:
+                metrics = vibrato_metrics(segment.cents(reference_hz), segment.hop_s)
+            except NotEnoughDataError:
+                pass
         results.append((occ, metrics))
     return results
 

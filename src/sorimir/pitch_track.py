@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,6 @@ DEFAULT_SEARCH_MIN_HZ = 60.0
 DEFAULT_SEARCH_MAX_HZ = 1600.0
 
 _HOP_JITTER_S = 1e-3
-
-
-@dataclass(frozen=True)
-class F0Frame:
-    time_s: float
-    f0_hz: float
-    confidence: float
-
-    @property
-    def voiced(self) -> bool:
-        return self.f0_hz > 0.0
 
 
 @dataclass(frozen=True)
@@ -63,9 +53,6 @@ class F0Track:
 
     def __len__(self) -> int:
         return self.f0_hz.shape[0]
-
-    def __getitem__(self, i: int) -> F0Frame:
-        return F0Frame(i * self.hop_s, float(self.f0_hz[i]), float(self.confidence[i]))
 
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.hop_s
@@ -188,20 +175,28 @@ def import_f0_csv(text) -> F0Track:
     non_finite = ~(np.isfinite(t_all) & np.isfinite(f_all))
     if non_finite.any():
         i = int(np.argmax(non_finite))
-        raise FormatError(f"non-finite time or frequency in {times[i]},{freqs[i]}", row=i + 1)
+        raise FormatError(f"non-finite time or frequency in {times[i]},{freqs[i]}", row=_data_row(text, i))
     if abs(times[0]) > _HOP_JITTER_S:
-        raise FormatError(f"track must start at time 0, got {times[0]}", row=1)
+        raise FormatError(f"track must start at time 0, got {times[0]}", row=_data_row(text, 0))
     hop = times[1] - times[0] if len(times) > 1 else DEFAULT_HOP_S
     if hop <= 0:
-        raise FormatError(f"non-increasing time {times[1]}", row=2)
+        raise FormatError(f"non-increasing time {times[1]}", row=_data_row(text, 1))
     delta = np.diff(t_all)
     bad = (delta <= 0) | (np.abs(delta - hop) > _HOP_JITTER_S)
     if bad.any():
         i = int(np.argmax(bad)) + 1
         if delta[i - 1] <= 0:
-            raise FormatError(f"non-increasing time {times[i]}", row=i + 1)
-        raise FormatError(f"hop jitter {abs(delta[i - 1] - hop):.6f}s exceeds 1 ms", row=i + 1)
+            raise FormatError(f"non-increasing time {times[i]}", row=_data_row(text, i))
+        raise FormatError(f"hop jitter {abs(delta[i - 1] - hop):.6f}s exceeds 1 ms", row=_data_row(text, i))
     return F0Track(f_all, np.asarray(confs), hop_s=hop)
+
+
+def _data_row(text: str, i: int) -> int:
+    """Row number, as `import_f0_csv` counts rows (blank lines included), of data row `i`."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows = (n for n, row in enumerate(reader, start=1) if row and (len(row) > 1 or row[0].strip()))
+    return next(itertools.islice(rows, i, None))
 
 
 def export_f0_csv(track: F0Track) -> str:
@@ -234,7 +229,7 @@ def filter_track(track: F0Track, config: FilterConfig = FilterConfig()) -> F0Tra
 
 
 def hz_to_cents(f0_hz, reference_hz):
-    """1200 * log2(f0 / reference); accepts scalars or arrays of positives."""
+    """Cents of `f0_hz` above `reference_hz`; accepts scalars or arrays of positives."""
     f0 = np.asarray(f0_hz, dtype=np.float64)
     if reference_hz <= 0 or np.any(f0 <= 0):
         raise DomainError("hz_to_cents requires strictly positive frequencies")
@@ -243,12 +238,13 @@ def hz_to_cents(f0_hz, reference_hz):
 
 
 def track_cents(track: F0Track, reference_hz: float = 440.0) -> np.ndarray:
-    """Per-frame cents relative to `reference_hz`, NaN where unvoiced."""
-    if reference_hz <= 0:
-        raise DomainError("reference frequency must be positive")
+    """Per-frame cents relative to `reference_hz`, NaN where unvoiced.
+
+    Takes anything with `f0_hz`, `voiced` and a length, such as a TrackSegment.
+    """
     out = np.full(len(track), np.nan)
     voiced = track.voiced
-    out[voiced] = 1200.0 * np.log2(track.f0_hz[voiced] / reference_hz)
+    out[voiced] = hz_to_cents(track.f0_hz[voiced], reference_hz)
     return out
 
 

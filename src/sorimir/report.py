@@ -11,7 +11,7 @@ import hashlib
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -310,18 +310,57 @@ def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _dump_json(obj) -> str:
+def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _effective_reference(settings: dict) -> float:
+def reference_hz(settings: dict) -> float:
+    """The tuned reference: `reference_hz` shifted by `tuning_offset_cents`."""
     return float(settings["reference_hz"]) * 2.0 ** (
         float(settings["tuning_offset_cents"]) / 1200.0
     )
 
 
+_ENTRY_KEYS = ("id", "score", "beats", "f0_csv", "audio")
+_NESTED_KEYS = {
+    "filter": tuple(_DEFAULT_SETTINGS["filter"]),
+    "yin": ("frame_s", "hop_s", "search_min_hz", "search_max_hz", "threshold"),
+}
+_LIST_ITEMS = {"n_values": 0, "contour_patterns": "", "modes": ""}
+
+
+def _check_type(name: str, value, like) -> None:
+    """Raise unless `value` has the JSON type of `like` (an int passes for a float)."""
+    kind = (int, float) if isinstance(like, float) else type(like)
+    if isinstance(value, bool) is not isinstance(like, bool) or not isinstance(value, kind):
+        raise PipelineError("manifest", "*", f"{name} must be {type(like).__name__}, got {value!r}")
+
+
+def _checked_settings(given) -> dict:
+    """Defaults overlaid with `given`, which must use only known keys and types."""
+    _check_type("settings", given, {})
+    settings = {**_DEFAULT_SETTINGS, "filter": dict(_DEFAULT_SETTINGS["filter"])}
+    for key, value in given.items():
+        if key not in _DEFAULT_SETTINGS:
+            raise PipelineError("manifest", "*", f"unknown setting {key!r}")
+        _check_type(f"setting {key!r}", value, _DEFAULT_SETTINGS[key])
+        if key in _NESTED_KEYS:
+            for name, item in value.items():
+                if name not in _NESTED_KEYS[key]:
+                    raise PipelineError("manifest", "*", f"unknown setting '{key}.{name}'")
+                _check_type(f"setting '{key}.{name}'", item, 0.0)
+        if key in _LIST_ITEMS:
+            for item in value:
+                _check_type(f"each entry of setting {key!r}", item, _LIST_ITEMS[key])
+        settings[key] = {**settings["filter"], **value} if key == "filter" else value
+    unknown = [m for m in settings["modes"] if m not in MODE_FACTORIES]
+    if unknown:
+        raise PipelineError("manifest", "*", f"unknown mode {unknown[0]!r}")
+    return settings
+
+
 def load_manifest(manifest_path) -> tuple[list[dict], dict]:
-    """Read and normalize a pipeline manifest (paths resolved to the file)."""
+    """Read and validate a pipeline manifest (paths resolved to the file)."""
     path = Path(manifest_path)
     try:
         raw = json.loads(path.read_text())
@@ -330,43 +369,39 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
     except json.JSONDecodeError as exc:
         raise PipelineError("manifest", "*", f"invalid JSON in {path}: {exc}") from exc
 
-    entries = raw.get("daemok")
+    entries = raw.get("daemok") if isinstance(raw, dict) else None
     if not isinstance(entries, list) or not entries:
         raise PipelineError("manifest", "*", "manifest needs a non-empty 'daemok' list")
-    settings = dict(_DEFAULT_SETTINGS)
-    settings["filter"] = dict(_DEFAULT_SETTINGS["filter"])
-    for key, value in raw.get("settings", {}).items():
-        if key == "filter":
-            settings["filter"].update(value)
-        else:
-            settings[key] = value
+    settings = _checked_settings(raw.get("settings", {}))
 
     base = path.parent
     normalized = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise PipelineError("manifest", "*", f"daemok entry {entry!r} is not an object")
         daemok_id = entry.get("id")
         if not daemok_id or not isinstance(daemok_id, str):
             raise PipelineError("manifest", "*", "every daemok entry needs a string 'id'")
         if any(ch in daemok_id for ch in "/\\") or daemok_id.startswith("."):
             raise PipelineError("manifest", daemok_id, f"unsafe daemok id {daemok_id!r}")
+        for key, value in entry.items():
+            if key not in _ENTRY_KEYS:
+                raise PipelineError("manifest", daemok_id, f"unknown entry key {key!r}")
+            _check_type(f"entry key {key!r}", value, "")
         if "score" not in entry or "beats" not in entry:
             raise PipelineError("manifest", daemok_id, "entry needs 'score' and 'beats' paths")
         if ("f0_csv" in entry) == ("audio" in entry):
             raise PipelineError(
                 "manifest", daemok_id, "entry needs exactly one of 'f0_csv' or 'audio'"
             )
-        norm = {"id": daemok_id, "score": str(base / entry["score"]), "beats": str(base / entry["beats"])}
-        if "f0_csv" in entry:
-            norm["f0_csv"] = str(base / entry["f0_csv"])
-        else:
-            norm["audio"] = str(base / entry["audio"])
-        normalized.append(norm)
+        normalized.append({k: v if k == "id" else str(base / v) for k, v in entry.items()})
     if len({e["id"] for e in normalized}) != len(normalized):
         raise PipelineError("manifest", "*", "duplicate daemok ids")
     return normalized, settings
 
 
-def _load_daemok(entry: dict, settings: dict):
+def load_daemok(entry: dict, settings: dict):
+    """Parse one manifest entry's score, beats and (filtered) F0 track."""
     daemok_id = entry["id"]
     try:
         score = parse_musicxml(Path(entry["score"]).read_bytes())
@@ -402,6 +437,47 @@ def _load_daemok(entry: dict, settings: dict):
     return score, events, grid, track
 
 
+def mine_index(events_by_id: dict, settings: dict, min_support: int) -> PatternIndex:
+    """Tokenize every daemok's events (rests dropped if `skip_rests`) and mine n-grams."""
+    sequences = {
+        daemok_id: tokenize([e for e in evs if not (settings["skip_rests"] and e.is_rest)])
+        for daemok_id, evs in events_by_id.items()
+    }
+    return mine_ngrams(sequences, n_values=tuple(settings["n_values"]), min_support=min_support)
+
+
+def histogram_record(daemok_id: str, f0_hist, score_hist, modes) -> dict:
+    """JSON-ready paired histograms with each mode's affinity (None for zero mass)."""
+    affinities = {}
+    for mode_name in modes:
+        template = MODE_FACTORIES[mode_name]()
+        affinities[mode_name] = {
+            "f0": mode_affinity(f0_hist, template) if f0_hist.total_mass else None,
+            "score": mode_affinity(score_hist, template) if score_hist.total_mass else None,
+        }
+    return {
+        "daemok": daemok_id,
+        "f0_histogram": f0_hist.to_record(),
+        "score_histogram": score_hist.to_record(),
+        "affinities": affinities,
+    }
+
+
+def vibrato_record(pattern: NGramPattern, vib) -> dict:
+    """JSON-ready `occurrence_vibrato` result (metrics None where unmeasurable)."""
+    return {
+        "pattern": pattern.text,
+        "occurrences": [
+            {
+                "daemok": occ.daemok_id,
+                "onset_beats": fraction_str(occ.onset_beats),
+                "metrics": None if m is None else asdict(m),
+            }
+            for occ, m in vib
+        ],
+    }
+
+
 def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
     """Execute every analysis stage for every daemok in the manifest.
 
@@ -423,8 +499,8 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                 input_hashes[f"{entry['id']}:{key}"] = _sha256(p)
 
     provenance = {"inputs": input_hashes, "settings": settings}
-    prov_text = _dump_json(provenance)
-    reference = _effective_reference(settings)
+    prov_text = dump_json(provenance)
+    reference = reference_hz(settings)
 
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_root))
     outputs: dict[str, str] = {}
@@ -440,7 +516,7 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
         tracks = {}
         for entry in entries:
             daemok_id = entry["id"]
-            _, events, grid, track = _load_daemok(entry, settings)
+            _, events, grid, track = load_daemok(entry, settings)
             events_by_id[daemok_id] = events
             grids[daemok_id] = grid
             tracks[daemok_id] = track
@@ -448,48 +524,19 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
             try:
                 f0_hist = f0_histogram(track, reference_hz=reference)
                 score_hist = score_duration_histogram(events)
-                affinities = {}
-                for mode_name in settings["modes"]:
-                    factory = MODE_FACTORIES.get(mode_name)
-                    if factory is None:
-                        raise PipelineError("histogram", daemok_id, f"unknown mode {mode_name!r}")
-                    template = factory()
-                    affinities[mode_name] = {
-                        "f0": mode_affinity(f0_hist, template) if f0_hist.total_mass else None,
-                        "score": mode_affinity(score_hist, template) if score_hist.total_mass else None,
-                    }
-                record = {
-                    "daemok": daemok_id,
-                    "f0_histogram": f0_hist.to_record(),
-                    "score_histogram": score_hist.to_record(),
-                    "affinities": affinities,
-                }
+                record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
                 histograms[daemok_id] = record
-                emit(f"{daemok_id}.histogram.json", _dump_json(record))
+                emit(f"{daemok_id}.histogram.json", dump_json(record))
                 emit(
                     f"{daemok_id}.histogram.svg",
                     render_histogram_figure(f0_hist, score_hist),
                 )
-            except PipelineError:
-                raise
             except SorimirError as exc:
                 raise PipelineError("histogram", daemok_id, exc) from exc
 
         try:
-            sequences = {
-                daemok_id: tokenize(
-                    [e for e in evs if not (settings["skip_rests"] and e.is_rest)]
-                )
-                for daemok_id, evs in events_by_id.items()
-            }
-            index = mine_ngrams(
-                sequences,
-                n_values=tuple(settings["n_values"]),
-                min_support=int(settings["min_support"]),
-            )
-            emit("patterns.json", _dump_json(pattern_index_record(index)))
-        except PipelineError:
-            raise
+            index = mine_index(events_by_id, settings, int(settings["min_support"]))
+            emit("patterns.json", dump_json(pattern_index_record(index)))
         except SorimirError as exc:
             raise PipelineError("patterns", "*", exc) from exc
 
@@ -510,26 +557,7 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                 emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
                 emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
                 vib = occurrence_vibrato(index, pattern, grids, tracks, reference_hz=reference)
-                vib_record = {
-                    "pattern": pattern.text,
-                    "occurrences": [
-                        {
-                            "daemok": occ.daemok_id,
-                            "onset_beats": fraction_str(occ.onset_beats),
-                            "metrics": None
-                            if m is None
-                            else {
-                                "rate_hz": m.rate_hz,
-                                "depth_cents": m.depth_cents,
-                                "voiced_fraction": m.voiced_fraction,
-                            },
-                        }
-                        for occ, m in vib
-                    ],
-                }
-                emit(f"{stem}.vibrato.json", _dump_json(vib_record))
-            except PipelineError:
-                raise
+                emit(f"{stem}.vibrato.json", dump_json(vibrato_record(pattern, vib)))
             except (SorimirError, ValueError) as exc:
                 raise PipelineError("contours", "*", exc) from exc
 

@@ -248,3 +248,88 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--manifest", str(tmp_path / "none.json"))
         assert code == 1
         assert json.loads(err)["error"]["type"] == "PipelineError"
+
+
+def _fixture_manifest(fixtures_dir, **settings) -> dict:
+    manifest = json.loads((fixtures_dir / "manifest.json").read_text())
+    entry = manifest["daemok"][0]
+    for key in ("score", "f0_csv", "beats"):
+        entry[key] = str(fixtures_dir / entry[key])
+    manifest["settings"].update(settings)
+    return manifest
+
+
+class TestManifestSchema:
+    @pytest.mark.parametrize(
+        "settings, daemok, message",
+        [
+            ({"min_suport": 99}, None, "unknown setting 'min_suport'"),
+            ({"filter": {"min_conf": 0.5}}, None, "unknown setting 'filter.min_conf'"),
+            ({"n_values": "23"}, None, "'n_values' must be list"),
+            ({"n_values": [2, "3"]}, None, "'n_values' must be int"),
+            ({"n_values": [2, True]}, None, "'n_values' must be int"),
+            ({"min_support": 2.5}, None, "'min_support' must be int"),
+            ({"samples_per_contour": "200"}, None, "'samples_per_contour' must be int"),
+            ({"modes": ["ujo", "pyeongjo"]}, None, "unknown mode 'pyeongjo'"),
+            ({}, [["sample-daemok", "joongmori_sample.musicxml"]], "is not an object"),
+        ],
+    )
+    def test_rejected_with_one_json_line(self, capsys, fixtures_dir, tmp_path, settings, daemok, message):
+        manifest = _fixture_manifest(fixtures_dir, **settings)
+        if daemok is not None:
+            manifest["daemok"] = daemok
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PipelineError"
+        assert "stage 'manifest'" in error["message"] and message in error["message"]
+
+
+class TestRunParity:
+    """The standalone subcommands and `run` share one builder per record."""
+
+    PATTERN = "A4:2/1 C5:2/1"
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, manifest_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("parity")
+        assert main(["run", "--manifest", str(manifest_path), "--out-dir", str(out)]) == 0
+        return out
+
+    def test_histogram_matches_run(self, capsys, run_dir, fixtures_dir):
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            capsys,
+            "histogram",
+            "--score", str(fixtures_dir / "joongmori_sample.musicxml"),
+            "--f0", str(fixtures_dir / "sample.f0.csv"),
+            "--mode", "ujo", "--mode", "gyemyeonjo",
+        )
+        assert code == 0
+        expected = json.loads((run_dir / "sample-daemok.histogram.json").read_text())
+        assert json.loads(out) == {**expected, "reference_hz": 440.0}
+
+    def test_vibrato_matches_run(self, capsys, run_dir, manifest_path):
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            capsys, "patterns", "vibrato", "--manifest", str(manifest_path), "--pattern", self.PATTERN
+        )
+        assert code == 0
+        assert out == (run_dir / "pattern-00.vibrato.json").read_text()
+
+    def test_contours_match_run(self, capsys, run_dir, manifest_path, tmp_path):
+        capsys.readouterr()
+        csv_path = tmp_path / "contours.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "patterns", "contours",
+            "--manifest", str(manifest_path),
+            "--pattern", self.PATTERN,
+            "--out", str(csv_path),
+        )
+        assert code == 0
+        assert csv_path.read_bytes() == (run_dir / "pattern-00.contours.csv").read_bytes()

@@ -139,6 +139,29 @@ class TestCsvImport:
             import_f0_csv(text)
         assert err.value.row == 3
 
+    def test_rows_after_a_blank_line_are_numbered_alike(self):
+        # Checks made inside the row loop and after it must count the blank line alike.
+        head = "time,frequency,confidence\n0,440,1\n\n0.01,440,1\n0.02,440,1\n"
+        with pytest.raises(FormatError, match="non-numeric") as in_loop:
+            import_f0_csv(head + "0.02,abc,1\n")
+        with pytest.raises(FormatError, match="non-increasing") as after_loop:
+            import_f0_csv(head + "0.02,440,1\n")
+        assert in_loop.value.row == after_loop.value.row == 5
+
+    @pytest.mark.parametrize(
+        "body, match, row",
+        [
+            ("\n0.50,440,1\n0.51,440,1\n", "start", 2),
+            ("\n0.00,440,1\n\n0.01,nan,1\n", "non-finite", 4),
+            ("\n0.00,440,1\n\n0.00,440,1\n", "non-increasing", 4),
+            ("0.00,440,1\n\n0.01,440,1\n\n\n0.025,440,1\n", "jitter", 6),
+        ],
+    )
+    def test_checks_after_the_row_loop_count_blank_lines(self, body, match, row):
+        with pytest.raises(FormatError, match=match) as err:
+            import_f0_csv("time,frequency,confidence\n" + body)
+        assert err.value.row == row
+
     def test_export_round_trip(self):
         track = F0Track(np.array([440.0, 0.0, 523.25]), np.array([0.9, 0.0, 0.7]), 0.01)
         again = import_f0_csv(export_f0_csv(track))

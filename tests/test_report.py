@@ -281,3 +281,18 @@ class TestPipeline:
         bundle = run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
         masses = bundle.histograms["one"]["f0_histogram"]["masses"]
         assert set(masses) == {"69"}
+
+
+def test_names_wrapped_by_the_pipeline_benchmark_exist():
+    """pipebench/child.py wraps these module globals to time each stage."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "child.py"
+    spec = importlib.util.spec_from_file_location("pipebench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.TRACED
+    for module_name, attr, _, _ in child.TRACED:
+        module = importlib.import_module(f"sorimir.{module_name}")
+        assert callable(getattr(module, attr)), f"sorimir.{module_name}.{attr}"
