@@ -37,7 +37,6 @@ from .pitch_track import (
 )
 from .report import (
     AnalysisBundle,
-    FigureSpec,
     render_contour_overlay,
     render_histogram_figure,
     run_pipeline,

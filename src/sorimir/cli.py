@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import report
@@ -61,11 +62,13 @@ def _write_outputs(args, text: str, svg_text: str):
 
 
 def _filter_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--min-conf", type=float, default=0.6,
-                        help="confidence gate; frames below are dropped (default 0.6)")
-    parser.add_argument("--min-hz", type=float, default=350.0,
-                        help="register gate; 350 Hz and 1000 Hz themselves are kept (default 350)")
-    parser.add_argument("--max-hz", type=float, default=1000.0, help="upper register gate (default 1000)")
+    default = FilterConfig()
+    parser.add_argument("--min-conf", type=float, default=default.min_confidence,
+                        help="confidence gate; frames below are dropped (default %(default)s)")
+    parser.add_argument("--min-hz", type=float, default=default.min_hz,
+                        help="register gate; both bounds themselves are kept (default %(default)s)")
+    parser.add_argument("--max-hz", type=float, default=default.max_hz,
+                        help="upper register gate (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     beats_sub = p_beats.add_subparsers(dest="beats_command", required=True)
     p_val = beats_sub.add_parser("validate", help="check a beats CSV against the jangdan spec")
     p_val.add_argument("--in", dest="infile", required=True)
-    p_val.add_argument("--beats-per-measure", type=int, default=12)
-    p_val.add_argument("--jangdan", default="joongmori")
+    p_val.add_argument("--beats-per-measure", type=int, default=JangdanSpec().beats_per_measure)
+    p_val.add_argument("--jangdan", default=JangdanSpec().name)
 
     # histogram
     p_hist = sub.add_parser("histogram", help="paired F0/score pitch histograms")
@@ -117,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--mode", action="append", choices=sorted(MODE_FACTORIES),
                         help="mode template(s) to score; repeatable")
     p_hist.add_argument("--bin-kind", choices=(BIN_MIDI, BIN_PITCH_CLASS), default=BIN_MIDI)
-    p_hist.add_argument("--reference-hz", type=float, default=440.0)
-    p_hist.add_argument("--tuning-offset-cents", type=float, default=0.0)
+    defaults = report.DEFAULT_SETTINGS
+    p_hist.add_argument("--reference-hz", type=float, default=defaults["reference_hz"])
+    p_hist.add_argument("--tuning-offset-cents", type=float, default=defaults["tuning_offset_cents"])
     p_hist.add_argument("--no-filter", action="store_true", help="histogram the track as-is")
     _filter_args(p_hist)
     p_hist.add_argument("--out", help="write the JSON report here")
@@ -238,16 +242,6 @@ def _collect_score_events(directory: str) -> dict[str, list]:
     return {p.stem: note_sequence(parse_musicxml(p.read_bytes()), merge_ties=True) for p in files}
 
 
-def _pattern_inputs(manifest_path: str, min_support: int):
-    entries, settings = report.load_manifest(manifest_path)
-    events_by_id, grids, tracks = {}, {}, {}
-    for entry in entries:
-        _, events, grid, track = report.load_daemok(entry, settings)
-        events_by_id[entry["id"]], grids[entry["id"]], tracks[entry["id"]] = events, grid, track
-    index = report.mine_index(events_by_id, settings, min_support)
-    return index, grids, tracks, report.reference_hz(settings)
-
-
 def _cmd_patterns(args) -> int:
     if args.patterns_command == "mine":
         n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
@@ -256,7 +250,10 @@ def _cmd_patterns(args) -> int:
         _write_or_print(dump_json(report.pattern_index_record(index)), args.out)
         return 0
 
-    index, grids, tracks, reference = _pattern_inputs(args.manifest, args.min_support)
+    entries, settings = report.load_manifest(args.manifest)
+    events_by_id, grids, tracks = report.load_corpus(entries, settings)
+    index = report.mine_index(events_by_id, settings, args.min_support)
+    reference = report.reference_hz(settings)
     pattern = NGramPattern.from_text(args.pattern)
 
     if args.patterns_command == "contours":
@@ -301,14 +298,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a failure is one JSON line that also carries the warnings before it."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            code = _COMMANDS[args.command](args)
     except (SorimirError, OSError, ValueError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
-        )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if caught:
+            error["warnings"] = [str(w.message) for w in caught]
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 1
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -229,10 +229,10 @@ def filter_track(track: F0Track, config: FilterConfig = FilterConfig()) -> F0Tra
 
 
 def hz_to_cents(f0_hz, reference_hz):
-    """Cents of `f0_hz` above `reference_hz`; accepts scalars or arrays of positives."""
+    """Cents of `f0_hz` above a finite `reference_hz`; accepts scalars or arrays of positives."""
     f0 = np.asarray(f0_hz, dtype=np.float64)
-    if reference_hz <= 0 or np.any(f0 <= 0):
-        raise DomainError("hz_to_cents requires strictly positive frequencies")
+    if not 0 < reference_hz < np.inf or np.any(f0 <= 0):
+        raise DomainError("hz_to_cents needs strictly positive frequencies and a finite reference")
     cents = 1200.0 * np.log2(f0 / reference_hz)
     return float(cents) if np.isscalar(f0_hz) else cents
 

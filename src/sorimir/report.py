@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -19,6 +21,7 @@ import numpy as np
 
 from .beat_grid import JangdanSpec, load_beats
 from .errors import (
+    DomainError,
     IncompatibleContourError,
     IncompatibleHistogramError,
     PipelineError,
@@ -32,6 +35,9 @@ from .histogram import (
     score_duration_histogram,
 )
 from .patterns import (
+    DEFAULT_MIN_SUPPORT,
+    DEFAULT_N_VALUES,
+    DEFAULT_SAMPLES_PER_CONTOUR,
     Contour,
     NGramPattern,
     PatternIndex,
@@ -49,26 +55,8 @@ from .pitch_track import (
 )
 from .score import fraction_str, note_sequence, parse_musicxml
 
-FIGURE_HISTOGRAM_PAIR = "histogram-pair"
-FIGURE_CONTOUR_OVERLAY = "contour-overlay"
-
 _PALETTE = ("#3b6ea5", "#c0573b", "#4e9151", "#9157a3", "#ae8b2d", "#50858b", "#a34f6f", "#6b6b6b")
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    kind: str
-    width: int = 840
-    height: int = 420
-    series_labels: tuple[str, ...] = ("series",)
-
-    def __post_init__(self):
-        if self.kind not in (FIGURE_HISTOGRAM_PAIR, FIGURE_CONTOUR_OVERLAY):
-            raise ValueError(f"unknown figure kind {self.kind!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("figure dimensions must be positive")
-        if not self.series_labels:
-            raise ValueError("at least one series label is required")
+_WIDTH, _HEIGHT = 840, 420
 
 
 def _fmt(x: float) -> str:
@@ -127,25 +115,21 @@ class _Svg:
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 24, 56
 
 
-def render_histogram_figure(
-    f0_hist: PitchHistogram, score_hist: PitchHistogram, spec: FigureSpec | None = None
-) -> str:
+def render_histogram_figure(f0_hist: PitchHistogram, score_hist: PitchHistogram) -> str:
     """Two aligned bar series over a shared pitch axis.
 
     Each series is normalized to its own maximum because the units differ
     (frame counts vs. summed beats). Only nonzero bins produce <rect> data
     elements; identical inputs render to identical bytes.
     """
-    if spec is None:
-        spec = FigureSpec(FIGURE_HISTOGRAM_PAIR, series_labels=("f0 frames", "score beats"))
     if f0_hist.bin_kind != score_hist.bin_kind:
         raise IncompatibleHistogramError(
             f"cannot pair {f0_hist.bin_kind!r} with {score_hist.bin_kind!r} bins"
         )
 
-    svg = _Svg(spec.width, spec.height)
-    plot_w = spec.width - _MARGIN_L - _MARGIN_R
-    plot_h = spec.height - _MARGIN_T - _MARGIN_B
+    svg = _Svg(_WIDTH, _HEIGHT)
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
 
     svg.line(x0, y0, x0 + plot_w, y0)
@@ -156,8 +140,6 @@ def render_histogram_figure(
         set(b for b, v in f0_hist.masses.items() if v > 0)
         | set(b for b, v in score_hist.masses.items() if v > 0)
     )
-    labels = list(spec.series_labels) + ["f0 frames", "score beats"]
-    label_a, label_b = labels[0], labels[1]
 
     if not nonzero:
         svg.text(x0 + plot_w / 2, _MARGIN_T + plot_h / 2, "no data", size=14)
@@ -184,34 +166,30 @@ def render_histogram_figure(
             svg.text(cx, y0 + 16, f0_hist.bin_label(b), size=10)
 
     svg.circle(x0 + 10, _MARGIN_T + 2, 4, _PALETTE[0])
-    svg.text(x0 + 18, _MARGIN_T + 6, label_a, size=11, anchor="start")
+    svg.text(x0 + 18, _MARGIN_T + 6, "f0 frames", size=11, anchor="start")
     svg.circle(x0 + 150, _MARGIN_T + 2, 4, _PALETTE[1])
-    svg.text(x0 + 158, _MARGIN_T + 6, label_b, size=11, anchor="start")
+    svg.text(x0 + 158, _MARGIN_T + 6, "score beats", size=11, anchor="start")
     return svg.document()
 
 
-def render_contour_overlay(contours: list[Contour], spec: FigureSpec | None = None) -> str:
+def render_contour_overlay(contours: list[Contour]) -> str:
     """Overlay of occurrence contours on the normalized beat axis.
 
     Missing values break a contour into separate polylines; the legend
     names each occurrence by daemok and onset.
     """
-    if spec is None:
-        spec = FigureSpec(
-            FIGURE_CONTOUR_OVERLAY, series_labels=tuple(c.label for c in contours) or ("series",)
-        )
     lengths = {c.values.shape[0] for c in contours}
     if len(lengths) > 1:
         raise IncompatibleContourError(f"contours have mismatched lengths {sorted(lengths)}")
 
-    svg = _Svg(spec.width, spec.height)
-    plot_w = spec.width - _MARGIN_L - _MARGIN_R
-    plot_h = spec.height - _MARGIN_T - _MARGIN_B
+    svg = _Svg(_WIDTH, _HEIGHT)
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
 
     svg.line(x0, y0, x0 + plot_w, y0)
     svg.line(x0, _MARGIN_T, x0, y0)
-    svg.text(x0 + plot_w / 2, spec.height - 12, "normalized beat position", size=11)
+    svg.text(x0 + plot_w / 2, _HEIGHT - 12, "normalized beat position", size=11)
     svg.text(16, _MARGIN_T + plot_h / 2, "cents", size=11, rotate=-90.0)
 
     finite = [v for c in contours for v in c.values[np.isfinite(c.values)]]
@@ -247,8 +225,7 @@ def render_contour_overlay(contours: list[Contour], spec: FigureSpec | None = No
             svg.polyline(run, color)
         ly = _MARGIN_T + 2 + 14 * ci
         svg.circle(x0 + plot_w - 150, ly, 4, color)
-        label = spec.series_labels[ci] if ci < len(spec.series_labels) else contour.label
-        svg.text(x0 + plot_w - 142, ly + 4, label, size=10, anchor="start")
+        svg.text(x0 + plot_w - 142, ly + 4, contour.label, size=10, anchor="start")
 
     for frac in (0.0, 0.5, 1.0):
         gx = x0 + plot_w * frac
@@ -277,17 +254,17 @@ def contours_csv(pattern: NGramPattern, contours: list[Contour]) -> str:
 # pipeline
 
 
-_DEFAULT_SETTINGS = {
-    "filter": {"min_confidence": 0.6, "min_hz": 350.0, "max_hz": 1000.0},
+DEFAULT_SETTINGS = {
+    "filter": asdict(FilterConfig()),
     "reference_hz": 440.0,
     "tuning_offset_cents": 0.0,
-    "jangdan": "joongmori",
-    "beats_per_measure": 12,
+    "jangdan": JangdanSpec().name,
+    "beats_per_measure": JangdanSpec().beats_per_measure,
     "merge_ties": True,
     "skip_rests": False,
-    "n_values": [2, 3, 4, 6],
-    "min_support": 2,
-    "samples_per_contour": 200,
+    "n_values": list(DEFAULT_N_VALUES),
+    "min_support": DEFAULT_MIN_SUPPORT,
+    "samples_per_contour": DEFAULT_SAMPLES_PER_CONTOUR,
     "contour_patterns": [],
     "modes": ["ujo", "gyemyeonjo"],
     "yin": {},
@@ -306,6 +283,17 @@ class AnalysisBundle:
     output_files: tuple[str, ...] = field(default_factory=tuple)
 
 
+@contextmanager
+def _stage(stage: str, daemok_id: str):
+    """Re-raise a library, I/O or value error in the block as a `PipelineError` of `stage`."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except (SorimirError, OSError, ValueError) as exc:
+        raise PipelineError(stage, daemok_id, exc) from exc
+
+
 def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -316,34 +304,41 @@ def dump_json(obj) -> str:
 
 def reference_hz(settings: dict) -> float:
     """The tuned reference: `reference_hz` shifted by `tuning_offset_cents`."""
-    return float(settings["reference_hz"]) * 2.0 ** (
-        float(settings["tuning_offset_cents"]) / 1200.0
-    )
+    base, offset = float(settings["reference_hz"]), float(settings["tuning_offset_cents"])
+    # 2.0 ** x raises OverflowError from x = 1024 on; such a reference is infinite anyway.
+    tuned = base * 2.0 ** (offset / 1200.0) if offset / 1200.0 < 1024 else math.inf
+    if not 0 < tuned < math.inf:
+        raise DomainError(
+            f"reference_hz {base} tuned by {offset} cents is not a finite positive frequency"
+        )
+    return tuned
 
 
 _ENTRY_KEYS = ("id", "score", "beats", "f0_csv", "audio")
 _NESTED_KEYS = {
-    "filter": tuple(_DEFAULT_SETTINGS["filter"]),
+    "filter": tuple(DEFAULT_SETTINGS["filter"]),
     "yin": ("frame_s", "hop_s", "search_min_hz", "search_max_hz", "threshold"),
 }
 _LIST_ITEMS = {"n_values": 0, "contour_patterns": "", "modes": ""}
 
 
 def _check_type(name: str, value, like) -> None:
-    """Raise unless `value` has the JSON type of `like` (an int passes for a float)."""
+    """Raise unless `value` is finite and of `like`'s JSON type (an int passes for a float)."""
     kind = (int, float) if isinstance(like, float) else type(like)
     if isinstance(value, bool) is not isinstance(like, bool) or not isinstance(value, kind):
         raise PipelineError("manifest", "*", f"{name} must be {type(like).__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PipelineError("manifest", "*", f"{name} must be finite, got {value!r}")
 
 
 def _checked_settings(given) -> dict:
     """Defaults overlaid with `given`, which must use only known keys and types."""
     _check_type("settings", given, {})
-    settings = {**_DEFAULT_SETTINGS, "filter": dict(_DEFAULT_SETTINGS["filter"])}
+    settings = {**DEFAULT_SETTINGS, "filter": dict(DEFAULT_SETTINGS["filter"])}
     for key, value in given.items():
-        if key not in _DEFAULT_SETTINGS:
+        if key not in DEFAULT_SETTINGS:
             raise PipelineError("manifest", "*", f"unknown setting {key!r}")
-        _check_type(f"setting {key!r}", value, _DEFAULT_SETTINGS[key])
+        _check_type(f"setting {key!r}", value, DEFAULT_SETTINGS[key])
         if key in _NESTED_KEYS:
             for name, item in value.items():
                 if name not in _NESTED_KEYS[key]:
@@ -356,6 +351,8 @@ def _checked_settings(given) -> dict:
     unknown = [m for m in settings["modes"] if m not in MODE_FACTORIES]
     if unknown:
         raise PipelineError("manifest", "*", f"unknown mode {unknown[0]!r}")
+    with _stage("manifest", "*"):
+        reference_hz(settings)
     return settings
 
 
@@ -400,41 +397,27 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
     return normalized, settings
 
 
-def load_daemok(entry: dict, settings: dict):
-    """Parse one manifest entry's score, beats and (filtered) F0 track."""
-    daemok_id = entry["id"]
-    try:
-        score = parse_musicxml(Path(entry["score"]).read_bytes())
-    except FileNotFoundError:
-        raise PipelineError("score", daemok_id, f"missing file {entry['score']}") from None
-    except SorimirError as exc:
-        raise PipelineError("score", daemok_id, exc) from exc
-    events = note_sequence(score, merge_ties=bool(settings["merge_ties"]))
-
-    try:
-        grid = load_beats(
-            Path(entry["beats"]).read_text(),
-            JangdanSpec(str(settings["jangdan"]), int(settings["beats_per_measure"])),
-        )
-    except FileNotFoundError:
-        raise PipelineError("beats", daemok_id, f"missing file {entry['beats']}") from None
-    except SorimirError as exc:
-        raise PipelineError("beats", daemok_id, exc) from exc
-
-    try:
-        if "f0_csv" in entry:
-            track = import_f0_csv(Path(entry["f0_csv"]).read_text())
-        else:
-            samples, sample_rate = load_wav(entry["audio"])
-            track = estimate_f0_yin(samples, sample_rate, **settings["yin"])
-        track = filter_track(track, FilterConfig(**settings["filter"]))
-    except FileNotFoundError:
-        missing = entry.get("f0_csv", entry.get("audio"))
-        raise PipelineError("f0", daemok_id, f"missing file {missing}") from None
-    except (SorimirError, TypeError, ValueError) as exc:
-        raise PipelineError("f0", daemok_id, exc) from exc
-
-    return score, events, grid, track
+def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
+    """Every entry's score events, beat grid and filtered F0 track, each keyed by daemok id."""
+    events_by_id, grids, tracks = {}, {}, {}
+    for entry in entries:
+        daemok_id = entry["id"]
+        with _stage("score", daemok_id):
+            score = parse_musicxml(Path(entry["score"]).read_bytes())
+            events_by_id[daemok_id] = note_sequence(score, merge_ties=settings["merge_ties"])
+        with _stage("beats", daemok_id):
+            grids[daemok_id] = load_beats(
+                Path(entry["beats"]).read_text(),
+                JangdanSpec(settings["jangdan"], settings["beats_per_measure"]),
+            )
+        with _stage("f0", daemok_id):
+            if "f0_csv" in entry:
+                track = import_f0_csv(Path(entry["f0_csv"]).read_text())
+            else:
+                samples, sample_rate = load_wav(entry["audio"])
+                track = estimate_f0_yin(samples, sample_rate, **settings["yin"])
+            tracks[daemok_id] = filter_track(track, FilterConfig(**settings["filter"]))
+    return events_by_id, grids, tracks
 
 
 def mine_index(events_by_id: dict, settings: dict, min_support: int) -> PatternIndex:
@@ -486,91 +469,62 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
     leaving partial outputs behind.
     """
     entries, settings = load_manifest(manifest_path)
-    out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
-    out_root.mkdir(parents=True, exist_ok=True)
-
     input_hashes = {}
     for entry in entries:
-        for key in ("score", "beats", "f0_csv", "audio"):
-            if key in entry:
-                p = Path(entry[key])
-                if not p.is_file():
-                    raise PipelineError("inputs", entry["id"], f"missing file {p}")
-                input_hashes[f"{entry['id']}:{key}"] = _sha256(p)
-
+        with _stage("inputs", entry["id"]):
+            for key in _ENTRY_KEYS[1:]:
+                if key in entry:
+                    input_hashes[f"{entry['id']}:{key}"] = _sha256(Path(entry[key]))
     provenance = {"inputs": input_hashes, "settings": settings}
     prov_text = dump_json(provenance)
     reference = reference_hz(settings)
-
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_root))
     outputs: dict[str, str] = {}
 
     def emit(name: str, text: str):
         outputs[name] = text
         outputs[name + ".prov.json"] = prov_text
 
+    events_by_id, grids, tracks = load_corpus(entries, settings)
+    histograms: dict[str, dict] = {}
+    for daemok_id, events in events_by_id.items():
+        with _stage("histogram", daemok_id):
+            f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
+            score_hist = score_duration_histogram(events)
+            record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
+            histograms[daemok_id] = record
+            emit(f"{daemok_id}.histogram.json", dump_json(record))
+            emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist))
+
+    with _stage("patterns", "*"):
+        index = mine_index(events_by_id, settings, settings["min_support"])
+        emit("patterns.json", dump_json(pattern_index_record(index)))
+
+    contour_sets: dict[str, list[Contour]] = {}
+    for pi, pattern_text in enumerate(settings["contour_patterns"]):
+        with _stage("contours", "*"):
+            pattern = NGramPattern.from_text(pattern_text)
+            contours = occurrence_contours(
+                index, pattern, grids, tracks,
+                samples_per_contour=settings["samples_per_contour"], reference_hz=reference,
+            )
+            contour_sets[pattern_text] = contours
+            stem = f"pattern-{pi:02d}"
+            emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
+            emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
+            vib = occurrence_vibrato(index, pattern, grids, tracks, reference_hz=reference)
+            emit(f"{stem}.vibrato.json", dump_json(vibrato_record(pattern, vib)))
+
+    out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
+    out_root.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_root))
     try:
-        histograms: dict[str, dict] = {}
-        events_by_id = {}
-        grids = {}
-        tracks = {}
-        for entry in entries:
-            daemok_id = entry["id"]
-            _, events, grid, track = load_daemok(entry, settings)
-            events_by_id[daemok_id] = events
-            grids[daemok_id] = grid
-            tracks[daemok_id] = track
-
-            try:
-                f0_hist = f0_histogram(track, reference_hz=reference)
-                score_hist = score_duration_histogram(events)
-                record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
-                histograms[daemok_id] = record
-                emit(f"{daemok_id}.histogram.json", dump_json(record))
-                emit(
-                    f"{daemok_id}.histogram.svg",
-                    render_histogram_figure(f0_hist, score_hist),
-                )
-            except SorimirError as exc:
-                raise PipelineError("histogram", daemok_id, exc) from exc
-
-        try:
-            index = mine_index(events_by_id, settings, int(settings["min_support"]))
-            emit("patterns.json", dump_json(pattern_index_record(index)))
-        except SorimirError as exc:
-            raise PipelineError("patterns", "*", exc) from exc
-
-        contour_sets: dict[str, list[Contour]] = {}
-        for pi, pattern_text in enumerate(settings["contour_patterns"]):
-            try:
-                pattern = NGramPattern.from_text(pattern_text)
-                contours = occurrence_contours(
-                    index,
-                    pattern,
-                    grids,
-                    tracks,
-                    samples_per_contour=int(settings["samples_per_contour"]),
-                    reference_hz=reference,
-                )
-                contour_sets[pattern_text] = contours
-                stem = f"pattern-{pi:02d}"
-                emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
-                emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
-                vib = occurrence_vibrato(index, pattern, grids, tracks, reference_hz=reference)
-                emit(f"{stem}.vibrato.json", dump_json(vibrato_record(pattern, vib)))
-            except (SorimirError, ValueError) as exc:
-                raise PipelineError("contours", "*", exc) from exc
-
         for name in sorted(outputs):
-            target = staging / name
-            with open(target, "w", newline="\n") as fh:
+            with open(staging / name, "w", newline="\n") as fh:
                 fh.write(outputs[name])
         for name in sorted(outputs):
             (staging / name).replace(out_root / name)
-    except Exception:
+    finally:
         shutil.rmtree(staging, ignore_errors=True)
-        raise
-    shutil.rmtree(staging, ignore_errors=True)
 
     return AnalysisBundle(
         daemok_ids=tuple(e["id"] for e in entries),

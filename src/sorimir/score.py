@@ -158,6 +158,15 @@ def _parse_xml_root(document) -> ET.Element:
         raise MusicXmlParseError(f"malformed XML: {exc}", line=line) from exc
 
 
+def _int_text(text: str, element: str, measure_index: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise StructureError(
+            f"<{element}> {text!r} is not an integer in measure {measure_index}"
+        ) from None
+
+
 def _parse_pitch_element(el: ET.Element | None, measure_index: int) -> Pitch:
     if el is None:
         raise StructureError(f"<note> without <pitch> or <rest> in measure {measure_index}")
@@ -166,7 +175,7 @@ def _parse_pitch_element(el: ET.Element | None, measure_index: int) -> Pitch:
     if step is None or octave is None:
         raise StructureError(f"<pitch> without step/octave in measure {measure_index}")
     alter_text = el.findtext("alter")
-    alter = int(alter_text) if alter_text else 0
+    alter = _int_text(alter_text, "alter", measure_index) if alter_text else 0
     try:
         return Pitch(step.strip(), alter, int(octave))
     except ValueError as exc:
@@ -212,7 +221,7 @@ def parse_musicxml(document) -> Score:
             if child.tag == "attributes":
                 div_text = child.findtext("divisions")
                 if div_text is not None:
-                    divisions = int(div_text)
+                    divisions = _int_text(div_text, "divisions", m_index)
                     if divisions < 1:
                         raise StructureError(f"<divisions> must be positive, got {divisions}")
                 time_el = child.find("time")
@@ -250,7 +259,7 @@ def parse_musicxml(document) -> Score:
                 raise StructureError(f"<note> without <duration> in measure {m_index}")
             if divisions is None:
                 raise StructureError("missing <divisions> before the first note")
-            duration = Fraction(int(dur_text), divisions)
+            duration = Fraction(_int_text(dur_text, "duration", m_index), divisions)
 
             is_rest = child.find("rest") is not None
             pitch = None if is_rest else _parse_pitch_element(child.find("pitch"), m_index)

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sorimir.cli import main
 
@@ -150,6 +157,22 @@ class TestHistogramCommand:
         assert code == 0
         assert json.loads(out)["daemok"] == "sample-daemok"
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--reference-hz", "nan"), ("--reference-hz", "0"), ("--tuning-offset-cents", "1e7")],
+    )
+    def test_unusable_reference_is_one_json_line(self, capsys, fixtures_dir, option, value):
+        code, out, err = run_cli(
+            capsys,
+            "histogram",
+            "--score", str(fixtures_dir / "joongmori_sample.musicxml"),
+            "--f0", str(fixtures_dir / "sample.f0.csv"),
+            option, value,
+        )
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "DomainError"
+
     def test_format_svg_stdout(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
             capsys,
@@ -249,6 +272,16 @@ class TestRunCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "PipelineError"
 
+    def test_warnings_before_a_failure_ride_in_its_line(self, capsys, fixtures_dir, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_fixture_manifest(fixtures_dir, n_values=[15])))
+        code, _, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert "not in the index" in error["message"]
+        assert error["warnings"] == ["no sequence is long enough for 15-grams"]
+
 
 def _fixture_manifest(fixtures_dir, **settings) -> dict:
     manifest = json.loads((fixtures_dir / "manifest.json").read_text())
@@ -272,6 +305,11 @@ class TestManifestSchema:
             ({"samples_per_contour": "200"}, None, "'samples_per_contour' must be int"),
             ({"modes": ["ujo", "pyeongjo"]}, None, "unknown mode 'pyeongjo'"),
             ({}, [["sample-daemok", "joongmori_sample.musicxml"]], "is not an object"),
+            ({"reference_hz": float("nan")}, None, "'reference_hz' must be finite, got nan"),
+            ({"tuning_offset_cents": float("inf")}, None, "'tuning_offset_cents' must be finite"),
+            ({"filter": {"min_hz": float("-inf")}}, None, "'filter.min_hz' must be finite"),
+            ({"tuning_offset_cents": 1e7}, None, "not a finite positive frequency"),
+            ({"reference_hz": 0}, None, "not a finite positive frequency"),
         ],
     )
     def test_rejected_with_one_json_line(self, capsys, fixtures_dir, tmp_path, settings, daemok, message):
@@ -333,3 +371,119 @@ class TestRunParity:
         )
         assert code == 0
         assert csv_path.read_bytes() == (run_dir / "pattern-00.contours.csv").read_bytes()
+
+
+class TestLoadStages:
+    """`run` and `patterns contours` load through one guard that names the stage and daemok."""
+
+    PATTERNS = ("patterns", "contours", "--pattern", "A4:2/1 C5:2/1", "--manifest")
+
+    @pytest.mark.parametrize(
+        "probe, run_stage, patterns_stage",
+        [
+            ("divisions", "score", "score"),
+            ("zero_bpm", "beats", "beats"),
+            ("directory", "inputs", "f0"),
+        ],
+    )
+    def test_probe_is_one_pipeline_error(
+        self, capsys, fixtures_dir, tmp_path, probe, run_stage, patterns_stage
+    ):
+        manifest = _fixture_manifest(fixtures_dir)
+        entry = manifest["daemok"][0]
+        if probe == "divisions":
+            score = (fixtures_dir / "joongmori_sample.musicxml").read_text()
+            (tmp_path / "x.musicxml").write_text(score.replace("<divisions>2<", "<divisions>x<"))
+            entry["score"] = str(tmp_path / "x.musicxml")
+        elif probe == "zero_bpm":
+            manifest["settings"]["beats_per_measure"] = 0
+        else:
+            entry["f0_csv"] = str(tmp_path)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        for argv, stage in (
+            (("run", "--out-dir", str(tmp_path / "out"), "--manifest"), run_stage),
+            (self.PATTERNS, patterns_stage),
+        ):
+            code, out, err = run_cli(capsys, *argv, str(path))
+            assert code == 1 and out == ""
+            (line,) = err.splitlines()
+            error = json.loads(line)["error"]
+            assert error["type"] == "PipelineError"
+            assert f"stage '{stage}' failed for daemok 'sample-daemok'" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+
+_SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -0.5, 1e7])
+
+
+def _number(lo: float, hi: float):
+    """A JSON number: either within [lo, hi] or one of the special values."""
+    return st.floats(lo, hi) | _SPECIAL
+
+
+_SETTING_VALUES = {
+    "reference_hz": _number(400.0, 480.0),
+    "tuning_offset_cents": _number(-2400.0, 2400.0),
+    "filter": st.fixed_dictionaries(
+        {},
+        optional={
+            "min_confidence": _number(0.0, 1.0),
+            "min_hz": _number(0.0, 500.0),
+            "max_hz": _number(500.0, 2000.0),
+        },
+    ),
+    "beats_per_measure": st.integers(-1, 16) | _SPECIAL,
+    "min_support": st.integers(-1, 4),
+    "samples_per_contour": st.integers(-1, 400),
+    "n_values": st.lists(st.integers(-1, 16), max_size=4),
+    "skip_rests": st.booleans(),
+    "merge_ties": st.booleans(),
+}
+
+
+def _run_quietly(*argv):
+    """`main(argv)` in-process with its stdout, stderr and re-emitted warnings captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True):
+            code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+class TestRunContract:
+    """A mutated fixture manifest either runs reproducibly or fails as one JSON line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        overrides=st.fixed_dictionaries({}, optional=_SETTING_VALUES),
+        broken=st.dictionaries(
+            st.sampled_from(("score", "beats", "f0_csv")),
+            st.sampled_from(("missing", "directory", "binary")),
+            max_size=1,
+        ),
+    )
+    def test_run_succeeds_reproducibly_or_fails_cleanly(self, fixtures_dir, overrides, broken):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "directory").mkdir()
+            (tmp / "binary").write_bytes(bytes(range(256)) * 8)
+            manifest = _fixture_manifest(fixtures_dir, **overrides)
+            for key, kind in broken.items():
+                manifest["daemok"][0][key] = str(tmp / kind)
+            (tmp / "m.json").write_text(json.dumps(manifest))
+
+            argv = ("run", "--manifest", str(tmp / "m.json"), "--out-dir")
+            code, err = _run_quietly(*argv, str(tmp / "a"))
+            if code == 0:
+                assert _run_quietly(*argv, str(tmp / "b"))[0] == 0
+                assert _files(tmp / "a") == _files(tmp / "b")
+            else:
+                assert code == 1
+                (line,) = err.splitlines()
+                assert json.loads(line)["error"]["type"] == "PipelineError"
+                assert _files(tmp / "a") == {}

@@ -215,8 +215,9 @@ class TestCents:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hz_to_cents(0.0, 440.0)
-        with pytest.raises(DomainError):
-            hz_to_cents(440.0, -1.0)
+        for reference in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                hz_to_cents(440.0, reference)
 
     @given(
         st.floats(1.0, 10000.0),

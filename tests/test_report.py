@@ -14,7 +14,6 @@ from sorimir.errors import (
 from sorimir.histogram import BIN_MIDI, BIN_PITCH_CLASS, PitchHistogram
 from sorimir.patterns import Contour, NGramPattern
 from sorimir.report import (
-    FigureSpec,
     contours_csv,
     load_manifest,
     pattern_index_record,
@@ -30,16 +29,6 @@ def contour(values, daemok="d", onset=0):
 
 def single_bin(kind=BIN_MIDI, b=69, mass=10.0, unit="frames"):
     return PitchHistogram(kind, {b: mass}, unit)
-
-
-class TestFigureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FigureSpec("weird-kind")
-        with pytest.raises(ValueError):
-            FigureSpec("histogram-pair", width=0)
-        with pytest.raises(ValueError):
-            FigureSpec("histogram-pair", series_labels=())
 
 
 class TestHistogramFigure:

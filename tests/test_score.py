@@ -174,6 +174,19 @@ class TestParseMusicXml:
             score = parse_musicxml(xml_doc(grace + note_xml("D", 4, 12)))
         assert len(note_sequence(score)) == 1
 
+    @pytest.mark.parametrize(
+        "doc, element",
+        [
+            (xml_doc(note_xml("C", 4, 12)).replace(b"<divisions>1<", b"<divisions>x<"), "divisions"),
+            (xml_doc(note_xml("C", 4, "12.0")), "duration"),
+            (xml_doc(note_xml("C", 4, 12, alter="1/2")), "alter"),
+        ],
+        ids=["divisions", "duration", "alter"],
+    )
+    def test_non_integer_value_names_measure(self, doc, element):
+        with pytest.raises(StructureError, match=f"<{element}> .* not an integer in measure 0"):
+            parse_musicxml(doc)
+
     def test_measure_capacity_mismatch(self):
         with pytest.raises(StructureError, match="measure 0"):
             parse_musicxml(xml_doc(note_xml("C", 4, 11)))
