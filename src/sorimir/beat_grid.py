@@ -185,19 +185,21 @@ def slice_track(track: F0Track, grid: BeatGrid, start_beat: float, end_beat: flo
     """
     if not start_beat < end_beat:
         raise BeatRangeError(f"inverted beat interval [{start_beat}, {end_beat})")
-    t_start = grid.time_at_beat(start_beat)
-    t_end = grid.time_at_beat(end_beat)
-    times = track.times()
-    idx = np.nonzero((times >= t_start) & (times < t_end))[0]
-    if idx.size == 0:
-        return TrackSegment(
-            np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), hop_s=track.hop_s
-        )
-    frame_times = times[idx]
+    hop, n = track.hop_s, len(track)
+
+    def first_frame(t: float) -> int:  # smallest k in 0..n with k * hop >= t, as in track.times()
+        # t / hop and k * hop are each rounded once, so ceil(t / hop) - 1 is never past it.
+        start = max(math.ceil(min(max(t / hop, 0.0), n)) - 1, 0)
+        return next(k for k in range(start, n + 1) if k == n or k * hop >= t)
+
+    lo, hi = first_frame(grid.time_at_beat(start_beat)), first_frame(grid.time_at_beat(end_beat))
+    if hi <= lo:
+        return TrackSegment(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), hop_s=hop)
+    frame_times = np.arange(lo, hi) * hop
     return TrackSegment(
         times=frame_times,
         beats=grid.beat_at_time(frame_times),
-        f0_hz=track.f0_hz[idx].copy(),
-        confidence=track.confidence[idx].copy(),
-        hop_s=track.hop_s,
+        f0_hz=track.f0_hz[lo:hi].copy(),
+        confidence=track.confidence[lo:hi].copy(),
+        hop_s=hop,
     )

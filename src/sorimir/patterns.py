@@ -363,10 +363,13 @@ def vibrato_metrics(
     elif n_crossings < 3:
         depth = float(raw.max() - raw.min()) / 2.0
     else:
-        spans = [
-            raw[crossings[i] : crossings[i + 2] + 1] for i in range(n_crossings - 2)
-        ]
-        depth = float(np.mean([(s.max() - s.min()) / 2.0 for s in spans]))
+        # Cycle i, raw[crossings[i] : crossings[i + 2] + 1], is segments i and i + 1 plus one sample.
+        seg_hi = np.maximum.reduceat(raw, crossings)[:-1]
+        seg_lo = np.minimum.reduceat(raw, crossings)[:-1]
+        ends = raw[crossings[2:]]
+        hi = np.maximum(np.maximum(seg_hi[:-1], seg_hi[1:]), ends)
+        lo = np.minimum(np.minimum(seg_lo[:-1], seg_lo[1:]), ends)
+        depth = float(np.mean((hi - lo) / 2.0))
     return VibratoMetrics(
         rate_hz=rate,
         depth_cents=depth,

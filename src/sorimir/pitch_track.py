@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,73 +139,98 @@ def import_f0_csv(text) -> F0Track:
 
     The hop is inferred from the first two rows; rows must start at time 0,
     increase strictly, and keep hop jitter within 1 ms. Frequency 0 marks an
-    unvoiced frame.
+    unvoiced frame. The body is parsed in one `np.loadtxt` call; the rows are
+    read again one at a time only to name the row of an error.
     """
     if hasattr(text, "read"):
         text = text.read()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    buf = io.StringIO(text)
+    header = next(csv.reader(buf), None)
     if header is None or [h.strip() for h in header] != ["time", "frequency", "confidence"]:
         raise FormatError("expected CSV header 'time,frequency,confidence'")
+    body = buf.read()
+    try:
+        if any(ch in body for ch in "\x1c\x1d\x1e\x1f"):  # np.loadtxt strips these, float() does not
+            raise ValueError
+        kw = dict(delimiter=",", comments=None, ndmin=2, unpack=True)
+        t, f, c = np.loadtxt(io.StringIO(body), **kw) if body.strip("\r\n") else np.zeros((3, 0))
+    except ValueError:
+        row_nos, values, error, refused_row = _read_rows(text)
+        _checked_track(*np.reshape(values, (-1, 3)).T, row_nos.__getitem__, error)
+        message = "quoted value, digit underscore, non-ASCII digit, stray CR or whitespace-only line"
+        raise FormatError(message, row=refused_row) from None
+    return _checked_track(t, f, c, lambda i: _read_rows(text)[0][i])
 
-    times: list[float] = []
-    freqs: list[float] = []
-    confs: list[float] = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise FormatError(f"expected 3 columns, got {len(row)}", row=row_no)
-        try:
-            t, f, c = (float(v) for v in row)
-        except ValueError:
-            raise FormatError(f"non-numeric value in {row!r}", row=row_no) from None
-        if f < 0:
-            raise FormatError(f"negative frequency {f}", row=row_no)
-        if not 0.0 <= c <= 1.0:
-            raise DomainError(f"confidence {c} outside [0, 1] (row {row_no})")
-        times.append(t)
-        freqs.append(f)
-        confs.append(c)
 
-    if not times:
+def _read_rows(text: str):
+    """Rows as csv and float() read them, numbered as in the file: numbers and values up to the
+    first malformed row, its error (or None), and the first row `np.loadtxt` refuses."""
+    lines = io.StringIO(text).readlines()
+    reader = csv.reader(lines)
+    next(reader)
+    row_nos, values, error, refused_row, done = [], [], None, None, reader.line_num
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            line = "".join(lines[done : reader.line_num]).removesuffix("\n").removesuffix("\r")
+            done = reader.line_num
+            blank = not row or (len(row) == 1 and not row[0].strip())
+            # csv and float() take quotes, underscores, inner CRs and non-ASCII digits; np.loadtxt not.
+            if refused_row is None and (line if blank else re.search(r'["_\r]|[^\x00-\x7f\s]', line)):
+                refused_row = row_no
+            if blank:
+                continue
+            if len(row) != 3:
+                error = FormatError(f"expected 3 columns, got {len(row)}", row=row_no)
+                break
+            try:
+                values.append([float(v) for v in row])
+            except ValueError:
+                error = FormatError(f"non-numeric value in {row!r}", row=row_no)
+                break
+            row_nos.append(row_no)
+    except csv.Error as exc:  # raised as before, once the rows above it are checked
+        error = exc
+    return row_nos, values, error, refused_row
+
+
+def _checked_track(t, f, c, row_of, pending=None) -> F0Track:
+    """Track of the columns, or the first error in the row checks' order: values, `pending` (a
+    malformed row below these), times. `row_of(i)` is the file row number of data row i."""
+    bad = (f < 0) | ~((c >= 0) & (c <= 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if f[i] < 0:
+            raise FormatError(f"negative frequency {float(f[i])}", row=row_of(i))
+        raise DomainError(f"confidence {float(c[i])} outside [0, 1] (row {row_of(i)})")
+    if pending is not None:
+        raise pending
+    if t.size == 0:
         return F0Track(np.zeros(0), np.zeros(0), hop_s=DEFAULT_HOP_S)
-    t_all = np.array(times)
-    f_all = np.array(freqs)
-    non_finite = ~(np.isfinite(t_all) & np.isfinite(f_all))
+    non_finite = ~(np.isfinite(t) & np.isfinite(f))
     if non_finite.any():
         i = int(np.argmax(non_finite))
-        raise FormatError(f"non-finite time or frequency in {times[i]},{freqs[i]}", row=_data_row(text, i))
-    if abs(times[0]) > _HOP_JITTER_S:
-        raise FormatError(f"track must start at time 0, got {times[0]}", row=_data_row(text, 0))
-    hop = times[1] - times[0] if len(times) > 1 else DEFAULT_HOP_S
+        where = f"{float(t[i])},{float(f[i])}"
+        raise FormatError(f"non-finite time or frequency in {where}", row=row_of(i))
+    if abs(t[0]) > _HOP_JITTER_S:
+        raise FormatError(f"track must start at time 0, got {float(t[0])}", row=row_of(0))
+    hop = float(t[1] - t[0]) if t.size > 1 else DEFAULT_HOP_S
     if hop <= 0:
-        raise FormatError(f"non-increasing time {times[1]}", row=_data_row(text, 1))
-    delta = np.diff(t_all)
+        raise FormatError(f"non-increasing time {float(t[1])}", row=row_of(1))
+    delta = np.diff(t)
     bad = (delta <= 0) | (np.abs(delta - hop) > _HOP_JITTER_S)
     if bad.any():
         i = int(np.argmax(bad)) + 1
         if delta[i - 1] <= 0:
-            raise FormatError(f"non-increasing time {times[i]}", row=_data_row(text, i))
-        raise FormatError(f"hop jitter {abs(delta[i - 1] - hop):.6f}s exceeds 1 ms", row=_data_row(text, i))
-    return F0Track(f_all, np.asarray(confs), hop_s=hop)
-
-
-def _data_row(text: str, i: int) -> int:
-    """Row number, as `import_f0_csv` counts rows (blank lines included), of data row `i`."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    rows = (n for n, row in enumerate(reader, start=1) if row and (len(row) > 1 or row[0].strip()))
-    return next(itertools.islice(rows, i, None))
+            raise FormatError(f"non-increasing time {float(t[i])}", row=row_of(i))
+        raise FormatError(f"hop jitter {abs(delta[i - 1] - hop):.6f}s exceeds 1 ms", row=row_of(i))
+    return F0Track(f, c, hop_s=hop)
 
 
 def export_f0_csv(track: F0Track) -> str:
     """Serialize a track back to the canonical CSV form."""
-    lines = ["time,frequency,confidence"]
-    times = track.times()
-    for i in range(len(track)):
-        lines.append(f"{times[i]:.4f},{track.f0_hz[i]:.3f},{track.confidence[i]:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = zip(track.times().tolist(), track.f0_hz.tolist(), track.confidence.tolist())
+    lines = (f"{t:.4f},{f:.3f},{c:.6f}" for t, f, c in rows)
+    return "\n".join(["time,frequency,confidence", *lines]) + "\n"
 
 
 def filter_track(track: F0Track, config: FilterConfig = FilterConfig()) -> F0Track:

@@ -59,10 +59,11 @@ _PALETTE = ("#3b6ea5", "#c0573b", "#4e9151", "#9157a3", "#ae8b2d", "#50858b", "#
 _WIDTH, _HEIGHT = 840, 420
 
 
-def _fmt(x: float) -> str:
-    if abs(x) < 0.005:
-        x = 0.0
-    return f"{x:.2f}"
+def _fmt(x):
+    """Two decimals, |x| < 0.005 as 0.00 (never -0.00); an array gives a list of strings."""
+    if isinstance(x, np.ndarray):
+        return [f"{v:.2f}" for v in np.where(np.abs(x) < 0.005, 0.0, x).tolist()]
+    return f"{0.0 if abs(x) < 0.005 else x:.2f}"
 
 
 class _Svg:
@@ -97,8 +98,8 @@ class _Svg:
             f'text-anchor="{anchor}" fill="{fill}"{transform}>{escape(content)}</text>'
         )
 
-    def polyline(self, points, stroke, width=1.5):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    def polyline(self, xs, ys, stroke, width=1.5):  # xs, ys: coordinates formatted by _fmt
+        pts = " ".join(map(",".join, zip(xs, ys)))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
         )
@@ -192,37 +193,28 @@ def render_contour_overlay(contours: list[Contour]) -> str:
     svg.text(x0 + plot_w / 2, _HEIGHT - 12, "normalized beat position", size=11)
     svg.text(16, _MARGIN_T + plot_h / 2, "cents", size=11, rotate=-90.0)
 
-    finite = [v for c in contours for v in c.values[np.isfinite(c.values)]]
-    if not contours or not finite:
+    finite = np.concatenate([c.values[np.isfinite(c.values)] for c in contours] or [[]])
+    if finite.size == 0:
         svg.text(x0 + plot_w / 2, _MARGIN_T + plot_h / 2, "no data", size=14)
         return svg.document()
 
-    lo, hi = min(finite), max(finite)
+    lo, hi = finite.min(), finite.max()
     if hi - lo < 1.0:
         mid = (hi + lo) / 2.0
         lo, hi = mid - 0.5, mid + 0.5
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    def to_xy(k: int, v: float, n: int) -> tuple[float, float]:
-        x = x0 + plot_w * (k / (n - 1) if n > 1 else 0.0)
-        y = y0 - plot_h * (v - lo) / (hi - lo)
-        return x, y
-
+    n = lengths.pop()
+    xs = _fmt(x0 + plot_w * (np.arange(n) / max(n - 1, 1)))
     for ci, contour in enumerate(contours):
         color = _PALETTE[ci % len(_PALETTE)]
-        n = contour.values.shape[0]
-        run: list[tuple[float, float]] = []
-        for k in range(n):
-            v = contour.values[k]
-            if np.isfinite(v):
-                run.append(to_xy(k, float(v), n))
-            elif run:
-                if len(run) > 1:
-                    svg.polyline(run, color)
-                run = []
-        if len(run) > 1:
-            svg.polyline(run, color)
+        ys = _fmt(y0 - plot_h * (contour.values - lo) / (hi - lo))
+        # Finite runs [start, stop): where the padded finite mask flips.
+        edges = np.diff(np.concatenate(([False], np.isfinite(contour.values), [False])))
+        for start, stop in np.flatnonzero(edges).reshape(-1, 2).tolist():
+            if stop - start > 1:
+                svg.polyline(xs[start:stop], ys[start:stop], color)
         ly = _MARGIN_T + 2 + 14 * ci
         svg.circle(x0 + plot_w - 150, ly, 4, color)
         svg.text(x0 + plot_w - 142, ly + 4, contour.label, size=10, anchor="start")
@@ -240,13 +232,14 @@ def contours_csv(pattern: NGramPattern, contours: list[Contour]) -> str:
     """Long-format CSV dump of contour samples (empty cell = unvoiced)."""
     lines = ["pattern,daemok,onset_beats,sample_index,normalized_position,cents"]
     n = contours[0].values.shape[0] if contours else 0
+    width = max((c.values.shape[0] for c in contours), default=0)
+    positions = [f"{k},{k / (n - 1) if n > 1 else 0.0:.6f}," for k in range(width)]
     for c in contours:
-        onset = fraction_str(c.onset_beats)
-        for k in range(c.values.shape[0]):
-            pos = k / (n - 1) if n > 1 else 0.0
-            v = c.values[k]
-            cell = "" if not np.isfinite(v) else f"{v:.6f}"
-            lines.append(f"{pattern.text},{c.daemok_id},{onset},{k},{pos:.6f},{cell}")
+        head = f"{pattern.text},{c.daemok_id},{fraction_str(c.onset_beats)},"
+        lines.extend(
+            f"{head}{pos}{format(v, '.6f') if math.isfinite(v) else ''}"
+            for pos, v in zip(positions, c.values.tolist())
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -365,6 +358,8 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
         raise PipelineError("manifest", "*", f"missing file {path}") from None
     except json.JSONDecodeError as exc:
         raise PipelineError("manifest", "*", f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PipelineError("manifest", "*", f"cannot read {path}: {exc}") from exc
 
     entries = raw.get("daemok") if isinstance(raw, dict) else None
     if not isinstance(entries, list) or not entries:

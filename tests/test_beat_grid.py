@@ -206,3 +206,53 @@ class TestSliceTrack:
         cents = seg.cents(440.0)
         assert cents[0] == 0.0
         assert np.isnan(cents[1])
+
+
+def _slice_by_mask(track, grid, start_beat, end_beat):
+    """The whole-track mask `slice_track` is defined by."""
+    times = track.times()
+    idx = np.nonzero((times >= grid.time_at_beat(start_beat)) & (times < grid.time_at_beat(end_beat)))[0]
+    return times[idx], track.f0_hz[idx], track.confidence[idx]
+
+
+@st.composite
+def track_grid_interval(draw):
+    """A track, a grid whose beats may sit exactly on frame times, and a beat interval."""
+    hop = draw(st.sampled_from([0.01, 0.005, 1 / 3, 0.0116, 256 / 22050, 0.1]))
+    n = draw(st.integers(0, 400))
+    n_beats = draw(st.integers(2, 8))
+    if draw(st.booleans()):  # beats on frame times k * hop, as track.times() computes them
+        frames = draw(st.lists(st.integers(0, n + 20), min_size=n_beats, max_size=n_beats, unique=True))
+        times = [k * hop for k in sorted(frames)]
+    else:
+        steps = draw(st.lists(st.floats(0.01, 2.0), min_size=n_beats, max_size=n_beats))
+        times = list(draw(st.floats(-0.5, 2.0)) + np.cumsum(steps))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, n_beats - 1)), draw(st.integers(0, n_beats - 1))
+    else:
+        a, b = draw(st.floats(0.0, n_beats - 1)), draw(st.floats(0.0, n_beats - 1))
+    track = F0Track(np.arange(n) + 100.0, np.linspace(0, 1, n), hop)
+    return track, tiny_grid(times), float(min(a, b)), float(max(a, b))
+
+
+class TestSliceTrackMatchesMask:
+    @given(track_grid_interval())
+    @settings(max_examples=100, deadline=None)
+    def test_same_frames_and_times_as_the_mask(self, case):
+        track, grid, start, end = case
+        if not start < end:
+            return
+        seg = slice_track(track, grid, start, end)
+        times, f0, conf = _slice_by_mask(track, grid, start, end)
+        assert seg.times.tobytes() == times.tobytes()
+        assert seg.f0_hz.tobytes() == f0.tobytes() and seg.confidence.tobytes() == conf.tobytes()
+        assert seg.beats.tobytes() == (grid.beat_at_time(times) if times.size else np.zeros(0)).tobytes()
+
+    def test_boundaries_on_frame_times(self):
+        hop = 0.01
+        grid = tiny_grid([7 * hop, 19 * hop, 23 * hop])
+        track = constant_track(40, hop)
+        for start, end in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (0.5, 1.5)):
+            assert slice_track(track, grid, start, end).times.tobytes() == (
+                _slice_by_mask(track, grid, start, end)[0].tobytes()
+            )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import shutil
 import tempfile
 import warnings
@@ -325,6 +326,21 @@ class TestManifestSchema:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "PipelineError"
         assert "stage 'manifest'" in error["message"] and message in error["message"]
+
+    @pytest.mark.parametrize("kind", ["undecodable", "directory"])
+    def test_unreadable_manifest_names_the_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "m.json"
+        if kind == "directory":
+            path.mkdir()
+        else:  # 0xb1 cannot start a UTF-8 sequence
+            path.write_bytes(b"\xb1" + random.Random(0).randbytes(299))
+        code, out, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PipelineError"
+        assert "stage 'manifest'" in error["message"] and f"cannot read {path}" in error["message"]
 
 
 class TestRunParity:

@@ -10,6 +10,8 @@ from sorimir.beat_grid import BeatAnnotation, BeatGrid, JangdanSpec
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
     NGramPattern,
+    VibratoMetrics,
+    _moving_average,
     detokenize,
     find_post_rest_long_notes,
     make_token,
@@ -289,6 +291,63 @@ class TestVibrato:
         cents[::3] = np.nan
         m = vibrato_metrics(cents, HOP)
         assert m.voiced_fraction == pytest.approx(66 / 100)
+
+
+def _vibrato_oracle(cents, hop_s, detrend_window_s=0.25, min_voiced_s=0.3):
+    """`vibrato_metrics` as it was, with one array slice per cycle for the depth."""
+    cents = np.asarray(cents, dtype=np.float64)
+    voiced = np.isfinite(cents)
+    n_voiced = int(np.count_nonzero(voiced))
+    voiced_duration = n_voiced * hop_s
+    if voiced_duration < min_voiced_s:
+        raise NotEnoughDataError("not enough voiced data")
+    window = max(1, int(round(detrend_window_s / hop_s)))
+    if window % 2 == 0:
+        window += 1
+    trend = _moving_average(cents, voiced, window)
+    detrended = np.where(voiced, cents - trend, np.nan)
+    comp = detrended[voiced]
+    raw = cents[voiced]
+    signs = np.sign(comp)
+    nonzero = signs != 0
+    sign_seq = signs[nonzero]
+    sign_pos = np.nonzero(nonzero)[0]
+    changes = sign_seq[1:] != sign_seq[:-1]
+    crossings = sign_pos[1:][changes]
+    n_crossings = int(np.count_nonzero(changes))
+    rate = n_crossings / (2.0 * voiced_duration)
+    if n_crossings == 0:
+        depth = 0.0
+    elif n_crossings < 3:
+        depth = float(raw.max() - raw.min()) / 2.0
+    else:
+        spans = [raw[crossings[i] : crossings[i + 2] + 1] for i in range(n_crossings - 2)]
+        depth = float(np.mean([(s.max() - s.min()) / 2.0 for s in spans]))
+    return VibratoMetrics(rate, depth, n_voiced / cents.shape[0] if cents.shape[0] else 0.0)
+
+
+class TestVibratoMatchesPerCycleSlices:
+    @given(
+        st.integers(30, 400),
+        st.floats(0.0, 80.0),
+        st.floats(0.5, 9.0),
+        st.floats(0.0, 20.0),
+        st.floats(0.0, 0.3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_equal(self, n, depth, rate, noise, gaps, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) * HOP
+        cents = 700.0 + depth * np.sin(2 * np.pi * rate * t) + noise * rng.standard_normal(n)
+        cents[rng.random(n) < gaps] = np.nan
+        try:
+            expected = _vibrato_oracle(cents, HOP)
+        except NotEnoughDataError:
+            with pytest.raises(NotEnoughDataError):
+                vibrato_metrics(cents, HOP)
+            return
+        assert vibrato_metrics(cents, HOP) == expected
 
 
 class TestOnsetGlide:

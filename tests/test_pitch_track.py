@@ -1,4 +1,6 @@
+import csv
 import io
+import itertools
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from sorimir.errors import ConfigurationError, DomainError, EmptyTrackError, FormatError
 from sorimir.pitch_track import (
+    DEFAULT_HOP_S,
     F0Track,
     FilterConfig,
     estimate_f0_yin,
@@ -172,6 +175,174 @@ class TestCsvImport:
     def test_reads_file_objects(self):
         track = import_f0_csv(io.StringIO("time,frequency,confidence\n0.00,440,0.9\n"))
         assert len(track) == 1
+
+
+def _import_f0_csv_oracle(text) -> F0Track:
+    """The row-at-a-time reader `import_f0_csv` replaced: csv.reader, then float() per cell."""
+    if hasattr(text, "read"):
+        text = text.read()
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["time", "frequency", "confidence"]:
+        raise FormatError("expected CSV header 'time,frequency,confidence'")
+
+    times: list[float] = []
+    freqs: list[float] = []
+    confs: list[float] = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise FormatError(f"expected 3 columns, got {len(row)}", row=row_no)
+        try:
+            t, f, c = (float(v) for v in row)
+        except ValueError:
+            raise FormatError(f"non-numeric value in {row!r}", row=row_no) from None
+        if f < 0:
+            raise FormatError(f"negative frequency {f}", row=row_no)
+        if not 0.0 <= c <= 1.0:
+            raise DomainError(f"confidence {c} outside [0, 1] (row {row_no})")
+        times.append(t)
+        freqs.append(f)
+        confs.append(c)
+
+    if not times:
+        return F0Track(np.zeros(0), np.zeros(0), hop_s=DEFAULT_HOP_S)
+    t_all = np.array(times)
+    f_all = np.array(freqs)
+    non_finite = ~(np.isfinite(t_all) & np.isfinite(f_all))
+    if non_finite.any():
+        i = int(np.argmax(non_finite))
+        raise FormatError(f"non-finite time or frequency in {times[i]},{freqs[i]}", row=_data_row(text, i))
+    if abs(times[0]) > 1e-3:
+        raise FormatError(f"track must start at time 0, got {times[0]}", row=_data_row(text, 0))
+    hop = times[1] - times[0] if len(times) > 1 else DEFAULT_HOP_S
+    if hop <= 0:
+        raise FormatError(f"non-increasing time {times[1]}", row=_data_row(text, 1))
+    delta = np.diff(t_all)
+    bad = (delta <= 0) | (np.abs(delta - hop) > 1e-3)
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        if delta[i - 1] <= 0:
+            raise FormatError(f"non-increasing time {times[i]}", row=_data_row(text, i))
+        raise FormatError(f"hop jitter {abs(delta[i - 1] - hop):.6f}s exceeds 1 ms", row=_data_row(text, i))
+    return F0Track(f_all, np.asarray(confs), hop_s=hop)
+
+
+def _data_row(text: str, i: int) -> int:
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows = (n for n, row in enumerate(reader, start=1) if row and (len(row) > 1 or row[0].strip()))
+    return next(itertools.islice(rows, i, None))
+
+
+def _export_f0_csv_oracle(track: F0Track) -> str:
+    """The per-frame writer `export_f0_csv` replaced."""
+    lines = ["time,frequency,confidence"]
+    times = track.times()
+    for i in range(len(track)):
+        lines.append(f"{times[i]:.4f},{track.f0_hz[i]:.3f},{track.confidence[i]:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, text):
+    try:
+        track = read(text)
+    except Exception as exc:  # compared by type, message and row
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "row", None))
+    return ("track", track.f0_hz.tobytes(), track.confidence.tobytes(), repr(track.hop_s))
+
+
+# Cell rewrites the reader must treat exactly as the row-at-a-time reader did.
+_CELL_EDITS = ["abc", "", "#", "# 1", "nan", "inf", "-inf", "-5", "1.5", "-0.1", " 0.5 ", "\t1",
+               "\xa00.5", "\x1c0.5", "+.5", "1e0", "Infinity", "0x1", "1 0"]
+# Syntax only the row-at-a-time reader accepted; now a FormatError naming the row.
+_SYNTAX_EDITS = [lambda v: f'"{v}"', lambda v: v[:1] + "_" + v[1:] if len(v) > 1 else v, lambda v: "١"]
+_SEPARATORS = ["\n", "\r\n", "\n\n", "\n \n", "\n\t\n", "\r", "\r\r\n", '\n""\n']
+
+
+@st.composite
+def perturbed_f0_csv(draw):
+    """An F0 CSV with a few rows rewritten; also says whether a syntax-only edit was made."""
+    hop = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    rows = []
+    for i in range(draw(st.integers(0, 10))):
+        t = i * hop + draw(st.sampled_from([0.0] * 6 + [0.002, -0.02, 0.5]))
+        rows.append([f"{t:.4f}", draw(st.sampled_from(["440", "0", "523.25"])), draw(st.sampled_from(["0.9", "0", "1"]))])
+    syntax = False
+    for _ in range(draw(st.integers(0, 3))) if rows else ():
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, len(cells) - 1))
+        kind = draw(st.sampled_from(["cell", "syntax", "columns"]))
+        if kind == "cell":
+            cells[j] = draw(st.sampled_from(_CELL_EDITS))
+        elif kind == "syntax":
+            cells[j] = draw(st.sampled_from(_SYNTAX_EDITS))(cells[j])
+            syntax = True
+        elif draw(st.booleans()) or len(cells) == 1:
+            cells.append("1")
+        else:
+            cells.pop()
+    text = "time,frequency,confidence" + draw(st.sampled_from(["\n", "\r\n"]))
+    for cells in rows:
+        sep = draw(st.sampled_from(_SEPARATORS)) if draw(st.integers(0, 4)) == 0 else "\n"
+        syntax |= sep in ("\n \n", "\n\t\n", "\r\r\n", '\n""\n')
+        text += ",".join(cells) + sep
+    return text, syntax
+
+
+class TestCsvImportMatchesRowReader:
+    @given(perturbed_f0_csv())
+    @settings(max_examples=100, deadline=None)
+    def test_same_track_or_same_error(self, case):
+        text, syntax = case
+        old, new = _outcome(_import_f0_csv_oracle, text), _outcome(import_f0_csv, text)
+        if old == new:
+            return
+        # The only departure: syntax the old reader took, now refused with its row named.
+        assert syntax and old[0] == "track"
+        assert new[:2] == ("error", "FormatError") and new[3] is not None and "quoted value" in new[2]
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [
+            ('0,440,1\n"0.01",440,1\n', 2),
+            ("0,440,1\n0.01,4_40,1\n", 2),
+            ("0,440,1\n  \n0.01,440,1\n", 2),
+            ("0,440,1\n\n0.01,٤٤٠,1\n", 3),
+            ("0,440,1\r\r\n0.01,440,1\n", 1),
+        ],
+    )
+    def test_syntax_only_the_row_reader_took_names_its_row(self, body, row):
+        text = "time,frequency,confidence\n" + body
+        assert len(_import_f0_csv_oracle(text)) == 2
+        with pytest.raises(FormatError, match="quoted value") as err:
+            import_f0_csv(text)
+        assert err.value.row == row
+
+    @pytest.mark.parametrize("cell", ["\x1c440", "440\x1f", "\x1d440\x1e"])
+    def test_separator_characters_float_refuses_stay_non_numeric(self, cell):
+        # np.loadtxt strips \x1c-\x1f as whitespace; float() does not, so these stay errors.
+        text = f"time,frequency,confidence\n0,440,1\n0.01,{cell},1\n"
+        assert _outcome(import_f0_csv, text) == _outcome(_import_f0_csv_oracle, text)
+        with pytest.raises(FormatError, match="non-numeric") as err:
+            import_f0_csv(text)
+        assert err.value.row == 2
+
+    def test_errors_before_a_refused_row_keep_their_order(self):
+        # A time error two rows above a quoted number is still the time error.
+        text = 'time,frequency,confidence\n0,440,1\n0,440,1\n"0.02",440,1\n'
+        with pytest.raises(FormatError, match="non-increasing") as err:
+            import_f0_csv(text)
+        assert err.value.row == 2
+
+    def test_export_matches_per_frame_writer(self):
+        rng = np.random.default_rng(5)
+        f0 = rng.uniform(300.0, 900.0, 12_000)
+        conf = rng.uniform(0.0, 1.0, f0.size)
+        f0[rng.random(f0.size) < 0.2] = 0.0
+        track = F0Track(f0, np.where(f0 > 0, conf, 0.0), 0.01)
+        assert export_f0_csv(track) == _export_f0_csv_oracle(track)
 
 
 class TestFilter:

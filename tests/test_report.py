@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sorimir import report
 from sorimir.errors import (
     IncompatibleContourError,
     IncompatibleHistogramError,
@@ -106,6 +109,120 @@ class TestContoursCsv:
         assert lines[1].startswith("A4:1/1 C5:1/1,d,0/1,0,0.000000,0.000000")
         assert lines[2].endswith(",")  # NaN -> empty cell
         assert lines[3].endswith("3.500000")
+
+
+def _fmt_scalar(x: float) -> str:
+    if abs(x) < 0.005:
+        x = 0.0
+    return f"{x:.2f}"
+
+
+def _overlay_oracle(contours) -> str:
+    """The per-sample overlay renderer `render_contour_overlay` replaced."""
+    svg = report._Svg(report._WIDTH, report._HEIGHT)
+    plot_w = report._WIDTH - report._MARGIN_L - report._MARGIN_R
+    plot_h = report._HEIGHT - report._MARGIN_T - report._MARGIN_B
+    x0, y0 = report._MARGIN_L, report._MARGIN_T + plot_h
+    svg.line(x0, y0, x0 + plot_w, y0)
+    svg.line(x0, report._MARGIN_T, x0, y0)
+    svg.text(x0 + plot_w / 2, report._HEIGHT - 12, "normalized beat position", size=11)
+    svg.text(16, report._MARGIN_T + plot_h / 2, "cents", size=11, rotate=-90.0)
+    finite = [v for c in contours for v in c.values[np.isfinite(c.values)]]
+    if not contours or not finite:
+        svg.text(x0 + plot_w / 2, report._MARGIN_T + plot_h / 2, "no data", size=14)
+        return svg.document()
+    lo, hi = min(finite), max(finite)
+    if hi - lo < 1.0:
+        mid = (hi + lo) / 2.0
+        lo, hi = mid - 0.5, mid + 0.5
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+
+    def to_xy(k, v, n):
+        return x0 + plot_w * (k / (n - 1) if n > 1 else 0.0), y0 - plot_h * (v - lo) / (hi - lo)
+
+    def polyline(run, color):
+        pts = " ".join(f"{_fmt_scalar(x)},{_fmt_scalar(y)}" for x, y in run)
+        svg.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.50"/>')
+
+    for ci, c in enumerate(contours):
+        color = report._PALETTE[ci % len(report._PALETTE)]
+        n = c.values.shape[0]
+        run = []
+        for k in range(n):
+            v = c.values[k]
+            if np.isfinite(v):
+                run.append(to_xy(k, float(v), n))
+            elif run:
+                if len(run) > 1:
+                    polyline(run, color)
+                run = []
+        if len(run) > 1:
+            polyline(run, color)
+        ly = report._MARGIN_T + 2 + 14 * ci
+        svg.circle(x0 + plot_w - 150, ly, 4, color)
+        svg.text(x0 + plot_w - 142, ly + 4, c.label, size=10, anchor="start")
+    for frac in (0.0, 0.5, 1.0):
+        gx = x0 + plot_w * frac
+        svg.line(gx, y0, gx, y0 + 4)
+        svg.text(gx, y0 + 16, f"{frac:.1f}", size=10)
+    svg.text(x0 - 6, y0 + 4, f"{lo:.0f}", size=10, anchor="end")
+    svg.text(x0 - 6, report._MARGIN_T + 8, f"{hi:.0f}", size=10, anchor="end")
+    return svg.document()
+
+
+def _contours_csv_oracle(pattern, contours) -> str:
+    """The per-sample contour CSV writer `contours_csv` replaced."""
+    lines = ["pattern,daemok,onset_beats,sample_index,normalized_position,cents"]
+    n = contours[0].values.shape[0] if contours else 0
+    for c in contours:
+        onset = report.fraction_str(c.onset_beats)
+        for k in range(c.values.shape[0]):
+            pos = k / (n - 1) if n > 1 else 0.0
+            v = c.values[k]
+            cell = "" if not np.isfinite(v) else f"{v:.6f}"
+            lines.append(f"{pattern.text},{c.daemok_id},{onset},{k},{pos:.6f},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+_NEAR_ZERO = st.sampled_from([0.0, -0.0, 0.004999, -0.004999, 0.005, -0.005, 1e-9, -1e-9, 0.0049999999999999])
+_CENT = st.one_of(
+    st.floats(-2400.0, 2400.0), _NEAR_ZERO, st.just(float("nan")), st.sampled_from([float("inf"), -float("inf")])
+)
+
+
+@st.composite
+def contour_sets(draw):
+    """Same-length contours with NaN gaps, single-point runs, all-NaN members, n = 1 or 2."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 40]))
+    out = []
+    for i in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["mixed", "nan", "flat", "near_zero"]))
+        if kind == "nan":
+            values = [float("nan")] * n
+        elif kind == "flat":
+            values = [draw(st.floats(-50.0, 50.0))] * n
+        elif kind == "near_zero":
+            values = draw(st.lists(st.one_of(_NEAR_ZERO, st.just(float("nan"))), min_size=n, max_size=n))
+        else:
+            values = draw(st.lists(_CENT, min_size=n, max_size=n))
+        out.append(contour(values, daemok=f"d{i}", onset=Fraction(draw(st.integers(0, 160)), 4)))
+    return out
+
+
+class TestRendersMatchPerSampleWriters:
+    @given(contour_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_overlay_and_contours_csv_bytes(self, contours):
+        assert render_contour_overlay(contours) == _overlay_oracle(contours)
+        pattern = NGramPattern(("A4:1/1", "C5:1/1"))
+        assert contours_csv(pattern, contours) == _contours_csv_oracle(pattern, contours)
+
+    @given(st.lists(st.one_of(_NEAR_ZERO, st.floats(-1e6, 1e6)), max_size=30))
+    @settings(max_examples=100)
+    def test_array_fmt_matches_scalar_fmt(self, values):
+        assert report._fmt(np.array(values, dtype=float)) == [_fmt_scalar(v) for v in values]
+        assert [report._fmt(v) for v in values] == [_fmt_scalar(v) for v in values]
 
 
 class TestManifest:
