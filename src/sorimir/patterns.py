@@ -8,10 +8,12 @@ daemok via beat-aligned F0 contours.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -78,10 +80,6 @@ class NGramPattern:
     def text(self) -> str:
         return " ".join(self.tokens)
 
-    @property
-    def span_beats(self) -> Fraction:
-        return sum((parse_token(t)[1] for t in self.tokens), Fraction(0))
-
     @classmethod
     def from_text(cls, text: str) -> "NGramPattern":
         return cls(tuple(text.split()))
@@ -107,12 +105,6 @@ class PatternIndex:
     def support(self, pattern: NGramPattern) -> int:
         return len(self.occurrences.get(pattern, ()))
 
-    def per_daemok_support(self, pattern: NGramPattern) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for occ in self.occurrences.get(pattern, ()):
-            counts[occ.daemok_id] = counts.get(occ.daemok_id, 0) + 1
-        return counts
-
     def __len__(self) -> int:
         return len(self.patterns)
 
@@ -137,15 +129,13 @@ def mine_ngrams(
         raise ConfigurationError(f"min_support must be >= 1, got {min_support}")
 
     ids = sorted(sequences)
-    # Prefix sums of token durations give each window's onset and span.
-    cumsums: dict[str, list[Fraction]] = {}
-    for daemok_id in ids:
-        acc = Fraction(0)
-        cum = [acc]
-        for t in sequences[daemok_id]:
-            acc += parse_token(t)[1]
-            cum.append(acc)
-        cumsums[daemok_id] = cum
+    # Prefix sums of token durations, in integer ticks at the LCM of their denominators, give
+    # each window's onset and span; each distinct tick count becomes one shared Fraction.
+    durations = {t: parse_token(t)[1] for daemok_id in ids for t in sequences[daemok_id]}
+    scale = math.lcm(*{d.denominator for d in durations.values()})
+    ticks = {t: d.numerator * (scale // d.denominator) for t, d in durations.items()}
+    beats = lru_cache(maxsize=None)(partial(Fraction, denominator=scale))
+    cumsums = {i: list(accumulate(map(ticks.__getitem__, sequences[i]), initial=0)) for i in ids}
 
     found: dict[tuple[str, ...], list[PatternOccurrence]] = {}
     for n in sorted(set(n_values)):
@@ -159,8 +149,8 @@ def mine_ngrams(
                 occ = PatternOccurrence(
                     daemok_id=daemok_id,
                     start_event_index=start,
-                    onset_beats=cum[start],
-                    span_beats=cum[start + n] - cum[start],
+                    onset_beats=beats(cum[start]),
+                    span_beats=beats(cum[start + n] - cum[start]),
                 )
                 found.setdefault(tokens[start : start + n], []).append(occ)
 

@@ -14,6 +14,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -288,11 +289,55 @@ def _stage(stage: str, daemok_id: str):
 
 
 def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
+
+
+def _leaf_encoder():
+    """`(obj, level) -> chunks` of `obj` on one line, with sorted keys and `, `/`: ` separators."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+    if json.encoder.c_make_encoder is None:
+        return lambda obj, level: (encoder.encode(obj),)
+    # Built once: JSONEncoder.encode would build a new C encoder on every call.
+    return json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None, ": ", ", ", True, False, True
+    )
+
+
+_encode_leaf = _leaf_encoder()
+
+
+def _encode_json(obj, newline: str, chunks: list, prefix: str = "") -> None:
+    """Append `prefix` and `obj`: one line if `obj` holds no container, else one member a line."""
+    is_dict = isinstance(obj, dict)
+    if is_dict and not all(map(isinstance, obj, repeat(str))):
+        raise TypeError(f"JSON keys must be str, got {[k for k in obj if not isinstance(k, str)]}")
+    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    if not any(map(isinstance, values, repeat((dict, list, tuple)))):
+        chunks.append(prefix + "".join(_encode_leaf(obj, 0)))
+        return
+    inner = newline + "  "
+    if is_dict:
+        items, brackets = sorted(obj.items()), "{}"
+        members = [(f"{json.encoder.encode_basestring_ascii(k)}: ", v) for k, v in items]
+    else:
+        members, brackets = zip(repeat(""), obj), "[]"
+    sep = prefix + brackets[0] + inner
+    for head, value in members:
+        _encode_json(value, inner, chunks, sep + head)
+        sep = "," + inner
+    chunks.append(newline + brackets[1])
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted-key JSON, laid out as `indent=2` except that a container holding no container
+    is written on one line. Every key must be a `str`."""
+    chunks: list[str] = []
+    _encode_json(obj, "\n", chunks)
+    return "".join(chunks) + "\n"
 
 
 def reference_hz(settings: dict) -> float:
@@ -533,25 +578,22 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
 
 def pattern_index_record(index: PatternIndex) -> dict:
     """JSON-ready dump of a mined pattern index."""
-    return {
-        "n_values": list(index.n_values),
-        "min_support": index.min_support,
-        "patterns": [
-            {
-                "tokens": list(p.tokens),
-                "span_beats": fraction_str(p.span_beats),
-                "support": index.support(p),
-                "per_daemok": index.per_daemok_support(p),
-                "occurrences": [
-                    {
-                        "daemok": o.daemok_id,
-                        "start_event_index": o.start_event_index,
-                        "onset_beats": fraction_str(o.onset_beats),
-                        "span_beats": fraction_str(o.span_beats),
-                    }
-                    for o in index.occurrences[p]
-                ],
-            }
-            for p in index.patterns
-        ],
-    }
+    # `mine_ngrams` shares one Fraction per value, so each is formatted once. The cache is
+    # keyed by identity because hashing a Fraction costs more than formatting it.
+    texts: dict[int, str] = {}
+
+    def text(value) -> str:
+        if id(value) not in texts:
+            texts[id(value)] = fraction_str(value)
+        return texts[id(value)]
+
+    patterns = []
+    for p in index.patterns:
+        rows, per_daemok = [], {}
+        for o in index.occurrences[p]:
+            per_daemok[o.daemok_id] = per_daemok.get(o.daemok_id, 0) + 1
+            rows.append({"daemok": o.daemok_id, "start_event_index": o.start_event_index,
+                         "onset_beats": text(o.onset_beats), "span_beats": text(o.span_beats)})
+        patterns.append({"tokens": list(p.tokens), "span_beats": rows[0]["span_beats"],
+                         "support": len(rows), "per_daemok": per_daemok, "occurrences": rows})
+    return {"n_values": list(index.n_values), "min_support": index.min_support, "patterns": patterns}

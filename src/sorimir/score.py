@@ -156,6 +156,8 @@ def _parse_xml_root(document) -> ET.Element:
     except ET.ParseError as exc:
         line = exc.position[0] if exc.position else None
         raise MusicXmlParseError(f"malformed XML: {exc}", line=line) from exc
+    except LookupError as exc:  # the XML declaration names an encoding Python does not know
+        raise MusicXmlParseError(f"malformed XML: {exc}") from exc
 
 
 def _int_text(text: str, element: str, measure_index: int) -> int:

@@ -55,6 +55,17 @@ class TestScoreDump:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
+    def test_unknown_xml_encoding_is_one_json_line(self, capsys, fixtures_dir, tmp_path):
+        score = (fixtures_dir / "joongmori_sample.musicxml").read_text()
+        path = tmp_path / "x.musicxml"
+        path.write_text(score.replace('encoding="UTF-8"', 'encoding="U3F-8"', 1))
+        code, out, err = run_cli(capsys, "score", "dump", "--in", str(path))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "MusicXmlParseError"
+        assert "unknown encoding: U3F-8" in error["message"]
+
 
 class TestF0Commands:
     def test_import_canonicalizes(self, capsys, fixtures_dir):
@@ -398,6 +409,7 @@ class TestLoadStages:
         "probe, run_stage, patterns_stage",
         [
             ("divisions", "score", "score"),
+            ("encoding", "score", "score"),
             ("zero_bpm", "beats", "beats"),
             ("directory", "inputs", "f0"),
         ],
@@ -407,9 +419,13 @@ class TestLoadStages:
     ):
         manifest = _fixture_manifest(fixtures_dir)
         entry = manifest["daemok"][0]
-        if probe == "divisions":
+        if probe in ("divisions", "encoding"):
             score = (fixtures_dir / "joongmori_sample.musicxml").read_text()
-            (tmp_path / "x.musicxml").write_text(score.replace("<divisions>2<", "<divisions>x<"))
+            if probe == "divisions":
+                score = score.replace("<divisions>2<", "<divisions>x<")
+            else:
+                score = score.replace('encoding="UTF-8"', 'encoding="U3F-8"', 1)
+            (tmp_path / "x.musicxml").write_text(score)
             entry["score"] = str(tmp_path / "x.musicxml")
         elif probe == "zero_bpm":
             manifest["settings"]["beats_per_measure"] = 0

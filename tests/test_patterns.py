@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from sorimir.beat_grid import BeatAnnotation, BeatGrid, JangdanSpec
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
     NGramPattern,
+    PatternIndex,
+    PatternOccurrence,
     VibratoMetrics,
     _moving_average,
     detokenize,
@@ -24,6 +27,7 @@ from sorimir.patterns import (
     vibrato_metrics,
 )
 from sorimir.pitch_track import F0Track
+from sorimir.report import pattern_index_record
 from sorimir.score import NoteEvent, Pitch, note_sequence
 
 HOP = 0.01
@@ -176,7 +180,100 @@ class TestMineNgrams:
     def test_per_daemok_support(self):
         seqs = {"d1": [A, B, A, B], "d2": [A, B]}
         index = mine_ngrams(seqs, n_values=(2,), min_support=1)
-        assert index.per_daemok_support(NGramPattern((A, B))) == {"d1": 2, "d2": 1}
+        (record,) = [p for p in pattern_index_record(index)["patterns"] if p["tokens"] == [A, B]]
+        assert record["per_daemok"] == {"d1": 2, "d2": 1}
+
+
+def _mine_ngrams_oracle(sequences, n_values, min_support) -> PatternIndex:
+    """The `Fraction` prefix-sum loop that `mine_ngrams` ran before it counted integer ticks."""
+    ids = sorted(sequences)
+    cumsums = {}
+    for daemok_id in ids:
+        acc = Fraction(0)
+        cum = [acc]
+        for t in sequences[daemok_id]:
+            acc += parse_token(t)[1]
+            cum.append(acc)
+        cumsums[daemok_id] = cum
+
+    found = {}
+    for n in sorted(set(n_values)):
+        if all(len(sequences[i]) < n for i in ids):
+            continue
+        for daemok_id in ids:
+            tokens = tuple(sequences[daemok_id])
+            cum = cumsums[daemok_id]
+            for start in range(len(tokens) - n + 1):
+                occ = PatternOccurrence(
+                    daemok_id=daemok_id,
+                    start_event_index=start,
+                    onset_beats=cum[start],
+                    span_beats=cum[start + n] - cum[start],
+                )
+                found.setdefault(tokens[start : start + n], []).append(occ)
+
+    kept = {NGramPattern(k): tuple(o) for k, o in found.items() if len(o) >= min_support}
+    ordered = tuple(sorted(kept, key=lambda p: (-len(kept[p]), p.text)))
+    return PatternIndex(ordered, kept, tuple(sorted(set(n_values))), min_support)
+
+
+# Dotted, triplet and odd denominators, so the ticks' LCM is not a power of two.
+_MIXED_TOKENS = [
+    make_token(pitch, Fraction(d))
+    for pitch in (Pitch("A", 0, 4), Pitch("C", 1, 5), None)
+    for d in ("1/3", "3/8", "5/4", "3/2", "3/4", "7/8", "1/1", "2/1", "1/6", "5/12")
+]
+
+
+class TestMineNgramsMatchesFractionOracle:
+    def check(self, sequences, n_values, min_support):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            index = mine_ngrams(sequences, n_values=n_values, min_support=min_support)
+        expected = _mine_ngrams_oracle(sequences, n_values, min_support)
+        lengths = [len(s) for s in sequences.values()]
+        too_short = [n for n in sorted(set(n_values)) if all(k < n for k in lengths)]
+        assert [str(w.message) for w in caught] == [
+            f"no sequence is long enough for {n}-grams" for n in too_short
+        ]
+        assert index == expected
+        assert index.patterns == expected.patterns  # the same order
+        for pattern in index.patterns:
+            pairs = zip(index.occurrences[pattern], expected.occurrences[pattern], strict=True)
+            for got, want in pairs:
+                assert got == want
+                for field in ("onset_beats", "span_beats"):
+                    value, oracle = getattr(got, field), getattr(want, field)
+                    assert type(value) is Fraction
+                    assert (value.numerator, value.denominator) == (oracle.numerator, oracle.denominator)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sequences=st.dictionaries(
+            st.sampled_from([f"d{k}" for k in range(6)]),
+            # Drawing often from a few tokens makes patterns recur.
+            st.lists(st.sampled_from(_MIXED_TOKENS[:8]) | st.sampled_from(_MIXED_TOKENS), max_size=40),
+            max_size=5,
+        ),
+        n_values=st.lists(st.sampled_from([2, 3, 4, 6, 9]), min_size=1, max_size=4),
+        min_support=st.integers(1, 3),
+    )
+    def test_random_mixed_denominators(self, sequences, n_values, min_support):
+        self.check(sequences, n_values, min_support)
+
+    @pytest.mark.parametrize(
+        "sequences",
+        [
+            {"d": []},
+            {"a": [], "b": []},
+            {},
+            {"a": [_MIXED_TOKENS[0]], "b": _MIXED_TOKENS[1:3]},
+            {"a": [], "b": _MIXED_TOKENS[:5]},
+        ],
+        ids=["one_empty", "all_empty", "no_daemok", "all_shorter_than_n", "empty_and_long"],
+    )
+    def test_edge_corpora(self, sequences):
+        self.check(sequences, (2, 3, 4, 6), 1)
 
 
 def single_occurrence_setup(f0_values, conf=0.9, beat_times=(0.0, 0.5, 1.0)):

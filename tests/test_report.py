@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from sorimir.histogram import BIN_MIDI, BIN_PITCH_CLASS, PitchHistogram
 from sorimir.patterns import Contour, NGramPattern
 from sorimir.report import (
     contours_csv,
+    dump_json,
     load_manifest,
     pattern_index_record,
     render_contour_overlay,
@@ -223,6 +225,89 @@ class TestRendersMatchPerSampleWriters:
     def test_array_fmt_matches_scalar_fmt(self, values):
         assert report._fmt(np.array(values, dtype=float)) == [_fmt_scalar(v) for v in values]
         assert [report._fmt(v) for v in values] == [_fmt_scalar(v) for v in values]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+    | st.sampled_from(["", "daemok \u00e9 \u3131\u314f", '"\\/\n\t\x00\x1f\x7f', "\ud800"])
+)
+_JSON_KEYS = st.text(max_size=6) | st.sampled_from(["", "\u3131", '"\\', "\n"])
+
+
+def _json_containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(_JSON_KEYS, children, max_size=4)
+
+
+_JSON_VALUES = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=24)
+# Four containers deep at least: dict > list > dict > list.
+_DEEP_JSON = st.builds(lambda a, b: {"a": [a, {"b": [b]}]}, _JSON_VALUES, _JSON_VALUES)
+
+
+def _members(value) -> list:
+    if isinstance(value, dict):
+        return list(value.values())
+    return value if isinstance(value, list) else []
+
+
+def _is_leaf(value) -> bool:
+    return not any(isinstance(v, (dict, list)) for v in _members(value))
+
+
+def _expected_lines(value) -> int:
+    """One line for a container holding no container (or a scalar), else brackets plus members."""
+    return 1 if _is_leaf(value) else 2 + sum(map(_expected_lines, _members(value)))
+
+
+def _canonical(text: str) -> str:
+    """The parsed value re-encoded compactly: equality that also holds for NaN."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+class TestDumpJson:
+    """`dump_json` writes leaf containers on one line and everything else as `indent=2`."""
+
+    def test_layout_example(self):
+        assert dump_json({"b": [{"x": 1, "a": [1, 2]}], "a": {}, "c": [1, "two"]}) == (
+            '{\n  "a": {},\n  "b": [\n    {\n      "a": [1, 2],\n      "x": 1\n    }\n  ],\n'
+            '  "c": [1, "two"]\n}\n'
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES | _DEEP_JSON)
+    def test_same_value_as_indented_stdlib_json(self, value):
+        text = dump_json(value)
+        assert _canonical(text) == _canonical(json.dumps(value, sort_keys=True, indent=2))
+        assert text.endswith("\n") and text.count("\n") == _expected_lines(value)
+        for depth_line in text.splitlines():
+            body = depth_line.lstrip(" ").removesuffix(",")
+            if body in ("}", "]") or body.endswith(("{", "[")):
+                continue  # a bracket of a container that holds a container
+            try:
+                leaf = json.loads(body)
+            except json.JSONDecodeError:  # a `"key": value` member
+                (leaf,) = json.loads("{" + body + "}").values()
+            assert _is_leaf(leaf)
+            assert body.endswith(json.dumps(leaf, sort_keys=True, separators=(", ", ": ")))
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {"a": [{2: 3}]}, {None: 1}, {True: []}, {"a": {1.5: {"b": 1}}}, [{("t",): 1}]],
+    )
+    def test_non_str_key_raises(self, value):
+        with pytest.raises(TypeError, match="keys must be str"):
+            dump_json(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_JSON_SCALARS | _json_containers(_JSON_SCALARS))
+    def test_pure_python_leaf_encoder_gives_the_same_bytes(self, value):
+        with mock.patch.object(json.encoder, "c_make_encoder", None):
+            fallback = report._leaf_encoder()
+        assert "".join(fallback(value, 0)) == "".join(report._encode_leaf(value, 0))
 
 
 class TestManifest:

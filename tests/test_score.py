@@ -135,6 +135,10 @@ class TestParseMusicXml:
             parse_musicxml(b"<score-partwise>\n<part\n</score-partwise>")
         assert err.value.line is not None
 
+    def test_unknown_encoding_is_a_parse_error(self):
+        with pytest.raises(MusicXmlParseError, match="unknown encoding: U3F-8"):
+            parse_musicxml(b'<?xml version="1.0" encoding="U3F-8"?>\n<score-partwise/>')
+
     def test_note_without_pitch_or_rest(self):
         bare = "<note><duration>12</duration></note>"
         with pytest.raises(StructureError, match="without <pitch> or <rest>"):
