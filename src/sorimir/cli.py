@@ -239,7 +239,11 @@ def _collect_score_events(directory: str) -> dict[str, list]:
     files = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() in (".musicxml", ".xml"))
     if not files:
         raise SorimirError(f"no .musicxml/.xml files in {directory}")
-    return {p.stem: note_sequence(parse_musicxml(p.read_bytes()), merge_ties=True) for p in files}
+    events_by_id = {}
+    for p in files:
+        with report._stage("score", p.stem):
+            events_by_id[p.stem] = note_sequence(parse_musicxml(p.read_bytes()), merge_ties=True)
+    return events_by_id
 
 
 def _cmd_patterns(args) -> int:
@@ -266,7 +270,8 @@ def _cmd_patterns(args) -> int:
         )
         return 0
 
-    vib = occurrence_vibrato(index, pattern, grids, tracks, reference_hz=reference)
+    contours = occurrence_contours(index, pattern, grids, tracks, reference_hz=reference)
+    vib = occurrence_vibrato(index, pattern, contours)
     _write_or_print(dump_json(report.vibrato_record(pattern, vib)), args.out)
     return 0
 

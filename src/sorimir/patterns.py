@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .beat_grid import BeatGrid, TrackSegment, slice_track
+from .beat_grid import BeatGrid, slice_track
 from .errors import ConfigurationError, DependencyError, NotEnoughDataError
 from .pitch_track import F0Track
 from .score import NoteEvent, Pitch, fraction_str, parse_pitch_name, pitch_name
@@ -165,13 +165,25 @@ def mine_ngrams(
 
 
 @dataclass(frozen=True)
+class VibratoMetrics:
+    rate_hz: float
+    depth_cents: float
+    voiced_fraction: float
+
+
+@dataclass(frozen=True)
 class Contour:
-    """One occurrence's F0 in cents on a normalized beat axis (NaN = unvoiced)."""
+    """One occurrence's F0 in cents on a normalized beat axis (NaN = unvoiced).
+
+    `vibrato` holds the metrics of the same slice, or None when it has too
+    little voiced data.
+    """
 
     values: np.ndarray
     daemok_id: str
     onset_beats: Fraction
     span_beats: Fraction
+    vibrato: VibratoMetrics | None = None
 
     @property
     def is_all_missing(self) -> bool:
@@ -208,15 +220,27 @@ def _resample_to_normalized(beats: np.ndarray, cents: np.ndarray, samples: int) 
     return out
 
 
-def _placed_segments(
+def occurrence_contours(
     index: PatternIndex,
     pattern: NGramPattern,
     grids: Mapping[str, BeatGrid],
     tracks: Mapping[str, F0Track],
-) -> Iterator[tuple[PatternOccurrence, TrackSegment | None]]:
-    """Each occurrence of `pattern` with its F0 slice, or None past the beat grid."""
+    samples_per_contour: int = DEFAULT_SAMPLES_PER_CONTOUR,
+    reference_hz: float = 440.0,
+) -> list[Contour]:
+    """Beat-aligned cents contour and vibrato metrics of every occurrence of `pattern`.
+
+    Each occurrence is sliced once, and its contour and vibrato come from
+    the same cents array. Occurrences whose span runs past the annotated
+    beat grid are skipped with a warning (the grid cannot place them in
+    time). Fully unvoiced slices yield all-missing contours and are kept.
+    """
+    if samples_per_contour < 2:
+        raise ConfigurationError("samples_per_contour must be >= 2")
     if pattern not in index.occurrences:
         raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
+
+    contours: list[Contour] = []
     for occ in index.occurrences[pattern]:
         if occ.daemok_id not in grids:
             raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
@@ -226,46 +250,24 @@ def _placed_segments(
         start = float(occ.onset_beats)
         end = float(occ.onset_beats + occ.span_beats)
         if start < 0 or end > grid.last_beat:
-            yield occ, None
-        else:
-            yield occ, slice_track(tracks[occ.daemok_id], grid, start, end)
-
-
-def occurrence_contours(
-    index: PatternIndex,
-    pattern: NGramPattern,
-    grids: Mapping[str, BeatGrid],
-    tracks: Mapping[str, F0Track],
-    samples_per_contour: int = DEFAULT_SAMPLES_PER_CONTOUR,
-    reference_hz: float = 440.0,
-) -> list[Contour]:
-    """Beat-aligned cents contour of every occurrence of `pattern`.
-
-    Occurrences whose span runs past the annotated beat grid are skipped
-    with a warning (the grid cannot place them in time). Fully unvoiced
-    slices yield all-missing contours and are kept.
-    """
-    if samples_per_contour < 2:
-        raise ConfigurationError("samples_per_contour must be >= 2")
-
-    contours: list[Contour] = []
-    for occ, segment in _placed_segments(index, pattern, grids, tracks):
-        if segment is None:
             warnings.warn(
-                f"occurrence at {occ.daemok_id} beat {float(occ.onset_beats)} "
-                "runs past the annotated grid; skipped",
+                f"occurrence at {occ.daemok_id} beat {start} runs past the annotated grid; skipped",
                 stacklevel=2,
             )
             continue
-        values = _resample_to_normalized(
-            segment.beats, segment.cents(reference_hz), samples_per_contour
-        )
+        segment = slice_track(tracks[occ.daemok_id], grid, start, end)
+        cents = segment.cents(reference_hz)
+        try:
+            vibrato = vibrato_metrics(cents, segment.hop_s)
+        except NotEnoughDataError:
+            vibrato = None
         contours.append(
             Contour(
-                values=values,
+                values=_resample_to_normalized(segment.beats, cents, samples_per_contour),
                 daemok_id=occ.daemok_id,
                 onset_beats=occ.onset_beats,
                 span_beats=occ.span_beats,
+                vibrato=vibrato,
             )
         )
     return contours
@@ -274,32 +276,19 @@ def occurrence_contours(
 def occurrence_vibrato(
     index: PatternIndex,
     pattern: NGramPattern,
-    grids: Mapping[str, BeatGrid],
-    tracks: Mapping[str, F0Track],
-    reference_hz: float = 440.0,
-) -> list[tuple[PatternOccurrence, "VibratoMetrics | None"]]:
-    """Vibrato metrics of each occurrence's time-domain slice.
+    contours: Sequence[Contour],
+) -> list[tuple[PatternOccurrence, VibratoMetrics | None]]:
+    """Each occurrence of `pattern`, in index order, with its contour's vibrato metrics.
 
-    Occurrences with too little voiced data (or beyond the grid) report
-    None instead of metrics.
+    `contours` is `occurrence_contours` of the same pattern; nothing is
+    sliced again. An occurrence with no contour (past the grid) or with too
+    little voiced data reports None.
     """
-    results: list[tuple[PatternOccurrence, VibratoMetrics | None]] = []
-    for occ, segment in _placed_segments(index, pattern, grids, tracks):
-        metrics = None
-        if segment is not None:
-            try:
-                metrics = vibrato_metrics(segment.cents(reference_hz), segment.hop_s)
-            except NotEnoughDataError:
-                pass
-        results.append((occ, metrics))
-    return results
-
-
-@dataclass(frozen=True)
-class VibratoMetrics:
-    rate_hz: float
-    depth_cents: float
-    voiced_fraction: float
+    by_onset = {(c.daemok_id, c.onset_beats): c.vibrato for c in contours}
+    return [
+        (occ, by_onset.get((occ.daemok_id, occ.onset_beats)))
+        for occ in index.occurrences[pattern]
+    ]
 
 
 def _moving_average(values: np.ndarray, voiced: np.ndarray, window: int) -> np.ndarray:

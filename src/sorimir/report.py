@@ -551,7 +551,7 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
             stem = f"pattern-{pi:02d}"
             emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
             emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
-            vib = occurrence_vibrato(index, pattern, grids, tracks, reference_hz=reference)
+            vib = occurrence_vibrato(index, pattern, contours)
             emit(f"{stem}.vibrato.json", dump_json(vibrato_record(pattern, vib)))
 
     out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"

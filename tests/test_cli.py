@@ -218,6 +218,19 @@ class TestPatternsCommands:
         assert code == 1
         assert "no .musicxml" in json.loads(err)["error"]["message"]
 
+    def test_mine_malformed_score_names_the_file(self, capsys, fixtures_dir, tmp_path):
+        shutil.copy(fixtures_dir / "joongmori_sample.musicxml", tmp_path / "a.musicxml")
+        good = (fixtures_dir / "joongmori_sample.musicxml").read_text()
+        bad = good.replace("<divisions>", "<!--").replace("</divisions>", "-->")
+        assert bad != good
+        (tmp_path / "b.musicxml").write_text(bad)
+        code, _, err = run_cli(capsys, "patterns", "mine", "--scores", str(tmp_path))
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "PipelineError"
+        assert "stage 'score' failed for daemok 'b'" in error["message"]
+        assert "divisions" in error["message"]
+
     def test_contours_csv_stdout(self, capsys, manifest_path):
         code, out, _ = run_cli(
             capsys,

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatAnnotation, BeatGrid, JangdanSpec
+from sorimir.beat_grid import BeatAnnotation, BeatGrid, JangdanSpec, slice_track
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
+    Contour,
     NGramPattern,
     PatternIndex,
     PatternOccurrence,
     VibratoMetrics,
     _moving_average,
+    _resample_to_normalized,
     detokenize,
     find_post_rest_long_notes,
     make_token,
@@ -500,7 +502,8 @@ class TestPostRestLongNotes:
 class TestOccurrenceVibrato:
     def test_constant_tone_occurrence(self):
         index, pattern, grids, tracks = single_occurrence_setup([440.0] * 100)
-        results = occurrence_vibrato(index, pattern, grids, tracks)
+        contours = occurrence_contours(index, pattern, grids, tracks)
+        results = occurrence_vibrato(index, pattern, contours)
         assert len(results) == 1
         _, metrics = results[0]
         assert metrics is not None
@@ -508,5 +511,125 @@ class TestOccurrenceVibrato:
 
     def test_unvoiced_occurrence_reports_none(self):
         index, pattern, grids, tracks = single_occurrence_setup([0.0] * 100)
-        (result,) = occurrence_vibrato(index, pattern, grids, tracks)
+        contours = occurrence_contours(index, pattern, grids, tracks)
+        (result,) = occurrence_vibrato(index, pattern, contours)
         assert result[1] is None
+
+
+def _placed_segments_oracle(index, pattern, grids, tracks):
+    """The two-pass placement: each occurrence with its F0 slice, or None past the grid."""
+    if pattern not in index.occurrences:
+        raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
+    for occ in index.occurrences[pattern]:
+        if occ.daemok_id not in grids:
+            raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
+        if occ.daemok_id not in tracks:
+            raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
+        grid = grids[occ.daemok_id]
+        start = float(occ.onset_beats)
+        end = float(occ.onset_beats + occ.span_beats)
+        if start < 0 or end > grid.last_beat:
+            yield occ, None
+        else:
+            yield occ, slice_track(tracks[occ.daemok_id], grid, start, end)
+
+
+def _contours_oracle(index, pattern, grids, tracks, samples_per_contour=200, reference_hz=440.0):
+    contours = []
+    for occ, segment in _placed_segments_oracle(index, pattern, grids, tracks):
+        if segment is None:
+            warnings.warn(
+                f"occurrence at {occ.daemok_id} beat {float(occ.onset_beats)} "
+                "runs past the annotated grid; skipped",
+                stacklevel=2,
+            )
+            continue
+        values = _resample_to_normalized(
+            segment.beats, segment.cents(reference_hz), samples_per_contour
+        )
+        contours.append(Contour(values, occ.daemok_id, occ.onset_beats, occ.span_beats))
+    return contours
+
+
+def _vibrato_pairs_oracle(index, pattern, grids, tracks, reference_hz=440.0):
+    results = []
+    for occ, segment in _placed_segments_oracle(index, pattern, grids, tracks):
+        metrics = None
+        if segment is not None:
+            try:
+                metrics = vibrato_metrics(segment.cents(reference_hz), segment.hop_s)
+            except NotEnoughDataError:
+                pass
+        results.append((occ, metrics))
+    return results
+
+
+def _random_corpus(seed):
+    """Two or three daemok whose grids end before their scores and whose F0 has long gaps."""
+    rng = random.Random(seed)
+    tokens = [make_token(Pitch(step, 0, 4), Fraction(d)) for step in "AC" for d in ("1/2", "1")]
+    sequences, grids, tracks = {}, {}, {}
+    for k in range(rng.randint(2, 3)):
+        daemok_id = f"d{k}"
+        seq = [rng.choice(tokens) for _ in range(rng.randint(8, 16))]
+        total_beats = float(sum(parse_token(t)[1] for t in seq))
+        n_beats = max(3, int(total_beats * rng.uniform(0.5, 0.9)))
+        beat_s = rng.uniform(0.3, 0.6)
+        times = [i * beat_s for i in range(n_beats)]
+        n_frames = int(times[-1] / HOP) + 20
+        t = np.arange(n_frames) * HOP
+        f0 = 440.0 * 2 ** (rng.uniform(20, 60) * np.sin(2 * np.pi * rng.uniform(4, 7) * t) / 1200)
+        voiced = np.ones(n_frames, dtype=bool)
+        for _ in range(rng.randint(1, 4)):
+            gap = rng.randrange(n_frames)
+            voiced[gap : gap + rng.randint(20, 80)] = False
+        f0 = np.where(voiced, f0, 0.0)
+        sequences[daemok_id] = seq
+        grids[daemok_id] = beats_grid(times)
+        tracks[daemok_id] = F0Track(f0, np.where(voiced, 0.9, 0.0), HOP)
+    return mine_ngrams(sequences, n_values=(2, 3), min_support=1), grids, tracks
+
+
+def _edge_corpus():
+    """One placed voiced occurrence, one placed but mostly unvoiced, and three past the grid."""
+    token = make_token(Pitch("A", 0, 4), Fraction(1))
+    index = mine_ngrams({"d": [token] * 6}, n_values=(2,), min_support=1)
+    f0 = np.where(np.arange(150) * HOP < 0.6, 440.0, 0.0)
+    tracks = {"d": F0Track(f0, np.where(f0 > 0, 0.9, 0.0), HOP)}
+    return index, {"d": beats_grid((0.0, 0.5, 1.0, 1.5))}, tracks
+
+
+class TestOnePassMatchesTwoPassOracle:
+    """`occurrence_contours` slices once; the two-pass placement gives the same results."""
+
+    def check(self, index, grids, tracks):
+        seen = {"skipped": 0, "none": 0}
+        for pattern in index.patterns:
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                contours = occurrence_contours(index, pattern, grids, tracks, reference_hz=415.3)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = _contours_oracle(index, pattern, grids, tracks, reference_hz=415.3)
+            assert [str(w.message) for w in got_warnings] == [
+                str(w.message) for w in want_warnings
+            ]
+            assert [c.label for c in contours] == [c.label for c in want]
+            assert [c.span_beats for c in contours] == [c.span_beats for c in want]
+            for got, expected in zip(contours, want):
+                assert got.values.tobytes() == expected.values.tobytes()
+            pairs = occurrence_vibrato(index, pattern, contours)
+            assert pairs == _vibrato_pairs_oracle(index, pattern, grids, tracks, reference_hz=415.3)
+            seen["skipped"] += len(want_warnings)
+            seen["none"] += sum(m is None for _, m in pairs) - len(want_warnings)
+        return seen
+
+    def test_edge_corpus(self):
+        seen = self.check(*_edge_corpus())
+        assert seen["skipped"] == 3
+        assert seen["none"] == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_corpora(self, seed):
+        seen = self.check(*_random_corpus(seed))
+        assert seen["skipped"] > 0

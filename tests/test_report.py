@@ -474,16 +474,55 @@ class TestPipeline:
         assert set(masses) == {"69"}
 
 
-def test_names_wrapped_by_the_pipeline_benchmark_exist():
-    """pipebench/child.py wraps these module globals to time each stage."""
-    import importlib
+def _pipebench_child():
+    """pipebench/child.py, which wraps the module globals in its `TRACED` to time each stage."""
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "pipebench" / "child.py"
     spec = importlib.util.spec_from_file_location("pipebench_child", path)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_names_wrapped_by_the_pipeline_benchmark_exist():
+    import importlib
+
+    child = _pipebench_child()
     assert child.TRACED
     for module_name, attr, _, _ in child.TRACED:
         module = importlib.import_module(f"sorimir.{module_name}")
         assert callable(getattr(module, attr)), f"sorimir.{module_name}.{attr}"
+
+
+def test_every_traced_span_on_the_csv_path_is_called(manifest_path, tmp_path, monkeypatch):
+    """A refactor that stops calling a wrapped global would silently drop its benchmark span."""
+    import importlib
+
+    child = _pipebench_child()
+    tracer = child.Tracer("test")
+    for module_name, attr, name, counts in child.TRACED:
+        module = importlib.import_module(f"sorimir.{module_name}")
+        monkeypatch.setattr(module, attr, tracer.wrap(name, getattr(module, attr), counts))
+    report.run_pipeline(manifest_path, out_dir=tmp_path / "out")
+    audio_only = {"pitch_track.load_wav", "pitch_track.estimate_f0_yin", "kernels.yin_lag_search"}
+    expected = {name for _, _, name, _ in child.TRACED} - audio_only
+    assert expected - {span["name"] for span in tracer.spans} == set()
+
+
+def test_each_placed_occurrence_is_sliced_once(manifest_path, tmp_path, monkeypatch):
+    from sorimir import patterns
+
+    slice_track = patterns.slice_track
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return slice_track(*args, **kwargs)
+
+    monkeypatch.setattr(patterns, "slice_track", counted)
+    bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+    placed = sum(len(contours) for contours in bundle.contour_sets.values())
+    assert placed == 2
+    assert calls == placed
