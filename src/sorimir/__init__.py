@@ -1,6 +1,6 @@
 """Audio/transcription alignment and melodic-pattern analysis for solo vocal music."""
 
-from .beat_grid import BeatAnnotation, BeatGrid, JangdanSpec, TrackSegment, load_beats, slice_track
+from .beat_grid import BeatGrid, JangdanSpec, TrackSegment, load_beats, slice_track
 from .errors import SorimirError
 from .histogram import (
     ModeTemplate,

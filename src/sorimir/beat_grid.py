@@ -12,18 +12,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import groupby, islice
 
 import numpy as np
 
 from .errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
 from .pitch_track import F0Track, track_cents
-
-
-@dataclass(frozen=True)
-class BeatAnnotation:
-    measure_index: int
-    beat_in_measure: int
-    time_s: float
 
 
 @dataclass(frozen=True)
@@ -38,48 +32,30 @@ class JangdanSpec:
 
 @dataclass(frozen=True)
 class BeatGrid:
-    """Validated, complete beat grid for one daemok."""
+    """Complete beat grid for one daemok: global beat k is at `times[k]` seconds."""
 
     spec: JangdanSpec
-    annotations: tuple[BeatAnnotation, ...]
+    times: np.ndarray
 
     def __post_init__(self):
+        times = np.array(self.times, dtype=np.float64)
+        if times.ndim != 1 or not np.all(np.isfinite(times)):
+            raise ValueError("beat times must be a 1-d array of finite seconds")
         bpm = self.spec.beats_per_measure
-        per_measure: dict[int, list[BeatAnnotation]] = {}
-        for a in self.annotations:
-            per_measure.setdefault(a.measure_index, []).append(a)
-
-        bad: list[tuple[int, str]] = []
-        for m in sorted(per_measure):
-            beats = sorted(a.beat_in_measure for a in per_measure[m])
-            if len(beats) != bpm:
-                bad.append((m, f"measure {m} has {len(beats)} beats, expected {bpm}"))
-            elif beats != list(range(bpm)):
-                bad.append((m, f"measure {m} beat indices do not form 0..{bpm - 1}"))
-        if per_measure and sorted(per_measure) != list(range(max(per_measure) + 1)):
-            missing = sorted(set(range(max(per_measure) + 1)) - set(per_measure))
-            raise BeatValidationError(f"missing measures {missing}", measures=missing)
-        if bad:
-            raise BeatValidationError("; ".join(d for _, d in bad), measures=[m for m, _ in bad])
-
-        ordered = sorted(self.annotations, key=lambda a: (a.measure_index, a.beat_in_measure))
-        times = np.array([a.time_s for a in ordered], dtype=np.float64)
+        m, short = divmod(times.shape[0], bpm)
+        if short:
+            raise BeatValidationError(f"measure {m} has {short} beats, expected {bpm}", [m])
         if np.any(np.diff(times) <= 0):
             i = int(np.nonzero(np.diff(times) <= 0)[0][0]) + 1
             raise OrderingError(
                 f"time {times[i]:.6f} at global beat {i} does not increase past {times[i - 1]:.6f}"
             )
         times.flags.writeable = False
-        object.__setattr__(self, "annotations", tuple(ordered))
-        object.__setattr__(self, "_times", times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._times
+        object.__setattr__(self, "times", times)
 
     @property
     def n_beats(self) -> int:
-        return len(self.annotations)
+        return self.times.shape[0]
 
     @property
     def n_measures(self) -> int:
@@ -94,23 +70,23 @@ class BeatGrid:
         beat = np.asarray(global_beat, dtype=np.float64)
         if np.any(beat < 0) or np.any(beat > self.last_beat):
             raise BeatRangeError(f"global beat {global_beat} outside 0..{self.last_beat}")
-        out = np.interp(beat, np.arange(self.n_beats), self._times)
+        out = np.interp(beat, np.arange(self.n_beats), self.times)
         return float(out) if np.isscalar(global_beat) else out
 
     def beat_at_time(self, time_s):
         """Inverse of `time_at_beat` on the annotated range."""
         t = np.asarray(time_s, dtype=np.float64)
-        if np.any(t < self._times[0]) or np.any(t > self._times[-1]):
+        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
             raise BeatRangeError(
                 f"time {time_s} outside annotated range "
-                f"{self._times[0]:.3f}..{self._times[-1]:.3f} s"
+                f"{self.times[0]:.3f}..{self.times[-1]:.3f} s"
             )
-        out = np.interp(t, self._times, np.arange(self.n_beats))
+        out = np.interp(t, self.times, np.arange(self.n_beats))
         return float(out) if np.isscalar(time_s) else out
 
 
 def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
-    """Parse and validate a `measure,beat,time` CSV into a BeatGrid."""
+    """Parse and validate a `measure,beat,time` CSV into a BeatGrid: the one check of its rows."""
     if hasattr(text, "read"):
         text = text.read()
     reader = csv.reader(io.StringIO(text))
@@ -136,22 +112,33 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
             raise FormatError(f"negative time {t}", row=row_no)
         rows.append((m, b, t, row_no))
 
-    seen: dict[tuple[int, int], int] = {}
-    for m, b, _, row_no in rows:
-        if (m, b) in seen:
-            raise FormatError(f"duplicate annotation for measure {m} beat {b}", row=row_no)
-        seen[(m, b)] = row_no
+    rows.sort(key=lambda r: (r[0], r[1]))  # stable: a repeated (measure, beat) keeps file order
+    pairs = list(zip(rows, rows[1:]))
+    repeats = [cur for prev, cur in pairs if cur[:2] == prev[:2]]
+    if repeats:
+        m, b, _, row_no = min(repeats, key=lambda r: r[3])
+        raise FormatError(f"duplicate annotation for measure {m} beat {b}", row=row_no)
+    for prev, (m, b, t, row_no) in pairs:
+        if t <= prev[2]:
+            raise OrderingError(f"time {t} at measure {m} beat {b} does not increase", row=row_no)
 
-    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur[2] <= prev[2]:
-            raise OrderingError(
-                f"time {cur[2]} at measure {cur[0]} beat {cur[1]} does not increase",
-                row=cur[3],
-            )
-
-    annotations = tuple(BeatAnnotation(m, b, t) for m, b, t, _ in ordered)
-    return BeatGrid(spec=spec, annotations=annotations)
+    # Beats of a measure are distinct and sorted, so they are 0..bpm-1 iff there are bpm of them
+    # and the last is bpm - 1.
+    bpm = spec.beats_per_measure
+    beats = {m: [r[1] for r in group] for m, group in groupby(rows, key=lambda r: r[0])}
+    n_measures = max(beats, default=-1) + 1
+    if missing_total := n_measures - len(beats):
+        missing = list(islice((m for m in range(n_measures) if m not in beats), 10))
+        tail = f" (first 10 of {missing_total})" if missing_total > 10 else ""
+        raise BeatValidationError(f"missing measures {missing}{tail}", measures=missing)
+    bad = {
+        m: f"measure {m} has {len(b)} beats, expected {bpm}" if len(b) != bpm
+        else f"measure {m} beat indices do not form 0..{bpm - 1}"
+        for m, b in beats.items() if len(b) != bpm or b[-1] != bpm - 1
+    }
+    if bad:
+        raise BeatValidationError("; ".join(bad.values()), measures=list(bad))
+    return BeatGrid(spec, [r[2] for r in rows])
 
 
 @dataclass(frozen=True)

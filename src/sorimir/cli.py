@@ -308,8 +308,10 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             code = _COMMANDS[args.command](args)
-    except (SorimirError, OSError, ValueError) as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
+    except (SorimirError, OSError, ValueError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; the JSON names the public type.
+        error = {"type": "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__,
+                 "message": str(exc)}
         if caught:
             error["warnings"] = [str(w.message) for w in caught]
         sys.stderr.write(json.dumps({"error": error}) + "\n")

@@ -67,14 +67,8 @@ class BeatValidationError(SorimirError):
         super().__init__(message)
 
 
-class OrderingError(SorimirError):
+class OrderingError(FormatError):
     """Annotation times are not strictly increasing."""
-
-    def __init__(self, message, row=None):
-        self.row = row
-        if row is not None:
-            message = f"{message} (row {row})"
-        super().__init__(message)
 
 
 class BeatRangeError(SorimirError):

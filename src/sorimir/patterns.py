@@ -101,6 +101,7 @@ class PatternIndex:
     occurrences: Mapping[NGramPattern, tuple[PatternOccurrence, ...]]
     n_values: tuple[int, ...]
     min_support: int
+    skip_rests: bool = False
 
     def support(self, pattern: NGramPattern) -> int:
         return len(self.occurrences.get(pattern, ()))
@@ -113,8 +114,14 @@ def mine_ngrams(
     sequences: Mapping[str, Sequence[str]],
     n_values: Sequence[int] = DEFAULT_N_VALUES,
     min_support: int = DEFAULT_MIN_SUPPORT,
+    skip_rests: bool = False,
 ) -> PatternIndex:
     """Count every contiguous n-token window across all sequences.
+
+    With `skip_rests`, windows run over the non-rest tokens, while onsets
+    stay those of the full sequence: an occurrence starts at its first
+    note's onset, spans to the end of its last note, and its
+    `start_event_index` indexes the full sequence.
 
     Patterns below `min_support` total occurrences are dropped. The result
     is independent of the mapping's key order: occurrence lists are sorted
@@ -135,22 +142,27 @@ def mine_ngrams(
     scale = math.lcm(*{d.denominator for d in durations.values()})
     ticks = {t: d.numerator * (scale // d.denominator) for t, d in durations.items()}
     beats = lru_cache(maxsize=None)(partial(Fraction, denominator=scale))
-    cumsums = {i: list(accumulate(map(ticks.__getitem__, sequences[i]), initial=0)) for i in ids}
+    windows = {}  # daemok id -> (window tokens, their sequence indices, tick onsets, stops)
+    for i in ids:
+        seq = sequences[i]
+        cum = list(accumulate(map(ticks.__getitem__, seq), initial=0))
+        at = [k for k, t in enumerate(seq) if not (skip_rests and parse_token(t)[0] is None)]
+        stops = [0] + [cum[k + 1] for k in at]  # window token j ends at stops[j + 1]
+        windows[i] = (tuple(seq[k] for k in at), at, [cum[k] for k in at], stops)
 
     found: dict[tuple[str, ...], list[PatternOccurrence]] = {}
     for n in sorted(set(n_values)):
-        if all(len(sequences[i]) < n for i in ids):
+        if all(len(windows[i][0]) < n for i in ids):
             warnings.warn(f"no sequence is long enough for {n}-grams", stacklevel=2)
             continue
         for daemok_id in ids:
-            tokens = tuple(sequences[daemok_id])
-            cum = cumsums[daemok_id]
+            tokens, positions, starts, stops = windows[daemok_id]
             for start in range(len(tokens) - n + 1):
                 occ = PatternOccurrence(
                     daemok_id=daemok_id,
-                    start_event_index=start,
-                    onset_beats=beats(cum[start]),
-                    span_beats=beats(cum[start + n] - cum[start]),
+                    start_event_index=positions[start],
+                    onset_beats=beats(starts[start]),
+                    span_beats=beats(stops[start + n] - starts[start]),
                 )
                 found.setdefault(tokens[start : start + n], []).append(occ)
 
@@ -161,6 +173,7 @@ def mine_ngrams(
         occurrences=kept,
         n_values=tuple(sorted(set(n_values))),
         min_support=min_support,
+        skip_rests=skip_rests,
     )
 
 

@@ -45,6 +45,7 @@ from .patterns import (
     mine_ngrams,
     occurrence_contours,
     occurrence_vibrato,
+    parse_token,
     tokenize,
 )
 from .pitch_track import (
@@ -279,12 +280,12 @@ class AnalysisBundle:
 
 @contextmanager
 def _stage(stage: str, daemok_id: str):
-    """Re-raise a library, I/O or value error in the block as a `PipelineError` of `stage`."""
+    """Re-raise a library, I/O, value or memory error in the block as `stage`'s `PipelineError`."""
     try:
         yield
     except PipelineError:
         raise
-    except (SorimirError, OSError, ValueError) as exc:
+    except (SorimirError, OSError, ValueError, MemoryError) as exc:
         raise PipelineError(stage, daemok_id, exc) from exc
 
 
@@ -461,12 +462,10 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
 
 
 def mine_index(events_by_id: dict, settings: dict, min_support: int) -> PatternIndex:
-    """Tokenize every daemok's events (rests dropped if `skip_rests`) and mine n-grams."""
-    sequences = {
-        daemok_id: tokenize([e for e in evs if not (settings["skip_rests"] and e.is_rest)])
-        for daemok_id, evs in events_by_id.items()
-    }
-    return mine_ngrams(sequences, n_values=tuple(settings["n_values"]), min_support=min_support)
+    """Tokenize every daemok's events and mine n-grams (windows skip rests if `skip_rests`)."""
+    sequences = {daemok_id: tokenize(evs) for daemok_id, evs in events_by_id.items()}
+    return mine_ngrams(sequences, n_values=tuple(settings["n_values"]), min_support=min_support,
+                       skip_rests=settings["skip_rests"])
 
 
 def histogram_record(daemok_id: str, f0_hist, score_hist, modes) -> dict:
@@ -594,6 +593,9 @@ def pattern_index_record(index: PatternIndex) -> dict:
             per_daemok[o.daemok_id] = per_daemok.get(o.daemok_id, 0) + 1
             rows.append({"daemok": o.daemok_id, "start_event_index": o.start_event_index,
                          "onset_beats": text(o.onset_beats), "span_beats": text(o.span_beats)})
-        patterns.append({"tokens": list(p.tokens), "span_beats": rows[0]["span_beats"],
+        span = rows[0]["span_beats"]
+        if index.skip_rests:  # an occurrence's span then also covers the rests inside it
+            span = fraction_str(sum(parse_token(t)[1] for t in p.tokens))
+        patterns.append({"tokens": list(p.tokens), "span_beats": span,
                          "support": len(rows), "per_daemok": per_daemok, "occurrences": rows})
     return {"n_values": list(index.n_values), "min_support": index.min_support, "patterns": patterns}

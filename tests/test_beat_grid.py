@@ -1,9 +1,14 @@
+import csv
+import io
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatAnnotation, BeatGrid, JangdanSpec, load_beats, slice_track
+from sorimir.beat_grid import BeatGrid, JangdanSpec, load_beats, slice_track
 from sorimir.errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
 from sorimir.pitch_track import F0Track
 
@@ -25,11 +30,7 @@ def one_measure_csv(n_rows, start=0.0, step=0.5):
 
 def tiny_grid(times, beats_per_measure=None):
     """Grid with one measure whose beat count equals len(times)."""
-    bpm = beats_per_measure or len(times)
-    return BeatGrid(
-        spec=JangdanSpec("test", bpm),
-        annotations=tuple(BeatAnnotation(0, i, t) for i, t in enumerate(times)),
-    )
+    return BeatGrid(JangdanSpec("test", beats_per_measure or len(times)), times)
 
 
 class TestValidation:
@@ -102,6 +103,205 @@ class TestValidation:
         with pytest.raises(FormatError) as err:
             load_beats("measure,beat,time\n0,0,abc\n")
         assert err.value.row == 1
+
+
+    def test_missing_measures_are_capped_at_ten(self):
+        with pytest.raises(BeatValidationError) as err:
+            load_beats("measure,beat,time\n1000000,0,0.0\n", JangdanSpec("t", 1))
+        assert err.value.measures == tuple(range(10))
+        assert str(err.value) == f"missing measures {list(range(10))} (first 10 of 1000000)"
+
+    @pytest.mark.parametrize("last, tail", [(12, ""), (13, " (first 10 of 11)")])
+    def test_ten_missing_measures_are_all_listed(self, last, tail):
+        with pytest.raises(BeatValidationError) as err:
+            load_beats(f"measure,beat,time\n0,0,0.0\n5,0,1.0\n{last},0,2.0\n", JangdanSpec("t", 1))
+        assert err.value.measures == (1, 2, 3, 4, 6, 7, 8, 9, 10, 11)
+        assert str(err.value) == f"missing measures {list(err.value.measures)}{tail}"
+
+
+class TestDirectConstruction:
+    def test_times_are_a_read_only_float64_copy(self):
+        source = np.array([0.0, 0.5, 1.0, 1.5])
+        grid = BeatGrid(JangdanSpec("t", 2), source)
+        source[0] = 9.0
+        assert grid.times.dtype == np.float64 and grid.times.tolist() == [0.0, 0.5, 1.0, 1.5]
+        assert (grid.n_beats, grid.n_measures, grid.last_beat) == (4, 2, 3)
+        with pytest.raises(ValueError):
+            grid.times[0] = 1.0
+
+    def test_list_of_ints_is_accepted(self):
+        assert BeatGrid(JangdanSpec("t", 3), [0, 1, 2]).times.tobytes() == np.arange(3.0).tobytes()
+
+    def test_empty_grid(self):
+        grid = BeatGrid(JangdanSpec("t", 4), [])
+        assert (grid.n_beats, grid.n_measures) == (0, 0)
+
+    @pytest.mark.parametrize("times", [[[0.0, 1.0]], [0.0, float("nan")], [0.0, float("inf")], 0.5])
+    def test_not_1d_finite_is_value_error(self, times):
+        with pytest.raises(ValueError, match="1-d array of finite seconds"):
+            BeatGrid(JangdanSpec("t", 1), times)
+
+    def test_partial_last_measure(self):
+        with pytest.raises(BeatValidationError, match=r"^measure 1 has 2 beats, expected 3$") as err:
+            BeatGrid(JangdanSpec("t", 3), [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert err.value.measures == (1,)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 0.5, 0.25]])
+    def test_times_must_increase(self, times):
+        with pytest.raises(OrderingError) as err:
+            BeatGrid(JangdanSpec("t", 3), times)
+        assert str(err.value) == f"time {times[2]:.6f} at global beat 2 does not increase past 0.500000"
+        assert err.value.row is None
+
+    def test_ordering_error_is_a_format_error(self):
+        assert issubclass(OrderingError, FormatError)
+
+
+# -- the previous loader, kept as an oracle -------------------------------------
+
+
+@dataclass(frozen=True)
+class OracleAnnotation:
+    measure_index: int
+    beat_in_measure: int
+    time_s: float
+
+
+@dataclass(frozen=True)
+class OracleGrid:
+    spec: JangdanSpec
+    annotations: tuple
+
+    def __post_init__(self):
+        bpm = self.spec.beats_per_measure
+        per_measure = {}
+        for a in self.annotations:
+            per_measure.setdefault(a.measure_index, []).append(a)
+
+        bad = []
+        for m in sorted(per_measure):
+            beats = sorted(a.beat_in_measure for a in per_measure[m])
+            if len(beats) != bpm:
+                bad.append((m, f"measure {m} has {len(beats)} beats, expected {bpm}"))
+            elif beats != list(range(bpm)):
+                bad.append((m, f"measure {m} beat indices do not form 0..{bpm - 1}"))
+        if per_measure and sorted(per_measure) != list(range(max(per_measure) + 1)):
+            missing = sorted(set(range(max(per_measure) + 1)) - set(per_measure))
+            raise BeatValidationError(f"missing measures {missing}", measures=missing)
+        if bad:
+            raise BeatValidationError("; ".join(d for _, d in bad), measures=[m for m, _ in bad])
+
+        ordered = sorted(self.annotations, key=lambda a: (a.measure_index, a.beat_in_measure))
+        times = np.array([a.time_s for a in ordered], dtype=np.float64)
+        if np.any(np.diff(times) <= 0):
+            i = int(np.nonzero(np.diff(times) <= 0)[0][0]) + 1
+            raise OrderingError(
+                f"time {times[i]:.6f} at global beat {i} does not increase past {times[i - 1]:.6f}"
+            )
+        object.__setattr__(self, "times", times)
+
+
+def oracle_load_beats(text, spec):
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["measure", "beat", "time"]:
+        raise FormatError("expected CSV header 'measure,beat,time'")
+
+    rows = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise FormatError(f"expected 3 columns, got {len(row)}", row=row_no)
+        try:
+            m, b, t = int(row[0]), int(row[1]), float(row[2])
+        except ValueError:
+            raise FormatError(f"non-numeric value in {row!r}", row=row_no) from None
+        if m < 0 or b < 0:
+            raise FormatError(f"negative measure/beat index in {row!r}", row=row_no)
+        if not math.isfinite(t):
+            raise FormatError(f"non-finite time {t}", row=row_no)
+        if t < 0:
+            raise FormatError(f"negative time {t}", row=row_no)
+        rows.append((m, b, t, row_no))
+
+    seen = {}
+    for m, b, _, row_no in rows:
+        if (m, b) in seen:
+            raise FormatError(f"duplicate annotation for measure {m} beat {b}", row=row_no)
+        seen[(m, b)] = row_no
+
+    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
+    for prev, cur in zip(ordered, ordered[1:]):
+        if cur[2] <= prev[2]:
+            raise OrderingError(
+                f"time {cur[2]} at measure {cur[0]} beat {cur[1]} does not increase",
+                row=cur[3],
+            )
+    return OracleGrid(spec, tuple(OracleAnnotation(m, b, t) for m, b, t, _ in ordered))
+
+
+def _outcome(load, text, spec):
+    try:
+        grid = load(text, spec)
+    except (FormatError, BeatValidationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "measures", None)
+    return "ok", grid.times.tobytes()
+
+
+_BAD_CELLS = ("x", "", "-1", "1.5", "nan", "inf", "-0.5", "1e400", " 2 ", "0,0")
+
+
+@st.composite
+def mutated_beats_csv(draw):
+    """A beats CSV of whole measures with gaps, then dropped, repeated or swapped rows, bad cells
+    and blank lines."""
+    bpm = draw(st.integers(1, 12))
+    n_measures = draw(st.integers(0, 4))
+    measure_of = list(range(n_measures))
+    for _ in range(draw(st.integers(0, 2))):  # gaps: at most 2 x 3 missing measures
+        if n_measures:
+            at, width = draw(st.integers(0, n_measures - 1)), draw(st.integers(1, 3))
+            measure_of = [m + width if i >= at else m for i, m in enumerate(measure_of)]
+    steps = draw(st.lists(st.sampled_from([0.25, 0.5, 0.125]), min_size=n_measures * bpm,
+                          max_size=n_measures * bpm))
+    times = np.cumsum([0.0] + steps)[:-1] if steps else []
+    rows = [[str(measure_of[g // bpm]), str(g % bpm), f"{t:.3f}"] for g, t in enumerate(times)]
+    ops = st.sampled_from(("drop", "repeat", "swap", "swap_times", "bad_cell", "extra_beat"))
+    for op in draw(st.lists(ops, max_size=4)):
+        if not rows:
+            break
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        if op == "drop":
+            del rows[i]
+        elif op == "repeat":
+            rows.insert(j, list(rows[i][:2]) + [draw(st.sampled_from([rows[i][2], "99.000"]))])
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "swap_times":
+            rows[i][2], rows[j][2] = rows[j][2], rows[i][2]
+        elif op == "bad_cell":
+            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(_BAD_CELLS))
+        else:
+            rows.append([rows[i][0], str(draw(st.integers(bpm, bpm + 2))), "999.000"])
+    lines = [",".join(r) for r in rows]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, draw(st.sampled_from(["", "  "])))
+    text = "\n".join(["measure,beat,time"] + lines) + "\n"
+    spec_bpm = draw(st.sampled_from([bpm, bpm, bpm, draw(st.integers(1, 12))]))
+    return text, JangdanSpec("t", spec_bpm)
+
+
+class TestLoadBeatsMatchesOracle:
+    @given(mutated_beats_csv())
+    @settings(max_examples=300, deadline=None)
+    def test_same_times_or_same_error(self, case):
+        text, spec = case
+        assert _outcome(load_beats, text, spec) == _outcome(oracle_load_beats, text, spec)
+
+    def test_fixture(self, fixtures_dir):
+        text = (fixtures_dir / "sample.beats.csv").read_text()
+        assert _outcome(load_beats, text, JangdanSpec()) == _outcome(oracle_load_beats, text, JangdanSpec())
 
 
 class TestInterpolation:

@@ -140,6 +140,15 @@ class TestBeatsValidate:
         assert error["type"] == "BeatValidationError"
         assert "13 beats" in error["message"]
 
+    def test_huge_measure_index_gives_a_short_error_line(self, capsys, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("measure,beat,time\n1000000,0,0.0\n")
+        code, _, err = run_cli(capsys, "beats", "validate", "--in", str(path), "--beats-per-measure", "1")
+        assert code == 1
+        (line,) = err.splitlines()
+        assert len(line.encode()) < 1024
+        assert json.loads(line)["error"]["message"].endswith("(first 10 of 1000000)")
+
 
 class TestHistogramCommand:
     def test_json_and_svg_outputs(self, capsys, fixtures_dir, tmp_path):
@@ -269,6 +278,16 @@ class TestPatternsCommands:
         assert all(m is not None for m in metrics)
         assert all(abs(m["rate_hz"] - 5.5) < 0.5 for m in metrics)
 
+    def test_unallocatable_contour_samples_is_one_json_line(self, capsys, manifest_path):
+        code, _, err = run_cli(
+            capsys, "patterns", "contours", "--manifest", str(manifest_path),
+            "--pattern", "A4:2/1 C5:2/1", "--samples", str(10**15),
+        )
+        assert code == 1
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "MemoryError" and error["message"].startswith("Unable to allocate")
+
     def test_unknown_pattern_errors(self, capsys, manifest_path):
         code, _, err = run_cli(
             capsys,
@@ -306,6 +325,17 @@ class TestRunCommand:
         error = json.loads(line)["error"]
         assert "not in the index" in error["message"]
         assert error["warnings"] == ["no sequence is long enough for 15-grams"]
+
+    def test_unallocatable_contour_is_one_json_line(self, capsys, fixtures_dir, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_fixture_manifest(fixtures_dir, samples_per_contour=10**15)))
+        code, _, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "PipelineError"
+        assert error["message"].startswith("stage 'contours' failed for daemok '*': Unable to allocate")
+        assert not (tmp_path / "out").exists()
 
 
 def _fixture_manifest(fixtures_dir, **settings) -> dict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatAnnotation, BeatGrid, JangdanSpec, slice_track
+from sorimir.beat_grid import BeatGrid, JangdanSpec, slice_track
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
     Contour,
@@ -40,11 +40,7 @@ def ev(pitch, onset, duration, measure=0):
 
 
 def beats_grid(times, bpm=None):
-    bpm = bpm or len(times)
-    return BeatGrid(
-        spec=JangdanSpec("test", bpm),
-        annotations=tuple(BeatAnnotation(0, i, t) for i, t in enumerate(times)),
-    )
+    return BeatGrid(JangdanSpec("test", bpm or len(times)), times)
 
 
 class TestTokens:
@@ -178,6 +174,27 @@ class TestMineNgrams:
             mine_ngrams({"d": [A, B]}, n_values=(2,), min_support=0)
         with pytest.raises(ConfigurationError):
             mine_ngrams({"d": [A, B]}, n_values=(1,))
+
+    def test_skip_rests_windows_keep_score_positions(self):
+        seq = ["A4:1/1", "R:1/2", "C5:1/1", "R:1/1", "A4:1/1", "C5:1/1"]
+        index = mine_ngrams({"d": seq}, n_values=(2,), min_support=1, skip_rests=True)
+        assert not any(t.startswith("R:") for p in index.patterns for t in p.tokens)
+        pattern = NGramPattern(("A4:1/1", "C5:1/1"))
+        # Each occurrence starts at its first note and runs to the end of its last, rests included.
+        assert [(o.start_event_index, o.onset_beats, o.span_beats) for o in index.occurrences[pattern]] == [
+            (0, Fraction(0), Fraction(5, 2)), (4, Fraction(7, 2), Fraction(2))
+        ]
+        (middle,) = index.occurrences[NGramPattern(("C5:1/1", "A4:1/1"))]
+        assert (middle.start_event_index, middle.onset_beats, middle.span_beats) == (2, Fraction(3, 2), 3)
+        record = {r["tokens"][0]: r for r in pattern_index_record(index)["patterns"]}
+        assert record["A4:1/1"]["span_beats"] == "2/1"  # the pattern's span is its tokens' sum
+        assert record["C5:1/1"]["span_beats"] == "2/1"
+
+    def test_skip_rests_without_rests_changes_nothing(self):
+        seqs = {"a": [A, B, A, B], "b": [B, A]}
+        assert mine_ngrams(seqs, n_values=(2, 3), min_support=1, skip_rests=True).occurrences == (
+            mine_ngrams(seqs, n_values=(2, 3), min_support=1).occurrences
+        )
 
     def test_per_daemok_support(self):
         seqs = {"d1": [A, B, A, B], "d2": [A, B]}

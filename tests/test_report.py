@@ -415,6 +415,23 @@ class TestPipeline:
         top = record["patterns"][0]
         assert top["support"] == len(top["occurrences"])
 
+    def test_skip_rests_places_occurrences_at_their_score_onsets(self, fixtures_dir, tmp_path):
+        manifest = json.loads((fixtures_dir / "manifest.json").read_text())
+        for key in ("score", "f0_csv", "beats"):
+            manifest["daemok"][0][key] = str(fixtures_dir / manifest["daemok"][0][key])
+        manifest["settings"]["skip_rests"] = True
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        bundle = run_pipeline(path, out_dir=tmp_path / "out")
+
+        pattern = NGramPattern.from_text("A4:2/1 C5:2/1")
+        occurrences = bundle.pattern_index.occurrences[pattern]
+        assert [(o.onset_beats, o.span_beats, o.start_event_index) for o in occurrences] == [
+            (Fraction(12), Fraction(4), 5), (Fraction(16), Fraction(4), 7)
+        ]
+        for c in bundle.contour_sets[pattern.text]:  # A4 -> C5 sung with vibrato, never the G5
+            assert -30.0 <= np.nanmin(c.values) and np.nanmax(c.values) <= 330.0
+
     def test_changed_input_changes_recorded_hash(self, manifest_path, tmp_path, fixtures_dir):
         manifest = json.loads(manifest_path.read_text())
         entry = manifest["daemok"][0]
