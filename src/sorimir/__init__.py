@@ -1,5 +1,7 @@
 """Audio/transcription alignment and melodic-pattern analysis for solo vocal music."""
 
+__version__ = "0.1.0"  # first, so that submodules can import it
+
 from .beat_grid import BeatGrid, JangdanSpec, TrackSegment, load_beats, slice_track
 from .errors import SorimirError
 from .histogram import (
@@ -53,5 +55,3 @@ from .score import (
     pitch_from_midi,
     pitch_name,
 )
-
-__version__ = "0.1.0"

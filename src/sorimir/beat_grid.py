@@ -111,6 +111,8 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
         if t < 0:
             raise FormatError(f"negative time {t}", row=row_no)
         rows.append((m, b, t, row_no))
+    if not rows:
+        raise BeatValidationError("no beat annotations")
 
     rows.sort(key=lambda r: (r[0], r[1]))  # stable: a repeated (measure, beat) keeps file order
     pairs = list(zip(rows, rows[1:]))
@@ -126,7 +128,7 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
     # and the last is bpm - 1.
     bpm = spec.beats_per_measure
     beats = {m: [r[1] for r in group] for m, group in groupby(rows, key=lambda r: r[0])}
-    n_measures = max(beats, default=-1) + 1
+    n_measures = max(beats) + 1
     if missing_total := n_measures - len(beats):
         missing = list(islice((m for m in range(n_measures) if m not in beats), 10))
         tail = f" (first 10 of {missing_total})" if missing_total > 10 else ""

@@ -209,8 +209,8 @@ def _cmd_beats(args) -> int:
                 "beats_per_measure": grid.spec.beats_per_measure,
                 "measures": grid.n_measures,
                 "beats": grid.n_beats,
-                "first_time_s": grid.times[0] if grid.n_beats else None,
-                "last_time_s": grid.times[-1] if grid.n_beats else None,
+                "first_time_s": grid.times[0],
+                "last_time_s": grid.times[-1],
             }
         )
     )

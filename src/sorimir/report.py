@@ -2,7 +2,7 @@
 
 All emitted artifacts are deterministic: identical inputs and settings
 produce byte-identical files, and every output gets a provenance sidecar
-recording input content hashes plus the exact settings used.
+recording the hashes of the inputs it was built from, the settings and the version.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from . import __version__
 from .beat_grid import JangdanSpec, load_beats
 from .errors import (
     DomainError,
@@ -508,18 +509,18 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
     leaving partial outputs behind.
     """
     entries, settings = load_manifest(manifest_path)
-    input_hashes = {}
+    hashes = {}  # daemok id -> {"<id>:<entry key>": hash}
     for entry in entries:
         with _stage("inputs", entry["id"]):
-            for key in _ENTRY_KEYS[1:]:
-                if key in entry:
-                    input_hashes[f"{entry['id']}:{key}"] = _sha256(Path(entry[key]))
-    provenance = {"inputs": input_hashes, "settings": settings}
-    prov_text = dump_json(provenance)
+            hashes[entry["id"]] = {f"{entry['id']}:{key}": _sha256(Path(entry[key]))
+                                   for key in _ENTRY_KEYS[1:] if key in entry}
+    provenance = {"inputs": {k: v for h in hashes.values() for k, v in h.items()},
+                  "settings": settings, "version": __version__}
+    corpus_prov = dump_json(provenance)
     reference = reference_hz(settings)
     outputs: dict[str, str] = {}
 
-    def emit(name: str, text: str):
+    def emit(name: str, text: str, prov_text: str = corpus_prov):
         outputs[name] = text
         outputs[name + ".prov.json"] = prov_text
 
@@ -531,8 +532,11 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
             score_hist = score_duration_histogram(events)
             record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
             histograms[daemok_id] = record
-            emit(f"{daemok_id}.histogram.json", dump_json(record))
-            emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist))
+            # A histogram is built from its daemok's score and F0 input, not from its beats.
+            own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
+            prov = dump_json({**provenance, "inputs": own})
+            emit(f"{daemok_id}.histogram.json", dump_json(record), prov)
+            emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
     with _stage("patterns", "*"):
         index = mine_index(events_by_id, settings, settings["min_support"])

@@ -104,6 +104,12 @@ class TestValidation:
             load_beats("measure,beat,time\n0,0,abc\n")
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("text", ["measure,beat,time\n", "measure,beat,time", "measure,beat,time\n\n  \n"])
+    def test_header_only_is_rejected(self, text):
+        with pytest.raises(BeatValidationError, match="^no beat annotations$") as err:
+            load_beats(text)
+        assert err.value.measures == ()
+
 
     def test_missing_measures_are_capped_at_ten(self):
         with pytest.raises(BeatValidationError) as err:
@@ -297,7 +303,10 @@ class TestLoadBeatsMatchesOracle:
     @settings(max_examples=300, deadline=None)
     def test_same_times_or_same_error(self, case):
         text, spec = case
-        assert _outcome(load_beats, text, spec) == _outcome(oracle_load_beats, text, spec)
+        expected = _outcome(oracle_load_beats, text, spec)
+        if expected == ("ok", b""):  # the oracle accepted a CSV without rows as an empty grid
+            expected = ("BeatValidationError", "no beat annotations", None, ())
+        assert _outcome(load_beats, text, spec) == expected
 
     def test_fixture(self, fixtures_dir):
         text = (fixtures_dir / "sample.beats.csv").read_text()

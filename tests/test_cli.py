@@ -140,6 +140,15 @@ class TestBeatsValidate:
         assert error["type"] == "BeatValidationError"
         assert "13 beats" in error["message"]
 
+    def test_header_only_grid_is_one_json_line(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("measure,beat,time\n")
+        code, out, err = run_cli(capsys, "beats", "validate", "--in", str(path))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {"type": "BeatValidationError",
+                                             "message": "no beat annotations"}
+
     def test_huge_measure_index_gives_a_short_error_line(self, capsys, tmp_path):
         path = tmp_path / "typo.csv"
         path.write_text("measure,beat,time\n1000000,0,0.0\n")
@@ -454,6 +463,7 @@ class TestLoadStages:
             ("divisions", "score", "score"),
             ("encoding", "score", "score"),
             ("zero_bpm", "beats", "beats"),
+            ("header_only", "beats", "beats"),
             ("directory", "inputs", "f0"),
         ],
     )
@@ -472,6 +482,9 @@ class TestLoadStages:
             entry["score"] = str(tmp_path / "x.musicxml")
         elif probe == "zero_bpm":
             manifest["settings"]["beats_per_measure"] = 0
+        elif probe == "header_only":
+            (tmp_path / "x.beats.csv").write_text("measure,beat,time\n")
+            entry["beats"] = str(tmp_path / "x.beats.csv")
         else:
             entry["f0_csv"] = str(tmp_path)
         path = tmp_path / "m.json"
@@ -550,6 +563,48 @@ class TestRunContract:
             manifest = _fixture_manifest(fixtures_dir, **overrides)
             for key, kind in broken.items():
                 manifest["daemok"][0][key] = str(tmp / kind)
+            (tmp / "m.json").write_text(json.dumps(manifest))
+
+            argv = ("run", "--manifest", str(tmp / "m.json"), "--out-dir")
+            code, err = _run_quietly(*argv, str(tmp / "a"))
+            if code == 0:
+                assert _run_quietly(*argv, str(tmp / "b"))[0] == 0
+                assert _files(tmp / "a") == _files(tmp / "b")
+            else:
+                assert code == 1
+                (line,) = err.splitlines()
+                assert json.loads(line)["error"]["type"] == "PipelineError"
+                assert _files(tmp / "a") == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.sampled_from(("score", "beats", "f0_csv")),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 2**16),
+                st.sampled_from(("replace", "insert", "delete")),
+                st.sampled_from(b"0123456789.,-e \n</>") | st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_mutated_input_runs_reproducibly_or_fails_cleanly(self, fixtures_dir, key, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            manifest = _fixture_manifest(fixtures_dir)
+            entry = manifest["daemok"][0]
+            data = bytearray(Path(entry[key]).read_bytes())
+            for at, op, byte in edits:
+                at %= len(data) + (op == "insert")
+                if op == "insert":
+                    data.insert(at, byte)
+                elif op == "delete":
+                    del data[at]
+                else:
+                    data[at] = byte
+            entry[key] = str(tmp / "mutated")
+            (tmp / "mutated").write_bytes(bytes(data))
             (tmp / "m.json").write_text(json.dumps(manifest))
 
             argv = ("run", "--manifest", str(tmp / "m.json"), "--out-dir")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sorimir
 from sorimir import report
 from sorimir.errors import (
     IncompatibleContourError,
@@ -455,6 +457,20 @@ class TestPipeline:
             == after.provenance["inputs"]["sample-daemok:score"]
         )
 
+    def test_missing_input_fails_before_any_score_is_parsed(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
+        manifest = _copies_manifest(fixtures_dir, ["first", "second"])
+        manifest["daemok"][1]["f0_csv"] = str(tmp_path / "missing.f0.csv")
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        parsed = []
+        parse = report.parse_musicxml
+        monkeypatch.setattr(report, "parse_musicxml", lambda data: parsed.append(1) or parse(data))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
+        assert (err.value.stage, err.value.daemok_id) == ("inputs", "second")
+        assert parsed == []
+
     def test_pipeline_with_audio_entry(self, tmp_path):
         import numpy as np
         from scipy.io import wavfile
@@ -489,6 +505,51 @@ class TestPipeline:
         bundle = run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
         masses = bundle.histograms["one"]["f0_histogram"]["masses"]
         assert set(masses) == {"69"}
+
+
+def _copies_manifest(fixtures_dir, ids) -> dict:
+    """The fixture manifest with its one daemok's inputs repeated under each of `ids`."""
+    manifest = json.loads((fixtures_dir / "manifest.json").read_text())
+    entry = {k: v if k == "id" else str(fixtures_dir / v) for k, v in manifest["daemok"][0].items()}
+    manifest["daemok"] = [{**entry, "id": daemok_id} for daemok_id in ids]
+    return manifest
+
+
+class TestSidecars:
+    """Each `.prov.json` names only the inputs its artifact was built from."""
+
+    @staticmethod
+    def _run(fixtures_dir, tmp_path, n) -> dict:
+        ids = [f"d{i}" for i in range(n)]
+        path = tmp_path / f"m{n}.json"
+        path.write_text(json.dumps(_copies_manifest(fixtures_dir, ids)))
+        bundle = run_pipeline(path, out_dir=tmp_path / f"out{n}")
+        return {Path(p).name: Path(p).read_bytes() for p in bundle.output_files}
+
+    def test_histogram_sidecars_list_their_own_inputs_only(self, fixtures_dir, tmp_path):
+        entry = json.loads((fixtures_dir / "manifest.json").read_text())["daemok"][0]
+        files = {k: "sha256:" + hashlib.sha256((fixtures_dir / entry[k]).read_bytes()).hexdigest()
+                 for k in ("score", "f0_csv", "beats")}
+        two, four = (self._run(fixtures_dir, tmp_path, n) for n in (2, 4))
+        sidecars = {n: json.loads(data) for n, data in four.items() if n.endswith(".prov.json")}
+        assert len(sidecars) == len(four) // 2
+        for name, record in sidecars.items():
+            assert set(record) == {"inputs", "settings", "version"}
+            assert record["version"] == sorimir.__version__
+            assert record["settings"] == sidecars["patterns.json.prov.json"]["settings"]
+            owner = name.split(".histogram.")[0] if ".histogram." in name else None
+            ids = [owner] if owner else [f"d{i}" for i in range(4)]
+            keys = ("score", "f0_csv") if owner else ("score", "f0_csv", "beats")
+            assert record["inputs"] == {f"{d}:{k}": files[k] for d in ids for k in keys}, name
+        for name in ("d0.histogram.json.prov.json", "d1.histogram.svg.prov.json"):
+            assert two[name] == four[name]
+        assert len(two["patterns.json.prov.json"]) < len(four["patterns.json.prov.json"])
+
+    def test_bundle_provenance_is_the_corpus_record(self, manifest_path, tmp_path):
+        bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        corpus = (tmp_path / "out" / "patterns.json.prov.json").read_text()
+        assert dump_json(bundle.provenance) == corpus
+        assert (tmp_path / "out" / "pattern-00.vibrato.json.prov.json").read_text() == corpus
 
 
 def _pipebench_child():
