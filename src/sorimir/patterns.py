@@ -85,7 +85,7 @@ class NGramPattern:
         return cls(tuple(text.split()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # tens of thousands per corpus
 class PatternOccurrence:
     daemok_id: str
     start_event_index: int

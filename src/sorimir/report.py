@@ -10,11 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import repeat, takewhile
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -108,12 +107,9 @@ class _Svg:
         )
 
     def document(self) -> str:
-        body = "\n".join(f"  {p}" for p in self.parts)
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f"{body}\n</svg>\n"
-        )
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+                f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">')
+        return "\n".join([head, *(f"  {p}" for p in self.parts), "</svg>\n"])  # parts: axes at least
 
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 24, 56
@@ -243,7 +239,8 @@ def contours_csv(pattern: NGramPattern, contours: list[Contour]) -> str:
             f"{head}{pos}{format(v, '.6f') if math.isfinite(v) else ''}"
             for pos, v in zip(positions, c.values.tolist())
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +309,14 @@ def _leaf_encoder():
 _encode_leaf = _leaf_encoder()
 
 
-def _encode_json(obj, newline: str, chunks: list, prefix: str = "") -> None:
-    """Append `prefix` and `obj`: one line if `obj` holds no container, else one member a line."""
+def _encode_json(obj, write, newline: str = "\n", prefix: str = "") -> None:
+    """Write `prefix` and `obj`: one line if `obj` holds no container, else one member a line."""
     is_dict = isinstance(obj, dict)
     if is_dict and not all(map(isinstance, obj, repeat(str))):
         raise TypeError(f"JSON keys must be str, got {[k for k in obj if not isinstance(k, str)]}")
     values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
     if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-        chunks.append(prefix + "".join(_encode_leaf(obj, 0)))
+        write(prefix + "".join(_encode_leaf(obj, 0)))
         return
     inner = newline + "  "
     if is_dict:
@@ -329,17 +326,23 @@ def _encode_json(obj, newline: str, chunks: list, prefix: str = "") -> None:
         members, brackets = zip(repeat(""), obj), "[]"
     sep = prefix + brackets[0] + inner
     for head, value in members:
-        _encode_json(value, inner, chunks, sep + head)
+        _encode_json(value, write, inner, sep + head)
         sep = "," + inner
-    chunks.append(newline + brackets[1])
+    write(newline + brackets[1])
+
+
+def write_json(obj, write) -> None:
+    """Pass the text of `dump_json(obj)` to `write`, chunk by chunk, without joining it."""
+    _encode_json(obj, write)
+    write("\n")
 
 
 def dump_json(obj) -> str:
     """Sorted-key JSON, laid out as `indent=2` except that a container holding no container
     is written on one line. Every key must be a `str`."""
     chunks: list[str] = []
-    _encode_json(obj, "\n", chunks)
-    return "".join(chunks) + "\n"
+    write_json(obj, chunks.append)
+    return "".join(chunks)
 
 
 def reference_hz(settings: dict) -> float:
@@ -421,6 +424,8 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
         daemok_id = entry.get("id")
         if not daemok_id or not isinstance(daemok_id, str):
             raise PipelineError("manifest", "*", "every daemok entry needs a string 'id'")
+        if daemok_id == "*":  # the id a PipelineError gives a corpus-wide stage
+            raise PipelineError("manifest", "*", "daemok id '*' is reserved for the whole corpus")
         if any(ch in daemok_id for ch in "/\\") or daemok_id.startswith("."):
             raise PipelineError("manifest", daemok_id, f"unsafe daemok id {daemok_id!r}")
         for key, value in entry.items():
@@ -501,12 +506,28 @@ def vibrato_record(pattern: NGramPattern, vib) -> dict:
     }
 
 
+@contextmanager
+def _staging_dir(out_root: Path):
+    """A new staging directory in `out_root`, deleted on exit. If the block fails, so are the
+    directories made for it: `out_root` and any of its parents that did not exist."""
+    made = list(takewhile(lambda p: not p.exists(), (out_root, *out_root.parents)))
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_root) as staging:
+            yield Path(staging)
+    except BaseException:
+        for directory in made:  # deepest first
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+
+
 def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
     """Execute every analysis stage for every daemok in the manifest.
 
-    Outputs land in `out_dir` (default: `out/` next to the manifest), each
-    with a `.prov.json` sidecar. Any stage failure aborts the run without
-    leaving partial outputs behind.
+    Outputs land in `out_dir` (default: `out/` next to the manifest), each with a
+    `.prov.json` sidecar. Each is staged on disk as it is built and moved into `out_dir`
+    once every stage has passed: a failed run leaves no partial outputs behind.
     """
     entries, settings = load_manifest(manifest_path)
     hashes = {}  # daemok id -> {"<id>:<entry key>": hash}
@@ -518,56 +539,52 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                   "settings": settings, "version": __version__}
     corpus_prov = dump_json(provenance)
     reference = reference_hz(settings)
-    outputs: dict[str, str] = {}
-
-    def emit(name: str, text: str, prov_text: str = corpus_prov):
-        outputs[name] = text
-        outputs[name + ".prov.json"] = prov_text
-
     events_by_id, grids, tracks = load_corpus(entries, settings)
-    histograms: dict[str, dict] = {}
-    for daemok_id, events in events_by_id.items():
-        with _stage("histogram", daemok_id):
-            f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
-            score_hist = score_duration_histogram(events)
-            record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
-            histograms[daemok_id] = record
-            # A histogram is built from its daemok's score and F0 input, not from its beats.
-            own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
-            prov = dump_json({**provenance, "inputs": own})
-            emit(f"{daemok_id}.histogram.json", dump_json(record), prov)
-            emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
-
-    with _stage("patterns", "*"):
-        index = mine_index(events_by_id, settings, settings["min_support"])
-        emit("patterns.json", dump_json(pattern_index_record(index)))
-
-    contour_sets: dict[str, list[Contour]] = {}
-    for pi, pattern_text in enumerate(settings["contour_patterns"]):
-        with _stage("contours", "*"):
-            pattern = NGramPattern.from_text(pattern_text)
-            contours = occurrence_contours(
-                index, pattern, grids, tracks,
-                samples_per_contour=settings["samples_per_contour"], reference_hz=reference,
-            )
-            contour_sets[pattern_text] = contours
-            stem = f"pattern-{pi:02d}"
-            emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
-            emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
-            vib = occurrence_vibrato(index, pattern, contours)
-            emit(f"{stem}.vibrato.json", dump_json(vibrato_record(pattern, vib)))
-
     out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
-    out_root.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_root))
-    try:
-        for name in sorted(outputs):
-            with open(staging / name, "w", newline="\n") as fh:
-                fh.write(outputs[name])
+    outputs: list[str] = []  # names only: each artifact is on disk once `emit` returns
+
+    with _staging_dir(out_root) as staging:
+
+        def emit(name: str, content, prov_text: str = corpus_prov):  # content: text or a JSON record
+            for file_name, body in ((name, content), (name + ".prov.json", prov_text)):
+                with open(staging / file_name, "w", newline="\n") as fh:
+                    fh.write(body) if isinstance(body, str) else write_json(body, fh.write)
+                outputs.append(file_name)
+
+        histograms: dict[str, dict] = {}
+        for daemok_id, events in events_by_id.items():
+            with _stage("histogram", daemok_id):
+                f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
+                score_hist = score_duration_histogram(events)
+                record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
+                histograms[daemok_id] = record
+                # A histogram is built from its daemok's score and F0 input, not from its beats.
+                own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
+                prov = dump_json({**provenance, "inputs": own})
+                emit(f"{daemok_id}.histogram.json", record, prov)
+                emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
+
+        with _stage("patterns", "*"):
+            index = mine_index(events_by_id, settings, settings["min_support"])
+            emit("patterns.json", pattern_index_record(index))
+
+        contour_sets: dict[str, list[Contour]] = {}
+        for pi, pattern_text in enumerate(settings["contour_patterns"]):
+            with _stage("contours", "*"):
+                pattern = NGramPattern.from_text(pattern_text)
+                contours = occurrence_contours(
+                    index, pattern, grids, tracks,
+                    samples_per_contour=settings["samples_per_contour"], reference_hz=reference,
+                )
+                contour_sets[pattern_text] = contours
+                stem = f"pattern-{pi:02d}"
+                emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
+                emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
+                vib = occurrence_vibrato(index, pattern, contours)
+                emit(f"{stem}.vibrato.json", vibrato_record(pattern, vib))
+
         for name in sorted(outputs):
             (staging / name).replace(out_root / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
     return AnalysisBundle(
         daemok_ids=tuple(e["id"] for e in entries),

@@ -7,6 +7,7 @@ quarter-note beats, so `divisions` never forces floating point.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -213,11 +214,18 @@ def parse_musicxml(document) -> Score:
     time_sig: TimeSignature | None = None
     voice_seen: str | None = None
     measures: list[Measure] = []
-    onset = Fraction(0)
+    # Onsets and measure content are summed as integer ticks, `unit` to the quarter note: the
+    # LCM of the <divisions> seen so far, so a change of divisions only rescales the sums.
+    unit, onset_ticks, shared = 1, 0, {}
+
+    def beats(ticks: int) -> Fraction:  # `ticks / unit`, one shared Fraction per pair
+        key = (ticks, unit)
+        return shared[key] if key in shared else shared.setdefault(key, Fraction(ticks, unit))
 
     for m_index, m_el in enumerate(part.findall("measure")):
         is_pickup = m_el.get("implicit") == "yes"
         events: list[NoteEvent] = []
+        content_ticks = 0
 
         for child in m_el:
             if child.tag == "attributes":
@@ -226,6 +234,8 @@ def parse_musicxml(document) -> Score:
                     divisions = _int_text(div_text, "divisions", m_index)
                     if divisions < 1:
                         raise StructureError(f"<divisions> must be positive, got {divisions}")
+                    scale = math.lcm(unit, divisions) // unit
+                    unit, onset_ticks, content_ticks = unit * scale, onset_ticks * scale, content_ticks * scale
                 time_el = child.find("time")
                 if time_el is not None:
                     try:
@@ -261,7 +271,8 @@ def parse_musicxml(document) -> Score:
                 raise StructureError(f"<note> without <duration> in measure {m_index}")
             if divisions is None:
                 raise StructureError("missing <divisions> before the first note")
-            duration = Fraction(_int_text(dur_text, "duration", m_index), divisions)
+            ticks = _int_text(dur_text, "duration", m_index) * (unit // divisions)
+            duration, onset = beats(ticks), beats(onset_ticks)
 
             is_rest = child.find("rest") is not None
             pitch = None if is_rest else _parse_pitch_element(child.find("pitch"), m_index)
@@ -277,12 +288,13 @@ def parse_musicxml(document) -> Score:
                     tied_to_next=not is_rest and "start" in tie_types,
                 )
             )
-            onset += duration
+            onset_ticks += ticks
+            content_ticks += ticks
 
         if time_sig is None:
             raise StructureError(f"no <time> signature seen by the end of measure {m_index}")
 
-        content = sum((e.duration_beats for e in events), Fraction(0))
+        content = Fraction(content_ticks, unit)
         capacity = time_sig.quarter_beats
         if content != capacity and not (is_pickup and content < capacity):
             raise StructureError(

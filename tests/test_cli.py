@@ -369,6 +369,8 @@ class TestManifestSchema:
             ({"samples_per_contour": "200"}, None, "'samples_per_contour' must be int"),
             ({"modes": ["ujo", "pyeongjo"]}, None, "unknown mode 'pyeongjo'"),
             ({}, [["sample-daemok", "joongmori_sample.musicxml"]], "is not an object"),
+            ({}, [{"id": "*", "score": "s", "beats": "b", "f0_csv": "f"}],
+             "daemok id '*' is reserved for the whole corpus"),
             ({"reference_hz": float("nan")}, None, "'reference_hz' must be finite, got nan"),
             ({"tuning_offset_cents": float("inf")}, None, "'tuning_offset_cents' must be finite"),
             ({"filter": {"min_hz": float("-inf")}}, None, "'filter.min_hz' must be finite"),
@@ -530,17 +532,59 @@ _SETTING_VALUES = {
 }
 
 
-def _run_quietly(*argv):
-    """`main(argv)` in-process with its stdout, stderr and re-emitted warnings captured."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run_quietly(*argv) -> tuple[int, str, str]:
+    """`main(argv)` in-process: exit code, stdout and stderr, with re-emitted warnings dropped."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True):
             code = main(list(argv))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _files(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+# Up to four byte edits: (position, operation, byte).
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 2**16),
+        st.sampled_from(("replace", "insert", "delete")),
+        st.sampled_from(b"0123456789.,-e \n</>") | st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    data = bytearray(data)
+    for at, op, byte in edits:
+        at %= len(data) + (op == "insert")
+        if op == "insert":
+            data.insert(at, byte)
+        elif op == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    return bytes(data)
+
+
+def _assert_runs_reproducibly_or_fails_cleanly(tmp: Path):
+    """`run` on `tmp/m.json` into `tmp/out/a`, whose parent does not exist yet: either two runs
+    write the same files, or the run is one JSON line and leaves `tmp` as it found it."""
+    before = sorted(tmp.iterdir())
+    argv = ("run", "--manifest", str(tmp / "m.json"), "--out-dir")
+    code, _, err = _run_quietly(*argv, str(tmp / "out" / "a"))
+    if code == 0:
+        assert _run_quietly(*argv, str(tmp / "out" / "b"))[0] == 0
+        assert _files(tmp / "out" / "a") == _files(tmp / "out" / "b")
+        assert not list((tmp / "out" / "a").glob(".staging-*"))
+    else:
+        assert code == 1
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "PipelineError"
+        assert sorted(tmp.iterdir()) == before  # no out dir, parent or staging dir
 
 
 class TestRunContract:
@@ -565,55 +609,63 @@ class TestRunContract:
                 manifest["daemok"][0][key] = str(tmp / kind)
             (tmp / "m.json").write_text(json.dumps(manifest))
 
-            argv = ("run", "--manifest", str(tmp / "m.json"), "--out-dir")
-            code, err = _run_quietly(*argv, str(tmp / "a"))
-            if code == 0:
-                assert _run_quietly(*argv, str(tmp / "b"))[0] == 0
-                assert _files(tmp / "a") == _files(tmp / "b")
-            else:
-                assert code == 1
-                (line,) = err.splitlines()
-                assert json.loads(line)["error"]["type"] == "PipelineError"
-                assert _files(tmp / "a") == {}
+            _assert_runs_reproducibly_or_fails_cleanly(tmp)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        key=st.sampled_from(("score", "beats", "f0_csv")),
-        edits=st.lists(
-            st.tuples(
-                st.integers(0, 2**16),
-                st.sampled_from(("replace", "insert", "delete")),
-                st.sampled_from(b"0123456789.,-e \n</>") | st.integers(0, 255),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-    )
+    @given(key=st.sampled_from(("score", "beats", "f0_csv")), edits=_EDITS)
     def test_mutated_input_runs_reproducibly_or_fails_cleanly(self, fixtures_dir, key, edits):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             manifest = _fixture_manifest(fixtures_dir)
             entry = manifest["daemok"][0]
-            data = bytearray(Path(entry[key]).read_bytes())
-            for at, op, byte in edits:
-                at %= len(data) + (op == "insert")
-                if op == "insert":
-                    data.insert(at, byte)
-                elif op == "delete":
-                    del data[at]
-                else:
-                    data[at] = byte
+            (tmp / "mutated").write_bytes(_mutate(Path(entry[key]).read_bytes(), edits))
             entry[key] = str(tmp / "mutated")
-            (tmp / "mutated").write_bytes(bytes(data))
             (tmp / "m.json").write_text(json.dumps(manifest))
 
-            argv = ("run", "--manifest", str(tmp / "m.json"), "--out-dir")
-            code, err = _run_quietly(*argv, str(tmp / "a"))
+            _assert_runs_reproducibly_or_fails_cleanly(tmp)
+
+
+# Subcommand -> (argv, with {score}, {beats}, {f0_csv} and {manifest} filled in; the inputs it reads).
+_SUBCOMMANDS = {
+    "patterns contours": (("patterns", "contours", "--manifest", "{manifest}",
+                           "--pattern", "A4:2/1 C5:2/1"), ("score", "beats", "f0_csv")),
+    "patterns vibrato": (("patterns", "vibrato", "--manifest", "{manifest}",
+                          "--pattern", "A4:2/1 C5:2/1"), ("score", "beats", "f0_csv")),
+    "beats validate": (("beats", "validate", "--in", "{beats}"), ("beats",)),
+    "f0 filter": (("f0", "filter", "--in", "{f0_csv}"), ("f0_csv",)),
+    "histogram": (("histogram", "--score", "{score}", "--f0", "{f0_csv}", "--mode", "ujo"),
+                  ("score", "f0_csv")),
+}
+
+
+class TestSubcommandContract:
+    """A mutated fixture input under a subcommand either gives the same output on a rerun or
+    fails as exactly one JSON line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(_SUBCOMMANDS)).flatmap(
+            lambda name: st.tuples(st.just(name), st.sampled_from(_SUBCOMMANDS[name][1]))
+        ),
+        edits=_EDITS,
+    )
+    def test_mutated_input_reruns_identically_or_fails_cleanly(self, fixtures_dir, case, edits):
+        name, key = case
+        argv, _ = _SUBCOMMANDS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            manifest = _fixture_manifest(fixtures_dir)
+            entry = manifest["daemok"][0]
+            (tmp / "mutated").write_bytes(_mutate(Path(entry[key]).read_bytes(), edits))
+            entry[key] = str(tmp / "mutated")
+            (tmp / "m.json").write_text(json.dumps(manifest))
+            paths = {**entry, "manifest": str(tmp / "m.json")}
+
+            argv = [arg.format(**paths) for arg in argv]
+            code, out, err = _run_quietly(*argv)
             if code == 0:
-                assert _run_quietly(*argv, str(tmp / "b"))[0] == 0
-                assert _files(tmp / "a") == _files(tmp / "b")
+                assert _run_quietly(*argv) == (0, out, err)
             else:
-                assert code == 1
+                assert code == 1 and out == ""
                 (line,) = err.splitlines()
-                assert json.loads(line)["error"]["type"] == "PipelineError"
-                assert _files(tmp / "a") == {}
+                assert set(json.loads(line)["error"]) <= {"type", "message", "warnings"}

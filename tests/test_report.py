@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -27,6 +28,7 @@ from sorimir.report import (
     render_contour_overlay,
     render_histogram_figure,
     run_pipeline,
+    write_json,
 )
 
 
@@ -304,6 +306,14 @@ class TestDumpJson:
         with pytest.raises(TypeError, match="keys must be str"):
             dump_json(value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES | _DEEP_JSON)
+    def test_write_sink_gives_the_bytes_of_dump_json(self, value):
+        buffer = io.BytesIO()
+        with io.TextIOWrapper(buffer, newline="\n", write_through=True) as fh:
+            write_json(value, fh.write)
+            assert buffer.getvalue() == dump_json(value).encode()
+
     @settings(max_examples=100, deadline=None)
     @given(value=_JSON_SCALARS | _json_containers(_JSON_SCALARS))
     def test_pure_python_leaf_encoder_gives_the_same_bytes(self, value):
@@ -384,7 +394,7 @@ class TestPipeline:
         assert rates and all(abs(r - 5.5) < 0.5 for r in rates)
 
     def test_missing_input_aborts_without_outputs(self, manifest_path, tmp_path, fixtures_dir):
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"
         manifest = json.loads(manifest_path.read_text())
         entry = manifest["daemok"][0]
         entry["score"] = str(fixtures_dir / entry["score"])
@@ -394,8 +404,53 @@ class TestPipeline:
         broken.write_text(json.dumps(manifest))
         with pytest.raises(PipelineError, match="does-not-exist.csv"):
             run_pipeline(broken, out_dir=out)
-        leftovers = [p for p in out.iterdir()] if out.exists() else []
-        assert leftovers == []
+        assert list(tmp_path.iterdir()) == [broken]  # no out dir, parent or staging dir
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_after_staging_leaves_the_out_dir_as_it_was(
+        self, manifest_path, tmp_path, monkeypatch, existing
+    ):
+        """A stage that fails once artifacts are being written removes the staging directory,
+        and the out dir and its parents if the run made them."""
+        out = tmp_path / "a" / "b" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "kept.txt").write_text("x")
+        staged = []
+
+        def failing_overlay(contours):
+            staged.extend(p.name for p in out.glob(".staging-*/*"))
+            raise IncompatibleContourError("boom")
+
+        monkeypatch.setattr(report, "render_contour_overlay", failing_overlay)
+        with pytest.raises(PipelineError, match="stage 'contours'"):
+            run_pipeline(manifest_path, out_dir=out)
+        assert "patterns.json" in staged and "sample-daemok.histogram.svg.prov.json" in staged
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_each_artifact_is_staged_before_the_next_is_built(self, manifest_path, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        seen = {}
+
+        def traced(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] = sorted(p.name for p in out.glob(".staging-*/*"))
+                assert not [p for p in out.iterdir() if not p.name.startswith(".staging-")]
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("mine_index", "contours_csv", "render_contour_overlay"):
+            monkeypatch.setattr(report, name, traced(name, getattr(report, name)))
+        bundle = run_pipeline(manifest_path, out_dir=out)
+        histograms = ["sample-daemok.histogram.json", "sample-daemok.histogram.json.prov.json",
+                      "sample-daemok.histogram.svg", "sample-daemok.histogram.svg.prov.json"]
+        assert seen["mine_index"] == histograms
+        assert seen["contours_csv"] == sorted(histograms + ["patterns.json", "patterns.json.prov.json"])
+        assert "pattern-00.contours.csv" in seen["render_contour_overlay"]
+        assert sorted(p.name for p in out.iterdir()) == [Path(f).name for f in bundle.output_files]
 
     def test_stage_error_names_stage_and_daemok(self, manifest_path, tmp_path, fixtures_dir):
         manifest = json.loads(manifest_path.read_text())

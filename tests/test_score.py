@@ -343,3 +343,152 @@ def test_event_records_schema(sample_score, expected_fixture):
     assert json.dumps(records)  # JSON-serializable
     rest = records[3]
     assert rest["pitch"] is None and rest["midi"] is None
+
+
+# -- integer-tick parser against the Fraction-sum parser ----------------------
+
+
+def _parse_musicxml_oracle(document):
+    """`parse_musicxml` as it summed onsets and measure content in `Fraction`s, one per note."""
+    from sorimir.score import Measure, Score, _int_text, _parse_pitch_element, _parse_xml_root
+
+    root = _parse_xml_root(document)
+    if root.tag == "score-timewise":
+        raise UnsupportedStructureError("unsupported element <score-timewise>: only partwise scores are handled")
+    if root.tag != "score-partwise":
+        raise StructureError(f"unexpected root element <{root.tag}>")
+    parts = root.findall("part")
+    if not parts:
+        raise StructureError("no <part> element found")
+    if len(parts) > 1:
+        raise UnsupportedStructureError(
+            f"unsupported element <part>: found {len(parts)} parts, only single-part scores are handled"
+        )
+    part = parts[0]
+    daemok_id = (root.findtext("movement-title") or root.findtext("work/work-title") or part.get("id") or "score").strip()
+    divisions = time_sig = voice_seen = None
+    measures = []
+    onset = Fraction(0)
+    for m_index, m_el in enumerate(part.findall("measure")):
+        is_pickup = m_el.get("implicit") == "yes"
+        events = []
+        for child in m_el:
+            if child.tag == "attributes":
+                div_text = child.findtext("divisions")
+                if div_text is not None:
+                    divisions = _int_text(div_text, "divisions", m_index)
+                    if divisions < 1:
+                        raise StructureError(f"<divisions> must be positive, got {divisions}")
+                time_el = child.find("time")
+                if time_el is not None:
+                    try:
+                        time_sig = TimeSignature(
+                            int(time_el.findtext("beats")), int(time_el.findtext("beat-type"))
+                        )
+                    except (TypeError, ValueError) as exc:
+                        raise StructureError(f"bad <time> in measure {m_index}: {exc}") from exc
+                continue
+            if child.tag != "note":
+                continue
+            if child.find("grace") is not None:
+                continue
+            if child.find("chord") is not None:
+                raise UnsupportedStructureError(f"unsupported element <chord> in measure {m_index}")
+            voice = child.findtext("voice")
+            if voice is not None:
+                if voice_seen is None:
+                    voice_seen = voice
+                elif voice != voice_seen:
+                    raise UnsupportedStructureError(
+                        f"unsupported element <voice>: second voice {voice!r} in measure {m_index}"
+                    )
+            dur_text = child.findtext("duration")
+            if dur_text is None:
+                raise StructureError(f"<note> without <duration> in measure {m_index}")
+            if divisions is None:
+                raise StructureError("missing <divisions> before the first note")
+            duration = Fraction(_int_text(dur_text, "duration", m_index), divisions)
+            is_rest = child.find("rest") is not None
+            pitch = None if is_rest else _parse_pitch_element(child.find("pitch"), m_index)
+            tie_types = {t.get("type") for t in child.findall("tie")}
+            events.append(
+                NoteEvent(
+                    onset_beats=onset,
+                    duration_beats=duration,
+                    pitch=pitch,
+                    measure_index=m_index,
+                    tied_from_previous=not is_rest and "stop" in tie_types,
+                    tied_to_next=not is_rest and "start" in tie_types,
+                )
+            )
+            onset += duration
+        if time_sig is None:
+            raise StructureError(f"no <time> signature seen by the end of measure {m_index}")
+        content = sum((e.duration_beats for e in events), Fraction(0))
+        capacity = time_sig.quarter_beats
+        if content != capacity and not (is_pickup and content < capacity):
+            raise StructureError(
+                f"measure {m_index} sums to {content} quarter beats, expected {capacity}"
+                + (" (pickup longer than a full measure)" if is_pickup else "")
+            )
+        measures.append(Measure(index=m_index, events=tuple(events), is_pickup=is_pickup))
+    if time_sig is None:
+        raise StructureError("score contains no measures")
+    return Score(
+        daemok_id=daemok_id,
+        time_signature=time_sig,
+        measures=tuple(measures),
+        divisions=divisions if divisions is not None else 1,
+    )
+
+
+_DIVISIONS = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 480])
+
+
+@st.composite
+def divisions_changing_score(draw):
+    """A score whose <divisions> may change between measures and between notes, whose first
+    measure may be a pickup, and whose measures mostly (not always) fill their capacity."""
+    beats, beat_type = draw(st.integers(1, 12)), draw(st.sampled_from([2, 4, 8]))
+    capacity = Fraction(4 * beats, beat_type)
+    divisions = draw(_DIVISIONS)
+    measures = []
+    for m_index in range(draw(st.integers(1, 4))):
+        pickup = m_index == 0 and draw(st.booleans())
+        body = [f"<attributes><divisions>{divisions}</divisions>"
+                f"<time><beats>{beats}</beats><beat-type>{beat_type}</beat-type></time></attributes>"
+                if m_index == 0 else ""]
+        remaining = capacity * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1])) if pickup else capacity
+        while remaining > 0:
+            if draw(st.integers(0, 3)) == 0:
+                divisions = draw(_DIVISIONS)
+                body.append(f"<attributes><divisions>{divisions}</divisions></attributes>")
+            room = remaining * divisions  # in ticks; not whole when the new divisions cannot fill it
+            ticks = draw(st.integers(1, max(1, min(int(room), 8 * divisions))))
+            if draw(st.integers(0, 15)) == 0:
+                ticks += draw(st.integers(-ticks, 3))  # may overfill, underfill or give 0 ticks
+            rest = draw(st.integers(0, 4)) == 0
+            body.append(note_xml(draw(st.sampled_from(_STEPS)), 4, ticks, rest=rest))
+            remaining -= max(Fraction(ticks, divisions), remaining if ticks == 0 else 0)
+        implicit = ' implicit="yes"' if pickup else ""
+        measures.append(f'<measure number="{m_index}"{implicit}>{"".join(body)}</measure>')
+    return (f'<?xml version="1.0"?><score-partwise><part-list/><part id="P1">'
+            f'{"".join(measures)}</part></score-partwise>').encode()
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except (StructureError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(divisions_changing_score())
+@settings(max_examples=300, deadline=None)
+def test_tick_sums_give_the_score_of_fraction_sums(doc):
+    expected = _outcome(_parse_musicxml_oracle, doc)
+    assert _outcome(parse_musicxml, doc) == expected
+
+
+def test_tick_sums_on_the_fixture(sample_score_bytes):
+    assert parse_musicxml(sample_score_bytes) == _parse_musicxml_oracle(sample_score_bytes)
