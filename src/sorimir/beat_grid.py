@@ -11,13 +11,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import groupby, islice
 
 import numpy as np
 
 from .errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
 from .pitch_track import F0Track, track_cents
+from .score import Score
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,61 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
     if bad:
         raise BeatValidationError("; ".join(bad.values()), measures=list(bad))
     return BeatGrid(spec, [r[2] for r in rows])
+
+
+@dataclass(frozen=True)
+class ScoreGrid:
+    """A daemok's beat grid read against its score: score positions to grid beats.
+
+    Score positions are quarter-note beats from the score's start, as in
+    `NoteEvent.onset_beats`. Score measure m is grid measure m, whichever pulse
+    the annotator tapped, so the two must have the same number of measures
+    (`BeatValidationError` otherwise). A position in measure m lies at grid beat
+    m * beats_per_measure + (position - downbeat) * beats_per_measure / capacity,
+    where `capacity` is the measure's time-signature length and `downbeat` its
+    first position. A pickup, a first measure marked implicit and shorter than
+    its time signature, ends on grid measure 1's downbeat: its notes fill the
+    last beats of grid measure 0. Any later short measure starts on its downbeat.
+    """
+
+    score: Score
+    grid: BeatGrid
+
+    def __post_init__(self):
+        if len(self.score.measures) != self.grid.n_measures:
+            raise BeatValidationError(
+                f"beat grid has {self.grid.n_measures} measures but the score has "
+                f"{len(self.score.measures)}"
+            )
+
+    @cached_property
+    def _measures(self) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+        """Each measure's first position (then the score's end), and its map
+        `position -> origin + position * scale`. Built once, from the events' own onsets."""
+        measures = self.score.measures
+        starts = [m.events[0].onset_beats if m.events else None for m in measures]
+        last = next((m.events[-1] for m in reversed(measures) if m.events), None)
+        starts.append(last.onset_beats + last.duration_beats if last else Fraction(0))
+        for m in reversed(range(len(measures))):  # an empty measure starts where the next one does
+            if starts[m] is None:
+                starts[m] = starts[m + 1]
+        downbeats = starts[:-1]
+        first = measures[0] if measures else None
+        if first and first.is_pickup and starts[1] - starts[0] < first.capacity_beats:
+            downbeats[0] = starts[1] - first.capacity_beats
+        bpm = self.grid.spec.beats_per_measure
+        scales = [bpm / m.capacity_beats for m in measures]  # grid beats per quarter-note beat
+        origins = [m * bpm - downbeat * scale
+                   for m, (downbeat, scale) in enumerate(zip(downbeats, scales))]
+        return starts, origins, scales
+
+    def beat(self, position: Fraction, end: bool = False) -> Fraction:
+        """Grid beat of a score position. With `end`, a position on a barline is
+        placed as the end of the measure before it (which differs after a short measure)."""
+        starts, origins, scales = self._measures
+        m = (bisect_left if end else bisect_right)(starts, position) - 1
+        m = min(max(m, 0), len(scales) - 1)
+        return origins[m] + position * scales[m]
 
 
 @dataclass(frozen=True)

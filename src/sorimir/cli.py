@@ -251,7 +251,9 @@ def _cmd_patterns(args) -> int:
         n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
         settings = {"n_values": n_values, "skip_rests": args.skip_rests}
         index = report.mine_index(_collect_score_events(args.scores), settings, args.min_support)
-        _write_or_print(dump_json(report.pattern_index_record(index)), args.out)
+        chunks: list[str] = []
+        report.pattern_index_record(index, chunks.append)
+        _write_or_print("".join(chunks), args.out)
         return 0
 
     entries, settings = report.load_manifest(args.manifest)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .beat_grid import BeatGrid, slice_track
+from .beat_grid import ScoreGrid, slice_track
 from .errors import ConfigurationError, DependencyError, NotEnoughDataError
 from .pitch_track import F0Track
 from .score import NoteEvent, Pitch, fraction_str, parse_pitch_name, pitch_name
@@ -30,7 +30,7 @@ DEFAULT_SAMPLES_PER_CONTOUR = 200
 
 
 def make_token(pitch: Pitch | None, duration: Fraction) -> str:
-    if duration <= 0:
+    if duration.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError(f"duration {duration} must be > 0")
     head = REST_STEP if pitch is None else pitch_name(pitch)
     return f"{head}:{fraction_str(duration)}"
@@ -58,10 +58,6 @@ def tokenize(events: Sequence[NoteEvent]) -> list[str]:
     return [make_token(e.pitch, e.duration_beats) for e in events]
 
 
-def detokenize(tokens: Sequence[str]) -> list[tuple[Pitch | None, Fraction]]:
-    return [parse_token(t) for t in tokens]
-
-
 @dataclass(frozen=True)
 class NGramPattern:
     tokens: tuple[str, ...]
@@ -85,8 +81,7 @@ class NGramPattern:
         return cls(tuple(text.split()))
 
 
-@dataclass(frozen=True, slots=True)  # tens of thousands per corpus
-class PatternOccurrence:
+class PatternOccurrence(NamedTuple):  # a tuple: tens of thousands per corpus, built cheaply
     daemok_id: str
     start_event_index: int
     onset_beats: Fraction
@@ -142,13 +137,15 @@ def mine_ngrams(
     scale = math.lcm(*{d.denominator for d in durations.values()})
     ticks = {t: d.numerator * (scale // d.denominator) for t, d in durations.items()}
     beats = lru_cache(maxsize=None)(partial(Fraction, denominator=scale))
-    windows = {}  # daemok id -> (window tokens, their sequence indices, tick onsets, stops)
+    # daemok id -> (window tokens, their sequence indices, onsets, tick onsets, tick stops)
+    windows = {}
     for i in ids:
         seq = sequences[i]
         cum = list(accumulate(map(ticks.__getitem__, seq), initial=0))
         at = [k for k, t in enumerate(seq) if not (skip_rests and parse_token(t)[0] is None)]
+        starts = [cum[k] for k in at]
         stops = [0] + [cum[k + 1] for k in at]  # window token j ends at stops[j + 1]
-        windows[i] = (tuple(seq[k] for k in at), at, [cum[k] for k in at], stops)
+        windows[i] = (tuple(seq[k] for k in at), at, list(map(beats, starts)), starts, stops)
 
     found: dict[tuple[str, ...], list[PatternOccurrence]] = {}
     for n in sorted(set(n_values)):
@@ -156,14 +153,10 @@ def mine_ngrams(
             warnings.warn(f"no sequence is long enough for {n}-grams", stacklevel=2)
             continue
         for daemok_id in ids:
-            tokens, positions, starts, stops = windows[daemok_id]
+            tokens, positions, onsets, starts, stops = windows[daemok_id]
             for start in range(len(tokens) - n + 1):
-                occ = PatternOccurrence(
-                    daemok_id=daemok_id,
-                    start_event_index=positions[start],
-                    onset_beats=beats(starts[start]),
-                    span_beats=beats(stops[start + n] - starts[start]),
-                )
+                occ = PatternOccurrence(daemok_id, positions[start], onsets[start],
+                                        beats(stops[start + n] - starts[start]))
                 found.setdefault(tokens[start : start + n], []).append(occ)
 
     kept = {NGramPattern(k): tuple(o) for k, o in found.items() if len(o) >= min_support}
@@ -199,10 +192,6 @@ class Contour:
     vibrato: VibratoMetrics | None = None
 
     @property
-    def is_all_missing(self) -> bool:
-        return bool(np.all(np.isnan(self.values)))
-
-    @property
     def label(self) -> str:
         return f"{self.daemok_id} @ {fraction_str(self.onset_beats)}"
 
@@ -236,17 +225,18 @@ def _resample_to_normalized(beats: np.ndarray, cents: np.ndarray, samples: int) 
 def occurrence_contours(
     index: PatternIndex,
     pattern: NGramPattern,
-    grids: Mapping[str, BeatGrid],
+    grids: Mapping[str, ScoreGrid],
     tracks: Mapping[str, F0Track],
     samples_per_contour: int = DEFAULT_SAMPLES_PER_CONTOUR,
     reference_hz: float = 440.0,
 ) -> list[Contour]:
     """Beat-aligned cents contour and vibrato metrics of every occurrence of `pattern`.
 
-    Each occurrence is sliced once, and its contour and vibrato come from
-    the same cents array. Occurrences whose span runs past the annotated
-    beat grid are skipped with a warning (the grid cannot place them in
-    time). Fully unvoiced slices yield all-missing contours and are kept.
+    Each occurrence is placed on its daemok's beat grid through its score's
+    measures (`ScoreGrid.beat`) and sliced once, and its contour and vibrato
+    come from the same cents array. Occurrences whose span runs past the
+    annotated beat grid are skipped with a warning (the grid cannot place them
+    in time). Fully unvoiced slices yield all-missing contours and are kept.
     """
     if samples_per_contour < 2:
         raise ConfigurationError("samples_per_contour must be >= 2")
@@ -259,9 +249,10 @@ def occurrence_contours(
             raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
         if occ.daemok_id not in tracks:
             raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
-        grid = grids[occ.daemok_id]
-        start = float(occ.onset_beats)
-        end = float(occ.onset_beats + occ.span_beats)
+        placed = grids[occ.daemok_id]
+        grid = placed.grid
+        start = float(placed.beat(occ.onset_beats))
+        end = float(placed.beat(occ.onset_beats + occ.span_beats, end=True))
         if start < 0 or end > grid.last_beat:
             warnings.warn(
                 f"occurrence at {occ.daemok_id} beat {start} runs past the annotated grid; skipped",

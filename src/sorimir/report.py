@@ -13,6 +13,7 @@ import math
 import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import repeat, takewhile
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -20,7 +21,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import __version__
-from .beat_grid import JangdanSpec, load_beats
+from .beat_grid import JangdanSpec, ScoreGrid, load_beats
 from .errors import (
     DomainError,
     IncompatibleContourError,
@@ -445,7 +446,8 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
 
 
 def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
-    """Every entry's score events, beat grid and filtered F0 track, each keyed by daemok id."""
+    """Every entry's score events, beat grid read against its score (`ScoreGrid`, which checks
+    that both have the same number of measures) and filtered F0 track, each keyed by daemok id."""
     events_by_id, grids, tracks = {}, {}, {}
     for entry in entries:
         daemok_id = entry["id"]
@@ -453,10 +455,11 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
             score = parse_musicxml(Path(entry["score"]).read_bytes())
             events_by_id[daemok_id] = note_sequence(score, merge_ties=settings["merge_ties"])
         with _stage("beats", daemok_id):
-            grids[daemok_id] = load_beats(
+            grid = load_beats(
                 Path(entry["beats"]).read_text(),
                 JangdanSpec(settings["jangdan"], settings["beats_per_measure"]),
             )
+            grids[daemok_id] = ScoreGrid(score, grid)
         with _stage("f0", daemok_id):
             if "f0_csv" in entry:
                 track = import_f0_csv(Path(entry["f0_csv"]).read_text())
@@ -545,10 +548,10 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
 
     with _staging_dir(out_root) as staging:
 
-        def emit(name: str, content, prov_text: str = corpus_prov):  # content: text or a JSON record
+        def emit(name: str, content, prov_text: str = corpus_prov):  # content: text or `write -> None`
             for file_name, body in ((name, content), (name + ".prov.json", prov_text)):
                 with open(staging / file_name, "w", newline="\n") as fh:
-                    fh.write(body) if isinstance(body, str) else write_json(body, fh.write)
+                    fh.write(body) if isinstance(body, str) else body(fh.write)
                 outputs.append(file_name)
 
         histograms: dict[str, dict] = {}
@@ -561,12 +564,12 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                 # A histogram is built from its daemok's score and F0 input, not from its beats.
                 own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
                 prov = dump_json({**provenance, "inputs": own})
-                emit(f"{daemok_id}.histogram.json", record, prov)
+                emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
                 emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
         with _stage("patterns", "*"):
             index = mine_index(events_by_id, settings, settings["min_support"])
-            emit("patterns.json", pattern_index_record(index))
+            emit("patterns.json", partial(pattern_index_record, index))
 
         contour_sets: dict[str, list[Contour]] = {}
         for pi, pattern_text in enumerate(settings["contour_patterns"]):
@@ -581,7 +584,7 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                 emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
                 emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
                 vib = occurrence_vibrato(index, pattern, contours)
-                emit(f"{stem}.vibrato.json", vibrato_record(pattern, vib))
+                emit(f"{stem}.vibrato.json", partial(write_json, vibrato_record(pattern, vib)))
 
         for name in sorted(outputs):
             (staging / name).replace(out_root / name)
@@ -596,27 +599,42 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
     )
 
 
-def pattern_index_record(index: PatternIndex) -> dict:
-    """JSON-ready dump of a mined pattern index."""
+def pattern_index_record(index: PatternIndex, write) -> None:
+    """Pass `patterns.json`, the `dump_json` text of a mined pattern index, to `write`.
+
+    The text goes out as it is built: the head, one chunk per pattern, then the tail. Each
+    occurrence row is formatted directly, never built as a dict nor run through an encoder."""
     # `mine_ngrams` shares one Fraction per value, so each is formatted once. The cache is
-    # keyed by identity because hashing a Fraction costs more than formatting it.
+    # keyed by identity because hashing a Fraction costs more than formatting it. A Fraction's
+    # text holds only digits and "/", so it needs no escaping.
     texts: dict[int, str] = {}
+    quoted: dict[str, str] = {}  # daemok id -> its JSON string
 
     def text(value) -> str:
         if id(value) not in texts:
             texts[id(value)] = fraction_str(value)
         return texts[id(value)]
 
-    patterns = []
+    def leaf(obj) -> str:
+        return "".join(_encode_leaf(obj, 0))
+
+    write(f'{{\n  "min_support": {index.min_support},\n  "n_values": {leaf(list(index.n_values))},'
+          '\n  "patterns": ')
+    row_sep = ",\n        "
+    sep = "[\n    "
     for p in index.patterns:
         rows, per_daemok = [], {}
-        for o in index.occurrences[p]:
-            per_daemok[o.daemok_id] = per_daemok.get(o.daemok_id, 0) + 1
-            rows.append({"daemok": o.daemok_id, "start_event_index": o.start_event_index,
-                         "onset_beats": text(o.onset_beats), "span_beats": text(o.span_beats)})
-        span = rows[0]["span_beats"]
+        for daemok_id, start, onset, span in index.occurrences[p]:
+            if daemok_id not in quoted:
+                quoted[daemok_id] = json.encoder.encode_basestring_ascii(daemok_id)
+            per_daemok[daemok_id] = per_daemok.get(daemok_id, 0) + 1
+            rows.append(f'{{"daemok": {quoted[daemok_id]}, "onset_beats": "{text(onset)}", '
+                        f'"span_beats": "{text(span)}", "start_event_index": {start}}}')
+        pattern_span = text(index.occurrences[p][0].span_beats)
         if index.skip_rests:  # an occurrence's span then also covers the rests inside it
-            span = fraction_str(sum(parse_token(t)[1] for t in p.tokens))
-        patterns.append({"tokens": list(p.tokens), "span_beats": span,
-                         "support": len(rows), "per_daemok": per_daemok, "occurrences": rows})
-    return {"n_values": list(index.n_values), "min_support": index.min_support, "patterns": patterns}
+            pattern_span = fraction_str(sum(parse_token(t)[1] for t in p.tokens))
+        write(f'{sep}{{\n      "occurrences": [\n        {row_sep.join(rows)}\n      ],'
+              f'\n      "per_daemok": {leaf(per_daemok)},\n      "span_beats": "{pattern_span}",'
+              f'\n      "support": {len(rows)},\n      "tokens": {leaf(list(p.tokens))}\n    }}')
+        sep = ",\n    "
+    write("\n  ]\n}\n" if index.patterns else "[]\n}\n")

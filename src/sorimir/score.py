@@ -132,8 +132,11 @@ class NoteEvent:
 
 @dataclass(frozen=True)
 class Measure:
+    """One measure's events; `capacity_beats` is its time signature's length in quarter-note beats."""
+
     index: int
     events: tuple[NoteEvent, ...]
+    capacity_beats: Fraction
     is_pickup: bool = False
 
     @property
@@ -302,7 +305,9 @@ def parse_musicxml(document) -> Score:
                 + (" (pickup longer than a full measure)" if is_pickup else "")
             )
 
-        measures.append(Measure(index=m_index, events=tuple(events), is_pickup=is_pickup))
+        measures.append(
+            Measure(index=m_index, events=tuple(events), capacity_beats=capacity, is_pickup=is_pickup)
+        )
 
     if time_sig is None:
         raise StructureError("score contains no measures")

@@ -231,6 +231,28 @@ class TestPatternsCommands:
         assert top["support"] >= 2
         assert set(top["per_daemok"]) == {"one", "two"}
 
+    def test_mine_prints_exactly_the_patterns_json_of_run(self, capsys, fixtures_dir, tmp_path):
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        entries = []
+        for daemok_id in ("sample-daemok", "zweite-\u00e9"):
+            score = scores / f"{daemok_id}.musicxml"
+            shutil.copy(fixtures_dir / "joongmori_sample.musicxml", score)
+            entries.append({"id": daemok_id, "score": str(score),
+                            "f0_csv": str(fixtures_dir / "sample.f0.csv"),
+                            "beats": str(fixtures_dir / "sample.beats.csv")})
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"daemok": entries,
+                                        "settings": {"min_support": 3, "skip_rests": True}}))
+        out_dir = tmp_path / "out"
+        assert run_cli(capsys, "run", "--manifest", str(manifest), "--out-dir", str(out_dir))[0] == 0
+        code, out, _ = run_cli(
+            capsys, "patterns", "mine", "--scores", str(scores), "--min-support", "3", "--skip-rests"
+        )
+        assert code == 0
+        assert json.loads(out)["patterns"]
+        assert out == (out_dir / "patterns.json").read_text()
+
     def test_mine_empty_directory_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "patterns", "mine", "--scores", str(tmp_path))
         assert code == 1

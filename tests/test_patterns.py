@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatGrid, JangdanSpec, slice_track
+from sorimir.beat_grid import BeatGrid, JangdanSpec, ScoreGrid, slice_track
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
     Contour,
@@ -17,7 +18,6 @@ from sorimir.patterns import (
     VibratoMetrics,
     _moving_average,
     _resample_to_normalized,
-    detokenize,
     find_post_rest_long_notes,
     make_token,
     mine_ngrams,
@@ -30,7 +30,7 @@ from sorimir.patterns import (
 )
 from sorimir.pitch_track import F0Track
 from sorimir.report import pattern_index_record
-from sorimir.score import NoteEvent, Pitch, note_sequence
+from sorimir.score import Measure, NoteEvent, Pitch, Score, TimeSignature, note_sequence
 
 HOP = 0.01
 
@@ -39,8 +39,22 @@ def ev(pitch, onset, duration, measure=0):
     return NoteEvent(Fraction(onset), Fraction(duration), pitch, measure)
 
 
+def index_json(index):
+    """`patterns.json` of `index`, parsed."""
+    chunks = []
+    pattern_index_record(index, chunks.append)
+    return json.loads("".join(chunks))
+
+
 def beats_grid(times, bpm=None):
-    return BeatGrid(JangdanSpec("test", bpm or len(times)), times)
+    """A grid on a score in bpm/4 whose measures are rests, so that a grid beat is a quarter note."""
+    grid = BeatGrid(JangdanSpec("test", bpm or len(times)), times)
+    bpm = grid.spec.beats_per_measure
+    measures = tuple(
+        Measure(m, (ev(None, m * bpm, bpm, m),), capacity_beats=Fraction(bpm))
+        for m in range(grid.n_measures)
+    )
+    return ScoreGrid(Score("test", TimeSignature(bpm, 4), measures, 1), grid)
 
 
 class TestTokens:
@@ -84,7 +98,7 @@ class TestTokens:
             pitch = None if midi is None else pitch_from_midi(midi)
             events.append(NoteEvent(onset, dur, pitch, 0))
             onset += dur
-        back = detokenize(tokenize(events))
+        back = [parse_token(t) for t in tokenize(events)]
         assert len(back) == len(events)
         for (pitch, dur), original in zip(back, events):
             assert dur == original.duration_beats
@@ -186,7 +200,7 @@ class TestMineNgrams:
         ]
         (middle,) = index.occurrences[NGramPattern(("C5:1/1", "A4:1/1"))]
         assert (middle.start_event_index, middle.onset_beats, middle.span_beats) == (2, Fraction(3, 2), 3)
-        record = {r["tokens"][0]: r for r in pattern_index_record(index)["patterns"]}
+        record = {r["tokens"][0]: r for r in index_json(index)["patterns"]}
         assert record["A4:1/1"]["span_beats"] == "2/1"  # the pattern's span is its tokens' sum
         assert record["C5:1/1"]["span_beats"] == "2/1"
 
@@ -199,7 +213,7 @@ class TestMineNgrams:
     def test_per_daemok_support(self):
         seqs = {"d1": [A, B, A, B], "d2": [A, B]}
         index = mine_ngrams(seqs, n_values=(2,), min_support=1)
-        (record,) = [p for p in pattern_index_record(index)["patterns"] if p["tokens"] == [A, B]]
+        (record,) = [p for p in index_json(index)["patterns"] if p["tokens"] == [A, B]]
         assert record["per_daemok"] == {"d1": 2, "d2": 1}
 
 
@@ -326,7 +340,7 @@ class TestOccurrenceContours:
     def test_fully_unvoiced_slice_kept_and_flagged(self):
         index, pattern, grids, tracks = single_occurrence_setup([0.0] * 100)
         (contour,) = occurrence_contours(index, pattern, grids, tracks)
-        assert contour.is_all_missing
+        assert np.isnan(contour.values).all()
 
     def test_gap_not_interpolated_across(self):
         f0 = [440.0] * 40 + [0.0] * 20 + [440.0] * 40
@@ -542,7 +556,7 @@ def _placed_segments_oracle(index, pattern, grids, tracks):
             raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
         if occ.daemok_id not in tracks:
             raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
-        grid = grids[occ.daemok_id]
+        grid = grids[occ.daemok_id].grid
         start = float(occ.onset_beats)
         end = float(occ.onset_beats + occ.span_beats)
         if start < 0 or end > grid.last_beat:

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import random
+import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
 from fractions import Fraction
@@ -19,7 +22,7 @@ from sorimir.errors import (
     PipelineError,
 )
 from sorimir.histogram import BIN_MIDI, BIN_PITCH_CLASS, PitchHistogram
-from sorimir.patterns import Contour, NGramPattern
+from sorimir.patterns import Contour, NGramPattern, mine_ngrams, parse_token
 from sorimir.report import (
     contours_csv,
     dump_json,
@@ -322,6 +325,92 @@ class TestDumpJson:
         assert "".join(fallback(value, 0)) == "".join(report._encode_leaf(value, 0))
 
 
+def _index_record_oracle(index) -> dict:
+    """The `patterns.json` record as a dict, built row by row."""
+    patterns = []
+    for p in index.patterns:
+        occurrences = index.occurrences[p]
+        per_daemok = {}
+        for o in occurrences:
+            per_daemok[o.daemok_id] = per_daemok.get(o.daemok_id, 0) + 1
+        span = occurrences[0].span_beats
+        if index.skip_rests:
+            span = sum(parse_token(t)[1] for t in p.tokens)
+        patterns.append({
+            "tokens": list(p.tokens),
+            "span_beats": report.fraction_str(span),
+            "support": len(occurrences),
+            "per_daemok": per_daemok,
+            "occurrences": [
+                {"daemok": o.daemok_id, "start_event_index": o.start_event_index,
+                 "onset_beats": report.fraction_str(o.onset_beats),
+                 "span_beats": report.fraction_str(o.span_beats)}
+                for o in occurrences
+            ],
+        })
+    return {"n_values": list(index.n_values), "min_support": index.min_support, "patterns": patterns}
+
+
+def _streamed(index) -> list[str]:
+    chunks = []
+    pattern_index_record(index, chunks.append)
+    return chunks
+
+
+_TOKENS = ["A4:1/1", "C5:1/2", "D5:3/8", "E4:1/3", "R:1/1", "R:5/4", "G4:2/1"]
+_DAEMOK_IDS = st.text(st.sampled_from('ab"\\\u00e9\ud55c/ '), min_size=1, max_size=4)
+
+
+class TestPatternIndexWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sequences=st.dictionaries(
+            _DAEMOK_IDS, st.lists(st.sampled_from(_TOKENS), max_size=14), min_size=1, max_size=4
+        ),
+        n_values=st.sets(st.sampled_from([2, 3, 4]), min_size=1),
+        min_support=st.integers(1, 3),
+        skip_rests=st.booleans(),
+    )
+    def test_streamed_text_is_dump_json_of_the_record(self, sequences, n_values, min_support,
+                                                      skip_rests):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "no sequence is long enough"
+            index = mine_ngrams(sequences, tuple(n_values), min_support, skip_rests=skip_rests)
+        chunks = _streamed(index)
+        text = "".join(chunks)
+        assert len(chunks) == len(index.patterns) + 2  # head, one chunk per pattern, tail
+        assert dump_json(json.loads(text)) == text
+        assert json.loads(text) == _index_record_oracle(index)
+        assert text == dump_json(_index_record_oracle(index))
+
+    def test_no_surviving_pattern_writes_an_empty_list(self):
+        index = mine_ngrams({"d": ["A4:1/1", "C5:1/2"]}, n_values=(2,), min_support=2)
+        text = "".join(_streamed(index))
+        assert text == '{\n  "min_support": 2,\n  "n_values": [2],\n  "patterns": []\n}\n'
+        assert text == dump_json(_index_record_oracle(index))
+
+    def test_streaming_holds_far_less_than_it_writes(self):
+        rng = random.Random(7)
+        tokens = [f"{step}{octave}:{d}" for step in "ACDEG" for octave in (4, 5)
+                  for d in ("1/2", "1/1", "3/2")]
+        sequences = {f"daemok-{k:02d}": [rng.choice(tokens) for _ in range(150)] for k in range(40)}
+        index = mine_ngrams(sequences, (2, 3, 4), 2)
+        written = 0
+
+        def sink(chunk):
+            nonlocal written
+            written += len(chunk)
+
+        tracemalloc.start()
+        try:
+            pattern_index_record(index, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written > 10**6
+        assert peak < written / 4
+
+
 class TestManifest:
     def test_load_fixture_manifest(self, manifest_path):
         entries, settings = load_manifest(manifest_path)
@@ -467,9 +556,11 @@ class TestPipeline:
 
     def test_pattern_index_record_round_trips_json(self, manifest_path, tmp_path):
         bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
-        record = pattern_index_record(bundle.pattern_index)
-        assert json.loads(json.dumps(record)) == record
-        top = record["patterns"][0]
+        chunks = []
+        pattern_index_record(bundle.pattern_index, chunks.append)
+        text = "".join(chunks)
+        assert dump_json(json.loads(text)) == text == (tmp_path / "out" / "patterns.json").read_text()
+        top = json.loads(text)["patterns"][0]
         assert top["support"] == len(top["occurrences"])
 
     def test_skip_rests_places_occurrences_at_their_score_onsets(self, fixtures_dir, tmp_path):

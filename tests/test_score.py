@@ -431,7 +431,9 @@ def _parse_musicxml_oracle(document):
                 f"measure {m_index} sums to {content} quarter beats, expected {capacity}"
                 + (" (pickup longer than a full measure)" if is_pickup else "")
             )
-        measures.append(Measure(index=m_index, events=tuple(events), is_pickup=is_pickup))
+        measures.append(
+            Measure(index=m_index, events=tuple(events), capacity_beats=capacity, is_pickup=is_pickup)
+        )
     if time_sig is None:
         raise StructureError("score contains no measures")
     return Score(
