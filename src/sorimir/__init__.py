@@ -36,12 +36,7 @@ from .pitch_track import (
     import_f0_csv,
     load_wav,
 )
-from .report import (
-    AnalysisBundle,
-    render_contour_overlay,
-    render_histogram_figure,
-    run_pipeline,
-)
+from .report import render_contour_overlay, render_histogram_figure, run_pipeline
 from .score import (
     Measure,
     NoteEvent,

@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 from . import report
 from .beat_grid import JangdanSpec, load_beats
-from .errors import SorimirError
+from .errors import RECOVERABLE_ERRORS, SorimirError
 from .histogram import BIN_MIDI, BIN_PITCH_CLASS, MODE_FACTORIES, f0_histogram, score_duration_histogram
 from .patterns import (
     DEFAULT_MIN_SUPPORT,
@@ -51,14 +52,15 @@ def _write_or_print(text: str, out_path: str | None):
             fh.write(text)
 
 
-def _write_outputs(args, text: str, svg_text: str):
-    """Write --out and/or --svg; with neither, print the artifact --format names."""
+def _write_outputs(args, render_text, render_svg):
+    """Write --out and/or --svg; with neither, print the artifact --format names. Each artifact
+    is rendered (`render_*() -> str`) only if it is written or printed."""
     if args.out:
-        _write_or_print(text, args.out)
+        _write_or_print(render_text(), args.out)
     if args.svg:
-        _write_or_print(svg_text, args.svg)
+        _write_or_print(render_svg(), args.svg)
     if not (args.out or args.svg):
-        sys.stdout.write(svg_text if args.format == "svg" else text)
+        sys.stdout.write(render_svg() if args.format == "svg" else render_text())
 
 
 def _filter_args(parser: argparse.ArgumentParser):
@@ -231,7 +233,8 @@ def _cmd_histogram(args) -> int:
     score_hist = score_duration_histogram(events, bin_kind=args.bin_kind)
     record = report.histogram_record(score.daemok_id, f0_hist, score_hist, args.mode or [])
     record["reference_hz"] = reference
-    _write_outputs(args, dump_json(record), report.render_histogram_figure(f0_hist, score_hist))
+    _write_outputs(args, partial(dump_json, record),
+                   partial(report.render_histogram_figure, f0_hist, score_hist))
     return 0
 
 
@@ -267,9 +270,8 @@ def _cmd_patterns(args) -> int:
             index, pattern, grids, tracks,
             samples_per_contour=args.samples, reference_hz=reference,
         )
-        _write_outputs(
-            args, report.contours_csv(pattern, contours), report.render_contour_overlay(contours)
-        )
+        _write_outputs(args, partial(report.contours_csv, pattern, contours),
+                       partial(report.render_contour_overlay, contours))
         return 0
 
     contours = occurrence_contours(index, pattern, grids, tracks, reference_hz=reference)
@@ -279,18 +281,8 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    bundle = report.run_pipeline(args.manifest, out_dir=args.out_dir)
-    sys.stdout.write(
-        dump_json(
-            {
-                "ok": True,
-                "daemok": list(bundle.daemok_ids),
-                "patterns": len(bundle.pattern_index),
-                "contour_sets": {k: len(v) for k, v in bundle.contour_sets.items()},
-                "outputs": [str(p) for p in bundle.output_files],
-            }
-        )
-    )
+    summary = report.run_pipeline(args.manifest, out_dir=args.out_dir)
+    sys.stdout.write(dump_json({"ok": True, **summary}))
     return 0
 
 
@@ -310,7 +302,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             code = _COMMANDS[args.command](args)
-    except (SorimirError, OSError, ValueError, MemoryError) as exc:
+    except RECOVERABLE_ERRORS as exc:
         # numpy raises a private MemoryError subclass; the JSON names the public type.
         error = {"type": "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__,
                  "message": str(exc)}

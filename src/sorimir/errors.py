@@ -107,3 +107,8 @@ class PipelineError(SorimirError):
         self.daemok_id = daemok_id
         self.cause = cause
         super().__init__(f"stage '{stage}' failed for daemok '{daemok_id}': {cause}")
+
+
+# The errors a pipeline stage or a CLI command reports; any other exception is a bug and keeps
+# its traceback.
+RECOVERABLE_ERRORS = (SorimirError, OSError, ValueError, MemoryError)

@@ -9,7 +9,7 @@ pitch classes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,7 +27,7 @@ UNIT_BEATS = "beats"
 
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
-PC_C, PC_D, PC_E, PC_F, PC_G, PC_A, PC_B = 0, 2, 4, 5, 7, 9, 11
+PC_D = 2
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,6 @@ class ModeTemplate:
     name: str
     scale_degrees: frozenset[int]
     tonic: int
-    characteristic: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if not self.scale_degrees:
@@ -157,17 +156,10 @@ class ModeTemplate:
             raise ValueError("scale degrees must lie in 0..11")
         if not 0 <= self.tonic <= 11:
             raise ValueError("tonic must be a pitch class 0..11")
-        if not self.characteristic <= self.scale_degrees:
-            raise ValueError("characteristic degrees must be scale degrees")
 
     @property
     def pitch_classes(self) -> frozenset[int]:
         return frozenset((self.tonic + d) % 12 for d in self.scale_degrees)
-
-    def transposed(self, semitones: int) -> "ModeTemplate":
-        return ModeTemplate(
-            self.name, self.scale_degrees, (self.tonic + semitones) % 12, self.characteristic
-        )
 
 
 def ujo(tonic: int = PC_D) -> ModeTemplate:
@@ -176,15 +168,12 @@ def ujo(tonic: int = PC_D) -> ModeTemplate:
 
 
 def gyemyeonjo(tonic: int = PC_D) -> ModeTemplate:
-    """D-E-(G)-A-C shape with the characteristic second degree.
+    """D-E-(G)-A-C shape (degrees 0,2,5,7,10) on the given tonic.
 
     The sobbing F->E figure is treated as an ornamental upper neighbor, so
-    F is not a scale degree here; degree 2 (E on tonic D) is flagged
-    characteristic instead.
+    F is not a scale degree here.
     """
-    return ModeTemplate(
-        "gyemyeonjo", frozenset({0, 2, 5, 7, 10}), tonic, characteristic=frozenset({2})
-    )
+    return ModeTemplate("gyemyeonjo", frozenset({0, 2, 5, 7, 10}), tonic)
 
 
 MODE_FACTORIES = {"ujo": ujo, "gyemyeonjo": gyemyeonjo}

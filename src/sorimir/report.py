@@ -12,7 +12,7 @@ import json
 import math
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from functools import partial
 from itertools import repeat, takewhile
 from pathlib import Path
@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .beat_grid import JangdanSpec, ScoreGrid, load_beats
 from .errors import (
+    RECOVERABLE_ERRORS,
     DomainError,
     IncompatibleContourError,
     IncompatibleHistogramError,
     PipelineError,
-    SorimirError,
 )
 from .histogram import (
     MODE_FACTORIES,
@@ -265,18 +265,6 @@ DEFAULT_SETTINGS = {
 }
 
 
-@dataclass
-class AnalysisBundle:
-    """Everything one pipeline run produced, with provenance."""
-
-    daemok_ids: tuple[str, ...]
-    histograms: dict
-    pattern_index: PatternIndex
-    contour_sets: dict[str, list[Contour]]
-    provenance: dict
-    output_files: tuple[str, ...] = field(default_factory=tuple)
-
-
 @contextmanager
 def _stage(stage: str, daemok_id: str):
     """Re-raise a library, I/O, value or memory error in the block as `stage`'s `PipelineError`."""
@@ -284,7 +272,7 @@ def _stage(stage: str, daemok_id: str):
         yield
     except PipelineError:
         raise
-    except (SorimirError, OSError, ValueError, MemoryError) as exc:
+    except RECOVERABLE_ERRORS as exc:
         raise PipelineError(stage, daemok_id, exc) from exc
 
 
@@ -397,6 +385,8 @@ def _checked_settings(given) -> dict:
         raise PipelineError("manifest", "*", f"unknown mode {unknown[0]!r}")
     with _stage("manifest", "*"):
         reference_hz(settings)
+        FilterConfig(**settings["filter"])
+        JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
     return settings
 
 
@@ -449,24 +439,22 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
     """Every entry's score events, beat grid read against its score (`ScoreGrid`, which checks
     that both have the same number of measures) and filtered F0 track, each keyed by daemok id."""
     events_by_id, grids, tracks = {}, {}, {}
+    spec = JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
+    config = FilterConfig(**settings["filter"])
     for entry in entries:
         daemok_id = entry["id"]
         with _stage("score", daemok_id):
             score = parse_musicxml(Path(entry["score"]).read_bytes())
             events_by_id[daemok_id] = note_sequence(score, merge_ties=settings["merge_ties"])
         with _stage("beats", daemok_id):
-            grid = load_beats(
-                Path(entry["beats"]).read_text(),
-                JangdanSpec(settings["jangdan"], settings["beats_per_measure"]),
-            )
-            grids[daemok_id] = ScoreGrid(score, grid)
+            grids[daemok_id] = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
         with _stage("f0", daemok_id):
             if "f0_csv" in entry:
                 track = import_f0_csv(Path(entry["f0_csv"]).read_text())
             else:
                 samples, sample_rate = load_wav(entry["audio"])
                 track = estimate_f0_yin(samples, sample_rate, **settings["yin"])
-            tracks[daemok_id] = filter_track(track, FilterConfig(**settings["filter"]))
+            tracks[daemok_id] = filter_track(track, config)
     return events_by_id, grids, tracks
 
 
@@ -525,12 +513,16 @@ def _staging_dir(out_root: Path):
         raise
 
 
-def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
+def run_pipeline(manifest_path, out_dir=None) -> dict:
     """Execute every analysis stage for every daemok in the manifest.
 
     Outputs land in `out_dir` (default: `out/` next to the manifest), each with a
     `.prov.json` sidecar. Each is staged on disk as it is built and moved into `out_dir`
     once every stage has passed: a failed run leaves no partial outputs behind.
+
+    Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
+    "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
+    names only. Each pattern's contours are freed before the next pattern's are placed.
     """
     entries, settings = load_manifest(manifest_path)
     hashes = {}  # daemok id -> {"<id>:<entry key>": hash}
@@ -554,13 +546,11 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                     fh.write(body) if isinstance(body, str) else body(fh.write)
                 outputs.append(file_name)
 
-        histograms: dict[str, dict] = {}
         for daemok_id, events in events_by_id.items():
             with _stage("histogram", daemok_id):
                 f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
                 score_hist = score_duration_histogram(events)
                 record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
-                histograms[daemok_id] = record
                 # A histogram is built from its daemok's score and F0 input, not from its beats.
                 own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
                 prov = dump_json({**provenance, "inputs": own})
@@ -571,7 +561,7 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
             index = mine_index(events_by_id, settings, settings["min_support"])
             emit("patterns.json", partial(pattern_index_record, index))
 
-        contour_sets: dict[str, list[Contour]] = {}
+        placed: dict[str, int] = {}
         for pi, pattern_text in enumerate(settings["contour_patterns"]):
             with _stage("contours", "*"):
                 pattern = NGramPattern.from_text(pattern_text)
@@ -579,24 +569,20 @@ def run_pipeline(manifest_path, out_dir=None) -> AnalysisBundle:
                     index, pattern, grids, tracks,
                     samples_per_contour=settings["samples_per_contour"], reference_hz=reference,
                 )
-                contour_sets[pattern_text] = contours
+                placed[pattern_text] = len(contours)
                 stem = f"pattern-{pi:02d}"
                 emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
                 emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
                 vib = occurrence_vibrato(index, pattern, contours)
                 emit(f"{stem}.vibrato.json", partial(write_json, vibrato_record(pattern, vib)))
+                del contours  # before the next pattern's are placed
 
-        for name in sorted(outputs):
+        outputs.sort()
+        for name in outputs:
             (staging / name).replace(out_root / name)
 
-    return AnalysisBundle(
-        daemok_ids=tuple(e["id"] for e in entries),
-        histograms=histograms,
-        pattern_index=index,
-        contour_sets=contour_sets,
-        provenance=provenance,
-        output_files=tuple(str(out_root / name) for name in sorted(outputs)),
-    )
+    return {"daemok": list(events_by_id), "patterns": len(index), "contour_sets": placed,
+            "outputs": [str(out_root / name) for name in outputs]}
 
 
 def pattern_index_record(index: PatternIndex, write) -> None:

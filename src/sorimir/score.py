@@ -139,10 +139,6 @@ class Measure:
     capacity_beats: Fraction
     is_pickup: bool = False
 
-    @property
-    def duration_beats(self) -> Fraction:
-        return sum((e.duration_beats for e in self.events), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Score:

@@ -193,11 +193,11 @@ def test_criterion_7_onset_glide_ramps():
 def test_criterion_8_pipeline_determinism(manifest_path, tmp_path):
     out_dir = tmp_path / "out"
     first = run_pipeline(manifest_path, out_dir=out_dir)
-    snapshot = {p: Path(p).read_bytes() for p in first.output_files}
+    snapshot = {p: Path(p).read_bytes() for p in first["outputs"]}
     second = run_pipeline(manifest_path, out_dir=out_dir)
 
     failures = []
-    if set(second.output_files) != set(snapshot):
+    if set(second["outputs"]) != set(snapshot):
         failures.append("output file sets differ")
     for p, data in snapshot.items():
         if Path(p).read_bytes() != data:

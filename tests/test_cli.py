@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sorimir import report
 from sorimir.cli import main
 
 
@@ -18,6 +19,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _never_rendered(*args):
+    """Stands in for a renderer whose output the command neither prints nor writes."""
+    raise AssertionError("rendered an artifact that is not written")
 
 
 class TestScoreDump:
@@ -177,7 +183,8 @@ class TestHistogramCommand:
         assert record["f0_histogram"]["masses"]
         assert out_svg.read_text().startswith("<svg")
 
-    def test_stdout_json_default(self, capsys, fixtures_dir):
+    def test_stdout_json_default(self, capsys, fixtures_dir, monkeypatch):
+        monkeypatch.setattr(report, "render_histogram_figure", _never_rendered)
         code, out, _ = run_cli(
             capsys,
             "histogram",
@@ -271,7 +278,8 @@ class TestPatternsCommands:
         assert "stage 'score' failed for daemok 'b'" in error["message"]
         assert "divisions" in error["message"]
 
-    def test_contours_csv_stdout(self, capsys, manifest_path):
+    def test_contours_csv_stdout(self, capsys, manifest_path, monkeypatch):
+        monkeypatch.setattr(report, "render_contour_overlay", _never_rendered)
         code, out, _ = run_cli(
             capsys,
             "patterns", "contours",
@@ -398,6 +406,8 @@ class TestManifestSchema:
             ({"filter": {"min_hz": float("-inf")}}, None, "'filter.min_hz' must be finite"),
             ({"tuning_offset_cents": 1e7}, None, "not a finite positive frequency"),
             ({"reference_hz": 0}, None, "not a finite positive frequency"),
+            ({"filter": {"min_hz": 2000.0}}, None, "need 0 < min_hz < max_hz"),
+            ({"beats_per_measure": 0}, None, "beats_per_measure must be >= 1"),
         ],
     )
     def test_rejected_with_one_json_line(self, capsys, fixtures_dir, tmp_path, settings, daemok, message):
@@ -486,7 +496,6 @@ class TestLoadStages:
         [
             ("divisions", "score", "score"),
             ("encoding", "score", "score"),
-            ("zero_bpm", "beats", "beats"),
             ("header_only", "beats", "beats"),
             ("directory", "inputs", "f0"),
         ],
@@ -504,8 +513,6 @@ class TestLoadStages:
                 score = score.replace('encoding="UTF-8"', 'encoding="U3F-8"', 1)
             (tmp_path / "x.musicxml").write_text(score)
             entry["score"] = str(tmp_path / "x.musicxml")
-        elif probe == "zero_bpm":
-            manifest["settings"]["beats_per_measure"] = 0
         elif probe == "header_only":
             (tmp_path / "x.beats.csv").write_text("measure,beat,time\n")
             entry["beats"] = str(tmp_path / "x.beats.csv")

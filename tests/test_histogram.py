@@ -120,10 +120,8 @@ class TestModeTemplates:
         assert ujo().pitch_classes == frozenset({2, 5, 7, 9, 0})
 
     def test_gyemyeonjo_pitch_classes(self):
-        # D-E-G-A-C with E flagged characteristic
-        template = gyemyeonjo()
-        assert template.pitch_classes == frozenset({2, 4, 7, 9, 0})
-        assert template.characteristic == frozenset({2})
+        # D-E-G-A-C
+        assert gyemyeonjo().pitch_classes == frozenset({2, 4, 7, 9, 0})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -178,7 +176,7 @@ class TestModeAffinity:
         hist = PitchHistogram(BIN_MIDI, masses, "frames")
         shifted = PitchHistogram(BIN_MIDI, {k + shift: v for k, v in masses.items()}, "frames")
         a = mode_affinity(hist, ujo())
-        b = mode_affinity(shifted, ujo().transposed(shift))
+        b = mode_affinity(shifted, ujo((PC_D + shift) % 12))
         assert a == pytest.approx(b, abs=1e-9)
 
 

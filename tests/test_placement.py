@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from sorimir.beat_grid import BeatGrid, JangdanSpec, ScoreGrid, load_beats
 from sorimir.errors import BeatValidationError, PipelineError
-from sorimir.patterns import mine_ngrams, occurrence_contours, parse_token, tokenize
+from sorimir.patterns import NGramPattern, mine_ngrams, occurrence_contours, parse_token, tokenize
 from sorimir.pitch_track import import_f0_csv
-from sorimir.report import run_pipeline
+from sorimir.report import load_corpus, load_manifest, mine_index, reference_hz, run_pipeline
 from sorimir.score import Measure, NoteEvent, Score, TimeSignature, note_sequence, parse_musicxml
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -93,10 +93,20 @@ class TestScoreGrid:
 
 
 @pytest.fixture(scope="module")
-def meter_runs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("meters")
-    return {name: run_pipeline(FIXTURES / f"{name}.manifest.json", out_dir=out / name)
-            for name in make_fixtures.METERS}
+def meter_contours():
+    """{fixture name: {contour pattern text: contours}}, placed with the manifest's settings."""
+    placed = {}
+    for name in make_fixtures.METERS:
+        entries, settings = load_manifest(FIXTURES / f"{name}.manifest.json")
+        events_by_id, grids, tracks = load_corpus(entries, settings)
+        index = mine_index(events_by_id, settings, settings["min_support"])
+        placed[name] = {
+            text: occurrence_contours(index, NGramPattern.from_text(text), grids, tracks,
+                                      samples_per_contour=settings["samples_per_contour"],
+                                      reference_hz=reference_hz(settings))
+            for text in settings["contour_patterns"]
+        }
+    return placed
 
 
 class TestMeterFixtures:
@@ -105,16 +115,16 @@ class TestMeterFixtures:
             for file_name, text in make_fixtures.render_meter(name, spec).items():
                 assert (FIXTURES / file_name).read_text() == text, file_name
 
-    def test_12_8_contours_sit_between_a4_and_c5(self, meter_runs):
-        contours = meter_runs["meter-12-8"].contour_sets["A4:1/1 C5:1/1"]
+    def test_12_8_contours_sit_between_a4_and_c5(self, meter_contours):
+        contours = meter_contours["meter-12-8"]["A4:1/1 C5:1/1"]
         assert len(contours) == 2
         for c in contours:
             assert abs(np.nanmedian(c.values) - 150.0) < 50.0
 
     @pytest.mark.parametrize("name", sorted(make_fixtures.METERS))
-    def test_every_placed_note_sits_on_its_written_pitch(self, meter_runs, name):
+    def test_every_placed_note_sits_on_its_written_pitch(self, meter_contours, name):
         checked = 0
-        for pattern_text, contours in meter_runs[name].contour_sets.items():
+        for pattern_text, contours in meter_contours[name].items():
             assert contours, pattern_text
             for c in contours:
                 for median, written in note_medians(c, pattern_text.split()):

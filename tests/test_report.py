@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import io
 import json
 import random
 import tracemalloc
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 from unittest import mock
 from fractions import Fraction
@@ -41,6 +43,16 @@ def contour(values, daemok="d", onset=0):
 
 def single_bin(kind=BIN_MIDI, b=69, mass=10.0, unit="frames"):
     return PitchHistogram(kind, {b: mass}, unit)
+
+
+def read_contours(path) -> dict:
+    """A `pattern-NN.contours.csv` as {(daemok, onset_beats): cents array, NaN where unvoiced}."""
+    values = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            cents = float(row["cents"] or "nan")
+            values.setdefault((row["daemok"], row["onset_beats"]), []).append(cents)
+    return {key: np.array(v) for key, v in values.items()}
 
 
 class TestHistogramFigure:
@@ -435,24 +447,25 @@ class TestManifest:
 class TestPipeline:
     def test_fixture_run(self, manifest_path, tmp_path):
         out = tmp_path / "out"
-        bundle = run_pipeline(manifest_path, out_dir=out)
-        assert bundle.daemok_ids == ("sample-daemok",)
-        record = bundle.histograms["sample-daemok"]
+        summary = run_pipeline(manifest_path, out_dir=out)
+        assert summary["daemok"] == ["sample-daemok"]
+        record = json.loads((out / "sample-daemok.histogram.json").read_text())
         assert record["f0_histogram"]["masses"]
         assert record["score_histogram"]["masses"]
         assert record["affinities"]["ujo"]["score"] is not None
-        assert len(bundle.pattern_index) >= 1
-        contours = bundle.contour_sets["A4:2/1 C5:2/1"]
-        assert len(contours) == 2
+        patterns = json.loads((out / "patterns.json").read_text())["patterns"]
+        assert summary["patterns"] == len(patterns) >= 1
+        assert summary["contour_sets"] == {"A4:2/1 C5:2/1": 2}
+        assert len(read_contours(out / "pattern-00.contours.csv")) == 2
 
-        names = {Path(p).name for p in bundle.output_files}
+        names = {Path(p).name for p in summary["outputs"]}
         assert "sample-daemok.histogram.json" in names
         assert "sample-daemok.histogram.svg" in names
         assert "patterns.json" in names
         assert "pattern-00.contours.csv" in names
         assert "pattern-00.overlay.svg" in names
         assert "pattern-00.vibrato.json" in names
-        for p in bundle.output_files:
+        for p in summary["outputs"]:
             assert Path(p).is_file()
         # every non-sidecar output has a provenance sidecar
         sidecars = {n for n in names if n.endswith(".prov.json")}
@@ -462,22 +475,22 @@ class TestPipeline:
     def test_rerun_is_byte_identical(self, manifest_path, tmp_path):
         out = tmp_path / "out"
         first = run_pipeline(manifest_path, out_dir=out)
-        snapshot = {p: Path(p).read_bytes() for p in first.output_files}
+        snapshot = {p: Path(p).read_bytes() for p in first["outputs"]}
         second = run_pipeline(manifest_path, out_dir=out)
-        assert set(second.output_files) == set(snapshot)
+        assert set(second["outputs"]) == set(snapshot)
         for p, data in snapshot.items():
             assert Path(p).read_bytes() == data
 
     def test_all_svg_outputs_are_well_formed(self, manifest_path, tmp_path):
-        bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
-        for p in bundle.output_files:
+        summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        for p in summary["outputs"]:
             if p.endswith(".svg"):
                 root = ET.fromstring(Path(p).read_text())
                 assert root.tag.endswith("svg")
 
     def test_vibrato_output_reflects_fixture_generator(self, manifest_path, tmp_path):
-        bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
-        vib_path = next(p for p in bundle.output_files if p.endswith("vibrato.json"))
+        summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        vib_path = next(p for p in summary["outputs"] if p.endswith("vibrato.json"))
         record = json.loads(Path(vib_path).read_text())
         rates = [o["metrics"]["rate_hz"] for o in record["occurrences"] if o["metrics"]]
         assert rates and all(abs(r - 5.5) < 0.5 for r in rates)
@@ -533,13 +546,13 @@ class TestPipeline:
 
         for name in ("mine_index", "contours_csv", "render_contour_overlay"):
             monkeypatch.setattr(report, name, traced(name, getattr(report, name)))
-        bundle = run_pipeline(manifest_path, out_dir=out)
+        summary = run_pipeline(manifest_path, out_dir=out)
         histograms = ["sample-daemok.histogram.json", "sample-daemok.histogram.json.prov.json",
                       "sample-daemok.histogram.svg", "sample-daemok.histogram.svg.prov.json"]
         assert seen["mine_index"] == histograms
         assert seen["contours_csv"] == sorted(histograms + ["patterns.json", "patterns.json.prov.json"])
         assert "pattern-00.contours.csv" in seen["render_contour_overlay"]
-        assert sorted(p.name for p in out.iterdir()) == [Path(f).name for f in bundle.output_files]
+        assert sorted(p.name for p in out.iterdir()) == [Path(f).name for f in summary["outputs"]]
 
     def test_stage_error_names_stage_and_daemok(self, manifest_path, tmp_path, fixtures_dir):
         manifest = json.loads(manifest_path.read_text())
@@ -555,9 +568,12 @@ class TestPipeline:
         assert err.value.daemok_id == "sample-daemok"
 
     def test_pattern_index_record_round_trips_json(self, manifest_path, tmp_path):
-        bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        entries, settings = load_manifest(manifest_path)
+        events_by_id = report.load_corpus(entries, settings)[0]
         chunks = []
-        pattern_index_record(bundle.pattern_index, chunks.append)
+        pattern_index_record(report.mine_index(events_by_id, settings, settings["min_support"]),
+                             chunks.append)
         text = "".join(chunks)
         assert dump_json(json.loads(text)) == text == (tmp_path / "out" / "patterns.json").read_text()
         top = json.loads(text)["patterns"][0]
@@ -570,15 +586,18 @@ class TestPipeline:
         manifest["settings"]["skip_rests"] = True
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
-        bundle = run_pipeline(path, out_dir=tmp_path / "out")
+        out = tmp_path / "out"
+        run_pipeline(path, out_dir=out)
 
-        pattern = NGramPattern.from_text("A4:2/1 C5:2/1")
-        occurrences = bundle.pattern_index.occurrences[pattern]
-        assert [(o.onset_beats, o.span_beats, o.start_event_index) for o in occurrences] == [
-            (Fraction(12), Fraction(4), 5), (Fraction(16), Fraction(4), 7)
-        ]
-        for c in bundle.contour_sets[pattern.text]:  # A4 -> C5 sung with vibrato, never the G5
-            assert -30.0 <= np.nanmin(c.values) and np.nanmax(c.values) <= 330.0
+        (record,) = (p for p in json.loads((out / "patterns.json").read_text())["patterns"]
+                     if p["tokens"] == ["A4:2/1", "C5:2/1"])
+        occurrences = [(Fraction(o["onset_beats"]), Fraction(o["span_beats"]), o["start_event_index"])
+                       for o in record["occurrences"]]
+        assert occurrences == [(Fraction(12), Fraction(4), 5), (Fraction(16), Fraction(4), 7)]
+        contours = read_contours(out / "pattern-00.contours.csv")
+        assert len(contours) == 2
+        for values in contours.values():  # A4 -> C5 sung with vibrato, never the G5
+            assert -30.0 <= np.nanmin(values) and np.nanmax(values) <= 330.0
 
     def test_changed_input_changes_recorded_hash(self, manifest_path, tmp_path, fixtures_dir):
         manifest = json.loads(manifest_path.read_text())
@@ -587,21 +606,20 @@ class TestPipeline:
             entry[key] = str(fixtures_dir / entry[key])
         local = tmp_path / "m.json"
         local.write_text(json.dumps(manifest))
-        before = run_pipeline(local, out_dir=tmp_path / "a")
+        run_pipeline(local, out_dir=tmp_path / "a")
 
         tweaked_csv = tmp_path / "tweaked.f0.csv"
         text = (fixtures_dir / "sample.f0.csv").read_text()
         tweaked_csv.write_text(text.replace("0.92", "0.91", 1))
         entry["f0_csv"] = str(tweaked_csv)
         local.write_text(json.dumps(manifest))
-        after = run_pipeline(local, out_dir=tmp_path / "b")
+        run_pipeline(local, out_dir=tmp_path / "b")
 
+        before, after = (json.loads((tmp_path / d / "patterns.json.prov.json").read_text())["inputs"]
+                         for d in ("a", "b"))
         key = "sample-daemok:f0_csv"
-        assert before.provenance["inputs"][key] != after.provenance["inputs"][key]
-        assert (
-            before.provenance["inputs"]["sample-daemok:score"]
-            == after.provenance["inputs"]["sample-daemok:score"]
-        )
+        assert before[key] != after[key]
+        assert before["sample-daemok:score"] == after["sample-daemok:score"]
 
     def test_missing_input_fails_before_any_score_is_parsed(
         self, fixtures_dir, tmp_path, monkeypatch
@@ -648,8 +666,9 @@ class TestPipeline:
             },
         }
         (tmp_path / "m.json").write_text(json.dumps(manifest))
-        bundle = run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
-        masses = bundle.histograms["one"]["f0_histogram"]["masses"]
+        run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
+        record = json.loads((tmp_path / "out" / "one.histogram.json").read_text())
+        masses = record["f0_histogram"]["masses"]
         assert set(masses) == {"69"}
 
 
@@ -669,8 +688,8 @@ class TestSidecars:
         ids = [f"d{i}" for i in range(n)]
         path = tmp_path / f"m{n}.json"
         path.write_text(json.dumps(_copies_manifest(fixtures_dir, ids)))
-        bundle = run_pipeline(path, out_dir=tmp_path / f"out{n}")
-        return {Path(p).name: Path(p).read_bytes() for p in bundle.output_files}
+        summary = run_pipeline(path, out_dir=tmp_path / f"out{n}")
+        return {Path(p).name: Path(p).read_bytes() for p in summary["outputs"]}
 
     def test_histogram_sidecars_list_their_own_inputs_only(self, fixtures_dir, tmp_path):
         entry = json.loads((fixtures_dir / "manifest.json").read_text())["daemok"][0]
@@ -691,10 +710,14 @@ class TestSidecars:
             assert two[name] == four[name]
         assert len(two["patterns.json.prov.json"]) < len(four["patterns.json.prov.json"])
 
-    def test_bundle_provenance_is_the_corpus_record(self, manifest_path, tmp_path):
-        bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+    def test_corpus_sidecars_hold_the_corpus_record(self, manifest_path, tmp_path):
+        run_pipeline(manifest_path, out_dir=tmp_path / "out")
         corpus = (tmp_path / "out" / "patterns.json.prov.json").read_text()
-        assert dump_json(bundle.provenance) == corpus
+        entries, settings = load_manifest(manifest_path)
+        inputs = {f"{e['id']}:{k}": "sha256:" + hashlib.sha256(Path(e[k]).read_bytes()).hexdigest()
+                  for e in entries for k in ("score", "f0_csv", "beats")}
+        record = {"inputs": inputs, "settings": settings, "version": sorimir.__version__}
+        assert dump_json(record) == corpus
         assert (tmp_path / "out" / "pattern-00.vibrato.json.prov.json").read_text() == corpus
 
 
@@ -746,7 +769,26 @@ def test_each_placed_occurrence_is_sliced_once(manifest_path, tmp_path, monkeypa
         return slice_track(*args, **kwargs)
 
     monkeypatch.setattr(patterns, "slice_track", counted)
-    bundle = run_pipeline(manifest_path, out_dir=tmp_path / "out")
-    placed = sum(len(contours) for contours in bundle.contour_sets.values())
+    summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+    placed = sum(summary["contour_sets"].values())
     assert placed == 2
     assert calls == placed
+
+
+def test_no_contour_outlives_its_pattern(fixtures_dir, tmp_path, monkeypatch):
+    """A pattern's contours are freed once its artifacts are staged, before the next pattern's
+    are placed, and none is alive once `run_pipeline` returns."""
+    to_csv = report.contours_csv
+    refs, patterns = [], []
+
+    def tracked(pattern, contours):
+        assert all(ref() is None for ref in refs), f"a contour outlives its pattern at {pattern.text}"
+        patterns.append(pattern.text)
+        refs.extend(map(weakref.ref, contours))
+        return to_csv(pattern, contours)
+
+    monkeypatch.setattr(report, "contours_csv", tracked)
+    summary = run_pipeline(fixtures_dir / "pickup-12-4.manifest.json", out_dir=tmp_path / "out")
+    assert patterns == list(summary["contour_sets"]) and len(patterns) == 2
+    assert len(refs) == sum(summary["contour_sets"].values()) > len(patterns)
+    assert all(ref() is None for ref in refs)
