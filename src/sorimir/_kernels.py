@@ -4,16 +4,38 @@ The difference function is computed as in YIN's eq. 7 (de Cheveigné &
 Kawahara, JASA 2002): d(τ) = r_t(0) + r_{t+τ}(0) − 2 r_t(τ). The cross term
 r_t(τ) comes from real FFTs of each frame; the energy terms come from a
 cumulative sum of x² taken over each frame's own span, so a loud passage
-never costs precision in a quiet frame after it. Frames are processed in
-fixed blocks, so temporaries stay the same size however long the signal is.
+never costs precision in a quiet frame after it.
+
+Frames are processed in fixed blocks of BLOCK_FRAMES, so temporaries stay
+the same size however long the signal is. The blocks are independent, and
+numpy's FFTs and array loops release the GIL, so the blocks are split over
+one thread per CPU the process may use (at most MAX_WORKERS); each thread
+writes its rows straight into the shared output arrays. Every row goes
+through the same operations whichever thread or block holds it, so the
+tracks are bit-identical for any CPU count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 USING_NUMBA = False  # the kernel is pure numpy; kept for run metadata
-BLOCK_FRAMES = 256  # temporaries about 12 MB at span 1381; larger blocks raise peak RSS
+# Frames per block. One block's temporaries peak at about 1.7 MB at span 1381
+# (the default settings at 22.05 kHz), and at most MAX_WORKERS blocks are in
+# flight: 3 × 64 frames peak below the single 256-frame block used before.
+BLOCK_FRAMES = 64
+MAX_WORKERS = 3
+
+
+def _cpu_count():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _fast_len(n):
@@ -34,12 +56,16 @@ def _fast_len(n):
 
 def _difference(frames, window, tau_max, n_fft):
     """d[i, τ] for τ in 0..tau_max over rows of `frames` (each window + tau_max long)."""
-    head = np.fft.rfft(frames[:, :window], n=n_fft)
-    cross = np.fft.irfft(np.conj(head) * np.fft.rfft(frames, n=n_fft), n=n_fft)
+    # conj(head) · spec is formed in place, so at most two spectra are alive at once.
+    spec = np.fft.rfft(frames[:, :window], n=n_fft)
+    np.conjugate(spec, out=spec)
+    spec *= np.fft.rfft(frames, n=n_fft)
+    twice_cross = 2.0 * np.fft.irfft(spec, n=n_fft)[:, : tau_max + 1]
+    del spec
     energy = np.zeros((frames.shape[0], frames.shape[1] + 1))
     np.cumsum(frames * frames, axis=1, out=energy[:, 1:])
     tail = energy[:, window : window + tau_max + 1] - energy[:, : tau_max + 1]
-    d = energy[:, window, None] + tail - 2.0 * cross[:, : tau_max + 1]
+    d = energy[:, window, None] + tail - twice_cross
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -111,8 +137,31 @@ def yin_lag_search(x, window, hop, tau_min, tau_max, threshold):
     frames = np.lib.stride_tricks.sliding_window_view(x, span)[::hop]
     lags = np.empty(n_frames)
     minima = np.empty(n_frames)
-    for b in range(0, n_frames, BLOCK_FRAMES):
-        e = min(b + BLOCK_FRAMES, n_frames)
-        d = _difference(frames[b:e], window, tau_max, n_fft)
-        lags[b:e], minima[b:e] = _search(d, tau_min, tau_max, threshold)
+    workers = min(_cpu_count(), -(-n_frames // BLOCK_FRAMES), MAX_WORKERS)
+    stop = threading.Event()
+
+    def work(first, stride):
+        for b in range(first, n_frames, stride):
+            if stop.is_set():
+                return
+            e = min(b + BLOCK_FRAMES, n_frames)
+            d = _difference(frames[b:e], window, tau_max, n_fft)
+            lags[b:e], minima[b:e] = _search(d, tau_min, tau_max, threshold)
+
+    if workers <= 1:
+        work(0, BLOCK_FRAMES)
+        return lags, minima
+    # Imported here, so that a run without audio input never loads the pool.
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    # Worker w takes blocks w, w + workers, ...; the first error stops the rest.
+    stride = workers * BLOCK_FRAMES
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work, w * BLOCK_FRAMES, stride) for w in range(workers)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            stop.set()
+    for f in futures:
+        f.result()
     return lags, minima

@@ -173,9 +173,10 @@ class ScoreGrid:
             )
 
     @cached_property
-    def _measures(self) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-        """Each measure's first position (then the score's end), and its map
-        `position -> origin + position * scale`. Built once, from the events' own onsets."""
+    def _measures(self) -> tuple[int, list[int], list[Fraction], list[Fraction]]:
+        """Each measure's first position (then the score's end) in integer ticks of
+        1/`unit` quarter-note beat, and its map `position -> origin + position * scale`.
+        Built once, from the events' own onsets."""
         measures = self.score.measures
         starts = [m.events[0].onset_beats if m.events else None for m in measures]
         last = next((m.events[-1] for m in reversed(measures) if m.events), None)
@@ -191,13 +192,18 @@ class ScoreGrid:
         scales = [bpm / m.capacity_beats for m in measures]  # grid beats per quarter-note beat
         origins = [m * bpm - downbeat * scale
                    for m, (downbeat, scale) in enumerate(zip(downbeats, scales))]
-        return starts, origins, scales
+        unit = math.lcm(*(s.denominator for s in starts))
+        ticks = [s.numerator * (unit // s.denominator) for s in starts]
+        return unit, ticks, origins, scales
 
     def beat(self, position: Fraction, end: bool = False) -> Fraction:
         """Grid beat of a score position. With `end`, a position on a barline is
         placed as the end of the measure before it (which differs after a short measure)."""
-        starts, origins, scales = self._measures
-        m = (bisect_left if end else bisect_right)(starts, position) - 1
+        unit, ticks, origins, scales = self._measures
+        # floor(position * unit) and whether it is exact: the measure is found by
+        # comparing integers, with no Fraction comparison.
+        tick, rest = divmod(position.numerator * unit, position.denominator)
+        m = (bisect_left if end and not rest else bisect_right)(ticks, tick) - 1
         m = min(max(m, 0), len(scales) - 1)
         return origins[m] + position * scales[m]
 

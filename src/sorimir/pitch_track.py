@@ -273,18 +273,28 @@ def track_cents(track: F0Track, reference_hz: float = 440.0) -> np.ndarray:
     return out
 
 
+# Integer WAV sample types: (value of silence, full scale).
+_PCM_ZERO_AND_SCALE = {
+    np.dtype(np.int16): (0.0, 2.0**15),
+    np.dtype(np.int32): (0.0, 2.0**31),
+    np.dtype(np.uint8): (128.0, 128.0),
+}
+
+
 def load_wav(path) -> tuple[np.ndarray, int]:
-    """Read a RIFF WAVE file as float64 mono in [-1, 1]; stereo is averaged."""
+    """Read a RIFF WAVE file as float64 mono in [-1, 1]; channels are averaged."""
     from scipy.io import wavfile
 
     sample_rate, data = wavfile.read(path)
     data = np.asarray(data)
-    if data.dtype == np.int16:
-        data = data / 2.0**15
-    elif data.dtype == np.int32:
-        data = data / 2.0**31
-    elif data.dtype == np.uint8:
-        data = (data.astype(np.float64) - 128.0) / 128.0
-    if data.ndim == 2:
+    if data.dtype in _PCM_ZERO_AND_SCALE:
+        # Integer PCM: the channel sum is exact in float64, so shifting and scaling it
+        # once gives the bits of the mean of the scaled channels, with no 2-d float image.
+        zero, scale = _PCM_ZERO_AND_SCALE[data.dtype]
+        channels = data.reshape(data.shape[0], -1)
+        data = channels.sum(axis=1, dtype=np.float64)
+        data -= zero * channels.shape[1]
+        data /= scale * channels.shape[1]
+    elif data.ndim == 2:
         data = data.mean(axis=1)
     return np.ascontiguousarray(data, dtype=np.float64), int(sample_rate)

@@ -1,7 +1,10 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
+
+from sorimir import _kernels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,3 +48,21 @@ def sample_track():
 @pytest.fixture(scope="session")
 def manifest_path() -> Path:
     return FIXTURES / "manifest.json"
+
+
+@pytest.fixture
+def kernel_fails_on_second_block(monkeypatch):
+    """Two YIN workers, and `_kernels._search` raising MemoryError on its second block."""
+    search, calls, lock = _kernels._search, [], threading.Lock()
+
+    def failing(*args):
+        with lock:
+            calls.append(None)
+            second = len(calls) == 2
+        if second:
+            raise MemoryError("second block")
+        return search(*args)
+
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_search", failing)
+    return calls

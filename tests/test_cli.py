@@ -4,6 +4,7 @@ import json
 import random
 import shutil
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -374,6 +375,31 @@ class TestRunCommand:
         error = json.loads(line)["error"]
         assert error["type"] == "PipelineError"
         assert error["message"].startswith("stage 'contours' failed for daemok '*': Unable to allocate")
+        assert not (tmp_path / "out").exists()
+
+    def test_kernel_error_in_a_worker_is_one_json_line(
+        self, capsys, fixtures_dir, tmp_path, kernel_fails_on_second_block
+    ):
+        import numpy as np
+        from scipy.io import wavfile
+
+        sr = 22050
+        t = np.arange(3 * sr) / sr  # 300 YIN frames: several blocks
+        wavfile.write(tmp_path / "tone.wav", sr, (0.5 * np.sin(2 * np.pi * 440.0 * t) * 32767).astype(np.int16))
+        manifest = _fixture_manifest(fixtures_dir)
+        entry = manifest["daemok"][0]
+        del entry["f0_csv"]
+        entry["audio"] = str(tmp_path / "tone.wav")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "PipelineError"
+        assert error["message"].startswith("stage 'f0' failed for daemok 'sample-daemok'")
+        assert threading.active_count() == before
         assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -157,3 +159,90 @@ def test_kernel_temporaries_do_not_grow_with_signal_length():
     peak_long, frames_long = _peak_bytes(60.0)
     extra_outputs = 2 * 8 * (frames_long - frames_short)  # lags and minima, float64
     assert peak_long - peak_short <= extra_outputs + 2**20
+
+
+def _run_kernel(case):
+    make, window, hop, tau_min, tau_max = _CASES[case]
+    return _kernels.yin_lag_search(make(), window, hop, tau_min, tau_max, 0.15)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_tracks_are_bitwise_equal_for_any_worker_count(case, monkeypatch):
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
+    ref_lags, ref_min = _run_kernel(case)
+    for workers in (2, 3):
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda: workers)
+        lags, minima = _run_kernel(case)
+        assert np.array_equal(lags, ref_lags, equal_nan=True)
+        assert np.array_equal(minima, ref_min, equal_nan=True)
+
+
+def test_many_small_blocks_with_fast_thread_switching(monkeypatch):
+    # More workers than cores, tiny blocks and a short switch interval: a block
+    # skipped, written twice or written to the wrong rows breaks bitwise equality.
+    ref_lags, ref_min = _run_kernel("zero_gap_after_loud")
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(_kernels, "MAX_WORKERS", 8)
+    monkeypatch.setattr(_kernels, "BLOCK_FRAMES", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lags, minima = _run_kernel("zero_gap_after_loud")
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(lags, ref_lags, equal_nan=True)
+    assert np.array_equal(minima, ref_min, equal_nan=True)
+
+
+def test_tracks_do_not_depend_on_the_block_size(monkeypatch):
+    ref_lags, ref_min = _run_kernel("mixed_leading_silence")
+    for frames in (1, 7, 256):
+        monkeypatch.setattr(_kernels, "BLOCK_FRAMES", frames)
+        lags, minima = _run_kernel("mixed_leading_silence")
+        assert np.array_equal(lags, ref_lags, equal_nan=True)
+        assert np.array_equal(minima, ref_min, equal_nan=True)
+
+
+def test_a_single_block_runs_inline(monkeypatch):
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 3)
+    search, seen = _kernels._search, []
+
+    def recording(*args):
+        seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return search(*args)
+
+    monkeypatch.setattr(_kernels, "_search", recording)
+    before = threading.active_count()
+    # 0.5 s at 22.05 kHz with the default settings: 45 frames, fewer than one block
+    lags, _ = _kernels.yin_lag_search(_vibrato_voice(11025, 22050), 1014, 220, 14, 367, 0.15)
+    assert lags.shape[0] < _kernels.BLOCK_FRAMES
+    assert seen == [(True, before)]
+
+
+def test_a_worker_error_reaches_the_caller(kernel_fails_on_second_block):
+    x = _vibrato_voice(60 * 22050, 22050)  # 6,000 frames
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="second block"):
+        _kernels.yin_lag_search(x, 1014, 220, 14, 367, 0.15)
+    assert threading.active_count() == before
+    # the other worker stops at its next block instead of finishing its half of the signal
+    assert len(kernel_fails_on_second_block) < 6000 // _kernels.BLOCK_FRAMES // 2
+
+
+def test_threaded_peak_is_at_most_one_256_frame_block(monkeypatch):
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: _kernels.MAX_WORKERS)
+    sr, window, hop, tau_min, tau_max = 22050, 1014, 220, 14, 367
+    x = _vibrato_voice(60 * sr, sr)
+    frames = np.lib.stride_tricks.sliding_window_view(x, window + tau_max)[::hop]
+    tracemalloc.start()
+    try:
+        d = _kernels._difference(frames[:256], window, tau_max, _kernels._fast_len(window + tau_max))
+        _kernels._search(d, tau_min, tau_max, 0.15)
+        del d
+        _, one_block = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _kernels.yin_lag_search(x, window, hop, tau_min, tau_max, 0.15)
+        _, threaded = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert threaded <= one_block

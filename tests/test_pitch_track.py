@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,12 +408,9 @@ class TestCents:
 
 
 def _wav_bytes(sample_rate, channels, sampwidth, frames):
-    """Minimal RIFF/WAVE PCM writer for test input."""
-    data = b""
-    for frame in frames:
-        for value in frame:
-            raw = struct.pack("<i", value)
-            data += raw[:sampwidth] if sampwidth < 4 else raw
+    """Minimal RIFF/WAVE PCM writer for test input: each value's low `sampwidth` bytes."""
+    values = np.asarray(frames, dtype="<i4").reshape(-1, channels)
+    data = values.view(np.uint8).reshape(-1, 4)[:, :sampwidth].tobytes()
     byte_rate = sample_rate * channels * sampwidth
     header = (
         b"RIFF"
@@ -439,6 +437,44 @@ class TestLoadWav:
         path.write_bytes(_wav_bytes(8000, 2, 2, [(16384, 0), (0, -16384)]))
         samples, _ = load_wav(path)
         assert np.allclose(samples, [0.25, -0.25], atol=1e-4)
+
+    @pytest.mark.parametrize("channels", [2, 3])
+    @pytest.mark.parametrize("sampwidth", [1, 2, 3, 4])
+    def test_integer_downmix_is_bitwise_the_mean_of_scaled_channels(self, tmp_path, sampwidth, channels):
+        from scipy.io import wavfile
+
+        rng = np.random.default_rng(10 * sampwidth + channels)
+        lo, hi = (0, 255) if sampwidth == 1 else (-(1 << (8 * sampwidth - 1)), (1 << (8 * sampwidth - 1)) - 1)
+        pcm = rng.integers(lo, hi, size=(5000, channels), endpoint=True)
+        pcm[:2] = [[lo] * channels, [hi] * channels]  # full scale, all channels alike
+        path = tmp_path / f"pcm{sampwidth}x{channels}.wav"
+        path.write_bytes(_wav_bytes(8000, channels, sampwidth, pcm))
+
+        _, raw = wavfile.read(path)
+        if raw.dtype == np.uint8:
+            scaled = (raw.astype(np.float64) - 128.0) / 128.0
+        else:
+            scaled = raw / {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}[raw.dtype]
+        samples, _ = load_wav(path)
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
+        assert np.array_equal(samples, scaled.mean(axis=1))
+
+    def test_stereo_downmix_holds_no_two_channel_float_image(self, tmp_path):
+        from scipy.io import wavfile  # noqa: F401  (imported before tracing starts)
+
+        n = 200_000
+        path = tmp_path / "long-stereo.wav"
+        path.write_bytes(_wav_bytes(8000, 2, 2, np.arange(2 * n) % 30000))
+        tracemalloc.start()
+        try:
+            samples, _ = load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the int16 PCM (4 B a frame), the mono result (8 B) and the cast buffers of the
+        # channel sum; a float64 image of both channels alone would be 16 B a frame
+        assert samples.shape == (n,)
+        assert peak <= 12 * n + 2**18
 
     def test_mono_24bit(self, tmp_path):
         path = tmp_path / "deep.wav"

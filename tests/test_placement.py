@@ -4,6 +4,7 @@ import importlib.util
 import json
 import random
 import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,21 @@ class TestScoreGrid:
         assert placed.beat(Fraction(4), end=True) == 4
         assert placed.beat(Fraction(4)) == 8
         assert placed.beat(Fraction(8), end=True) == 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        contents=st.lists(st.fractions(0, 6, max_denominator=6), min_size=1, max_size=5),
+        positions=st.lists(st.fractions(-2, 32, max_denominator=35), min_size=1, max_size=20),
+        pickup=st.booleans(),
+    )
+    def test_tick_lookup_finds_the_measure_a_fraction_bisection_finds(self, contents, positions, pickup):
+        placed = ScoreGrid(measures_score([6] * len(contents), contents, pickup), grid(len(contents), 4))
+        unit, ticks, origins, scales = placed._measures
+        starts = [Fraction(t, unit) for t in ticks]
+        for position in positions:
+            for end, bisect in ((False, bisect_right), (True, bisect_left)):
+                m = min(max(bisect(starts, position) - 1, 0), len(scales) - 1)
+                assert placed.beat(position, end=end) == origins[m] + position * scales[m]
 
     def test_the_grid_must_have_the_score_s_measures(self):
         with pytest.raises(BeatValidationError, match="beat grid has 2 measures but the score has 3"):
