@@ -20,7 +20,7 @@ from itertools import groupby, islice
 import numpy as np
 
 from .errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
-from .pitch_track import F0Track, track_cents
+from .pitch_track import F0Track
 from .score import Score
 
 
@@ -210,24 +210,20 @@ class ScoreGrid:
 
 @dataclass(frozen=True)
 class TrackSegment:
-    """F0 frames cut to a beat interval, each carrying its beat coordinate."""
+    """F0 frames cut to a beat interval, each carrying its beat coordinate.
 
-    times: np.ndarray
+    `f0_hz` is a view of the track's own (read-only) frames, not a copy."""
+
     beats: np.ndarray
     f0_hz: np.ndarray
-    confidence: np.ndarray
     hop_s: float
 
     def __len__(self) -> int:
-        return self.times.shape[0]
+        return self.f0_hz.shape[0]
 
     @property
     def voiced(self) -> np.ndarray:
         return self.f0_hz > 0.0
-
-    def cents(self, reference_hz: float = 440.0) -> np.ndarray:
-        """Per-frame cents relative to `reference_hz`, NaN where unvoiced."""
-        return track_cents(self, reference_hz)
 
 
 def slice_track(track: F0Track, grid: BeatGrid, start_beat: float, end_beat: float) -> TrackSegment:
@@ -247,13 +243,5 @@ def slice_track(track: F0Track, grid: BeatGrid, start_beat: float, end_beat: flo
         return next(k for k in range(start, n + 1) if k == n or k * hop >= t)
 
     lo, hi = first_frame(grid.time_at_beat(start_beat)), first_frame(grid.time_at_beat(end_beat))
-    if hi <= lo:
-        return TrackSegment(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), hop_s=hop)
-    frame_times = np.arange(lo, hi) * hop
-    return TrackSegment(
-        times=frame_times,
-        beats=grid.beat_at_time(frame_times),
-        f0_hz=track.f0_hz[lo:hi].copy(),
-        confidence=track.confidence[lo:hi].copy(),
-        hop_s=hop,
-    )
+    beats = grid.beat_at_time(np.arange(lo, hi) * hop)
+    return TrackSegment(beats=beats, f0_hz=track.f0_hz[lo:hi], hop_s=hop)

@@ -19,14 +19,7 @@ from . import report
 from .beat_grid import JangdanSpec, load_beats
 from .errors import RECOVERABLE_ERRORS, SorimirError
 from .histogram import BIN_MIDI, BIN_PITCH_CLASS, MODE_FACTORIES, f0_histogram, score_duration_histogram
-from .patterns import (
-    DEFAULT_MIN_SUPPORT,
-    DEFAULT_N_VALUES,
-    DEFAULT_SAMPLES_PER_CONTOUR,
-    NGramPattern,
-    occurrence_contours,
-    occurrence_vibrato,
-)
+from .patterns import DEFAULT_MIN_SUPPORT, DEFAULT_N_VALUES
 from .pitch_track import (
     DEFAULT_FRAME_S,
     DEFAULT_HOP_S,
@@ -149,10 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_c = pat_sub.add_parser(name, help=help_text)
         p_c.add_argument("--manifest", required=True, help="pipeline manifest with per-daemok inputs")
         p_c.add_argument("--pattern", required=True, help='token text, e.g. "G4:1/2 A4:1/2 C5:1/1"')
-        p_c.add_argument("--min-support", type=int, default=1)
         p_c.add_argument("--out")
         if name == "contours":
-            p_c.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_CONTOUR)
             p_c.add_argument("--svg")
             p_c.add_argument("--format", choices=("csv", "svg"), default="csv")
 
@@ -252,31 +243,22 @@ def _collect_score_events(directory: str) -> dict[str, list]:
 def _cmd_patterns(args) -> int:
     if args.patterns_command == "mine":
         n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
-        settings = {"n_values": n_values, "skip_rests": args.skip_rests}
-        index = report.mine_index(_collect_score_events(args.scores), settings, args.min_support)
+        settings = {"n_values": n_values, "min_support": args.min_support, "skip_rests": args.skip_rests}
+        index = report.mine_index(_collect_score_events(args.scores), settings)
         chunks: list[str] = []
         report.pattern_index_record(index, chunks.append)
         _write_or_print("".join(chunks), args.out)
         return 0
 
+    # contours | vibrato: `run`'s contour stage for one pattern, every setting from the manifest
     entries, settings = report.load_manifest(args.manifest)
     events_by_id, grids, tracks = report.load_corpus(entries, settings)
-    index = report.mine_index(events_by_id, settings, args.min_support)
-    reference = report.reference_hz(settings)
-    pattern = NGramPattern.from_text(args.pattern)
-
+    index = report.mine_index(events_by_id, settings)
+    _, artifacts = report.pattern_artifacts(index, args.pattern, grids, tracks, settings)
     if args.patterns_command == "contours":
-        contours = occurrence_contours(
-            index, pattern, grids, tracks,
-            samples_per_contour=args.samples, reference_hz=reference,
-        )
-        _write_outputs(args, partial(report.contours_csv, pattern, contours),
-                       partial(report.render_contour_overlay, contours))
-        return 0
-
-    contours = occurrence_contours(index, pattern, grids, tracks, reference_hz=reference)
-    vib = occurrence_vibrato(index, pattern, contours)
-    _write_or_print(dump_json(report.vibrato_record(pattern, vib)), args.out)
+        _write_outputs(args, artifacts["contours.csv"], artifacts["overlay.svg"])
+    else:
+        _write_or_print(artifacts["vibrato.json"](), args.out)
     return 0
 
 

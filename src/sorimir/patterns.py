@@ -20,7 +20,7 @@ import numpy as np
 
 from .beat_grid import ScoreGrid, slice_track
 from .errors import ConfigurationError, DependencyError, NotEnoughDataError
-from .pitch_track import F0Track
+from .pitch_track import F0Track, track_cents
 from .score import NoteEvent, Pitch, fraction_str, parse_pitch_name, pitch_name
 
 REST_STEP = "R"
@@ -67,10 +67,6 @@ class NGramPattern:
             raise ValueError("an n-gram pattern needs n >= 2 tokens")
         for t in self.tokens:
             parse_token(t)
-
-    @property
-    def n(self) -> int:
-        return len(self.tokens)
 
     @property
     def text(self) -> str:
@@ -260,7 +256,7 @@ def occurrence_contours(
             )
             continue
         segment = slice_track(tracks[occ.daemok_id], grid, start, end)
-        cents = segment.cents(reference_hz)
+        cents = track_cents(segment, reference_hz)
         try:
             vibrato = vibrato_metrics(cents, segment.hop_s)
         except NotEnoughDataError:

@@ -458,11 +458,34 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
     return events_by_id, grids, tracks
 
 
-def mine_index(events_by_id: dict, settings: dict, min_support: int) -> PatternIndex:
-    """Tokenize every daemok's events and mine n-grams (windows skip rests if `skip_rests`)."""
+def mine_index(events_by_id: dict, settings: dict) -> PatternIndex:
+    """Tokenize every daemok's events and mine the `n_values`-grams of at least `min_support`
+    occurrences, all three settings read from `settings` (windows skip rests if `skip_rests`)."""
     sequences = {daemok_id: tokenize(evs) for daemok_id, evs in events_by_id.items()}
-    return mine_ngrams(sequences, n_values=tuple(settings["n_values"]), min_support=min_support,
-                       skip_rests=settings["skip_rests"])
+    return mine_ngrams(sequences, n_values=tuple(settings["n_values"]),
+                       min_support=settings["min_support"], skip_rests=settings["skip_rests"])
+
+
+def pattern_artifacts(index: PatternIndex, pattern_text: str, grids: dict, tracks: dict,
+                      settings: dict) -> tuple[int, dict]:
+    """One pattern's contour stage, shared by `run` and `patterns contours|vibrato`.
+
+    Places the pattern's occurrences (`occurrence_contours`, with `samples_per_contour` and the
+    tuned `reference_hz` of `settings`) and returns `(placed count, {"contours.csv",
+    "overlay.svg", "vibrato.json": render() -> str})`. Nothing is rendered until its function
+    is called, so a caller pays only for the artifacts it writes or prints."""
+    pattern = NGramPattern.from_text(pattern_text)
+    contours = occurrence_contours(
+        index, pattern, grids, tracks,
+        samples_per_contour=settings["samples_per_contour"], reference_hz=reference_hz(settings),
+    )
+    return len(contours), {
+        "contours.csv": partial(contours_csv, pattern, contours),
+        "overlay.svg": partial(render_contour_overlay, contours),
+        "vibrato.json": lambda: dump_json(
+            vibrato_record(pattern, occurrence_vibrato(index, pattern, contours))
+        ),
+    }
 
 
 def histogram_record(daemok_id: str, f0_hist, score_hist, modes) -> dict:
@@ -558,24 +581,18 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
         with _stage("patterns", "*"):
-            index = mine_index(events_by_id, settings, settings["min_support"])
+            index = mine_index(events_by_id, settings)
             emit("patterns.json", partial(pattern_index_record, index))
 
         placed: dict[str, int] = {}
         for pi, pattern_text in enumerate(settings["contour_patterns"]):
             with _stage("contours", "*"):
-                pattern = NGramPattern.from_text(pattern_text)
-                contours = occurrence_contours(
-                    index, pattern, grids, tracks,
-                    samples_per_contour=settings["samples_per_contour"], reference_hz=reference,
+                placed[pattern_text], artifacts = pattern_artifacts(
+                    index, pattern_text, grids, tracks, settings
                 )
-                placed[pattern_text] = len(contours)
-                stem = f"pattern-{pi:02d}"
-                emit(f"{stem}.contours.csv", contours_csv(pattern, contours))
-                emit(f"{stem}.overlay.svg", render_contour_overlay(contours))
-                vib = occurrence_vibrato(index, pattern, contours)
-                emit(f"{stem}.vibrato.json", partial(write_json, vibrato_record(pattern, vib)))
-                del contours  # before the next pattern's are placed
+                for suffix in artifacts:
+                    emit(f"pattern-{pi:02d}.{suffix}", artifacts[suffix]())
+                del artifacts  # and with it the contours, before the next pattern's are placed
 
         outputs.sort()
         for name in outputs:

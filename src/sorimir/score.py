@@ -55,10 +55,6 @@ class Pitch:
     def midi(self) -> int:
         return (self.octave + 1) * 12 + STEP_SEMITONES[self.step] + self.alter
 
-    @property
-    def pitch_class(self) -> int:
-        return self.midi % 12
-
 
 def pitch_name(pitch: Pitch) -> str:
     """Scientific pitch name, e.g. "D5", "F#4", "Eb5" (flats rendered as "b")."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sorimir.beat_grid import BeatGrid, JangdanSpec, load_beats, slice_track
 from sorimir.errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
-from sorimir.pitch_track import F0Track
+from sorimir.pitch_track import F0Track, track_cents
 
 
 def beats_csv(n_beats, beats_per_measure=12, start=0.0, step=0.5):
@@ -366,13 +366,21 @@ def constant_track(n, hop=0.01, f0=440.0):
     return F0Track(np.full(n, f0), np.full(n, 0.9), hop)
 
 
+def frame_range(seg, track):
+    """The frames `lo, hi` of `track` that `seg` holds: its `f0_hz` is a view of the track's."""
+    assert seg.f0_hz.base is not None and seg.f0_hz.strides == track.f0_hz.strides
+    lo = (seg.f0_hz.ctypes.data - track.f0_hz.ctypes.data) // track.f0_hz.itemsize
+    assert 0 <= lo <= lo + len(seg) <= len(track)
+    return lo, lo + len(seg)
+
+
 class TestSliceTrack:
     def test_fifty_frames_per_half_second_beat(self):
         grid = tiny_grid([0.0, 0.5])
         track = constant_track(100)
         seg = slice_track(track, grid, 0.0, 1.0)
         assert len(seg) == 50
-        assert seg.times[0] == 0.0
+        assert frame_range(seg, track) == (0, 50)
         assert seg.beats[0] == 0.0
 
     def test_empty_intersection(self):
@@ -394,8 +402,8 @@ class TestSliceTrack:
         times = sample_track.times()
         expected_idx = [i for i in range(len(sample_track)) if t_start <= times[i] < t_end]
         assert len(seg) == len(expected_idx)
-        assert seg.times[0] == times[expected_idx[0]]
-        assert seg.times[-1] == times[expected_idx[-1]]
+        assert frame_range(seg, sample_track) == (expected_idx[0], expected_idx[-1] + 1)
+        assert seg.f0_hz.tobytes() == sample_track.f0_hz[expected_idx].tobytes()
         assert seg.beats[0] == pytest.approx(sample_grid.beat_at_time(times[expected_idx[0]]), abs=1e-12)
         assert seg.beats[-1] == pytest.approx(sample_grid.beat_at_time(times[expected_idx[-1]]), abs=1e-12)
         assert start <= seg.beats[0] and seg.beats[-1] < end
@@ -405,23 +413,25 @@ class TestSliceTrack:
         left = slice_track(sample_track, sample_grid, a, b)
         right = slice_track(sample_track, sample_grid, b, c)
         whole = slice_track(sample_track, sample_grid, a, c)
-        assert np.array_equal(np.concatenate([left.times, right.times]), whole.times)
+        (lo, mid), (mid_r, hi) = frame_range(left, sample_track), frame_range(right, sample_track)
+        assert mid == mid_r and frame_range(whole, sample_track) == (lo, hi)
+        assert np.array_equal(np.concatenate([left.beats, right.beats]), whole.beats)
         assert np.array_equal(np.concatenate([left.f0_hz, right.f0_hz]), whole.f0_hz)
 
     def test_segment_cents(self):
         grid = tiny_grid([0.0, 0.5])
         track = F0Track(np.array([440.0, 0.0] * 25), np.array([0.9, 0.0] * 25), 0.01)
         seg = slice_track(track, grid, 0.0, 1.0)
-        cents = seg.cents(440.0)
+        cents = track_cents(seg, 440.0)
         assert cents[0] == 0.0
         assert np.isnan(cents[1])
 
 
 def _slice_by_mask(track, grid, start_beat, end_beat):
-    """The whole-track mask `slice_track` is defined by."""
+    """The whole-track mask `slice_track` is defined by: its frame indices and their times."""
     times = track.times()
     idx = np.nonzero((times >= grid.time_at_beat(start_beat)) & (times < grid.time_at_beat(end_beat)))[0]
-    return times[idx], track.f0_hz[idx], track.confidence[idx]
+    return idx, times[idx]
 
 
 @st.composite
@@ -452,9 +462,10 @@ class TestSliceTrackMatchesMask:
         if not start < end:
             return
         seg = slice_track(track, grid, start, end)
-        times, f0, conf = _slice_by_mask(track, grid, start, end)
-        assert seg.times.tobytes() == times.tobytes()
-        assert seg.f0_hz.tobytes() == f0.tobytes() and seg.confidence.tobytes() == conf.tobytes()
+        idx, times = _slice_by_mask(track, grid, start, end)
+        lo, hi = frame_range(seg, track)
+        assert np.array_equal(np.arange(lo, hi), idx)
+        assert seg.f0_hz.tobytes() == track.f0_hz[idx].tobytes()
         assert seg.beats.tobytes() == (grid.beat_at_time(times) if times.size else np.zeros(0)).tobytes()
 
     def test_boundaries_on_frame_times(self):
@@ -462,6 +473,5 @@ class TestSliceTrackMatchesMask:
         grid = tiny_grid([7 * hop, 19 * hop, 23 * hop])
         track = constant_track(40, hop)
         for start, end in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (0.5, 1.5)):
-            assert slice_track(track, grid, start, end).times.tobytes() == (
-                _slice_by_mask(track, grid, start, end)[0].tobytes()
-            )
+            lo, hi = frame_range(slice_track(track, grid, start, end), track)
+            assert np.array_equal(np.arange(lo, hi), _slice_by_mask(track, grid, start, end)[0])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sorimir import report
-from sorimir.cli import main
+from sorimir.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -286,7 +287,6 @@ class TestPatternsCommands:
             "patterns", "contours",
             "--manifest", str(manifest_path),
             "--pattern", "A4:2/1 C5:2/1",
-            "--min-support", "2",
         )
         assert code == 0
         header, *rows = out.strip().split("\n")
@@ -305,7 +305,9 @@ class TestPatternsCommands:
         assert code == 0
         assert svg_path.read_text().count("<polyline") >= 2
 
-    def test_vibrato_json(self, capsys, manifest_path):
+    def test_vibrato_json(self, capsys, manifest_path, monkeypatch):
+        monkeypatch.setattr(report, "contours_csv", _never_rendered)
+        monkeypatch.setattr(report, "render_contour_overlay", _never_rendered)
         code, out, _ = run_cli(
             capsys,
             "patterns", "vibrato",
@@ -318,10 +320,11 @@ class TestPatternsCommands:
         assert all(m is not None for m in metrics)
         assert all(abs(m["rate_hz"] - 5.5) < 0.5 for m in metrics)
 
-    def test_unallocatable_contour_samples_is_one_json_line(self, capsys, manifest_path):
+    def test_unallocatable_contour_samples_is_one_json_line(self, capsys, fixtures_dir, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_fixture_manifest(fixtures_dir, samples_per_contour=10**15)))
         code, _, err = run_cli(
-            capsys, "patterns", "contours", "--manifest", str(manifest_path),
-            "--pattern", "A4:2/1 C5:2/1", "--samples", str(10**15),
+            capsys, "patterns", "contours", "--manifest", str(path), "--pattern", "A4:2/1 C5:2/1"
         )
         assert code == 1
         (line,) = err.splitlines()
@@ -510,6 +513,71 @@ class TestRunParity:
         )
         assert code == 0
         assert csv_path.read_bytes() == (run_dir / "pattern-00.contours.csv").read_bytes()
+
+    @pytest.fixture(scope="class")
+    def samples_50(self, fixtures_dir, tmp_path_factory):
+        """A manifest whose `samples_per_contour` is 50, and the directory `run` wrote from it."""
+        root = tmp_path_factory.mktemp("parity-50")
+        manifest = root / "m.json"
+        manifest.write_text(json.dumps(_fixture_manifest(fixtures_dir, samples_per_contour=50)))
+        assert main(["run", "--manifest", str(manifest), "--out-dir", str(root / "out")]) == 0
+        return manifest, root / "out"
+
+    def test_subcommands_take_samples_per_contour_from_the_manifest(self, capsys, samples_50, tmp_path):
+        manifest, run_dir = samples_50
+        capsys.readouterr()
+        csv_path = tmp_path / "contours.csv"
+        code, _, _ = run_cli(
+            capsys, "patterns", "contours", "--manifest", str(manifest), "--pattern", self.PATTERN,
+            "--out", str(csv_path),
+        )
+        assert code == 0
+        expected = (run_dir / "pattern-00.contours.csv").read_bytes()
+        assert expected.count(b"\n") == 1 + 2 * 50  # the header, then two contours of 50 samples
+        assert csv_path.read_bytes() == expected
+        code, out, _ = run_cli(
+            capsys, "patterns", "vibrato", "--manifest", str(manifest), "--pattern", self.PATTERN
+        )
+        assert code == 0
+        assert out == (run_dir / "pattern-00.vibrato.json").read_text()
+
+    def test_subcommands_take_min_support_from_the_manifest(self, capsys, fixtures_dir, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_fixture_manifest(fixtures_dir, min_support=3)))  # support is 2
+        capsys.readouterr()
+        for argv in (
+            ("run", "--out-dir", str(tmp_path / "out")),
+            ("patterns", "contours", "--pattern", self.PATTERN),
+            ("patterns", "vibrato", "--pattern", self.PATTERN),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--manifest", str(path))
+            assert code == 1 and out == "", argv
+            assert "not in the index" in json.loads(err)["error"]["message"], argv
+
+
+def _subparser(parser, *names):
+    for name in names:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+def _shadows(option: str, setting: str) -> bool:
+    """Whether `option` names `setting` or its leading words (`--samples`, `samples_per_contour`)."""
+    name = option.lstrip("-").replace("-", "_")
+    return setting == name or setting.startswith(name + "_")
+
+
+@pytest.mark.parametrize("command", ["contours", "vibrato"])
+def test_contour_subcommands_have_no_option_naming_a_manifest_setting(command):
+    """`patterns contours|vibrato` take every setting from --manifest: an option that names a
+    setting would shadow the value the command has already loaded."""
+    assert _shadows("--min-support", "min_support") and _shadows("--samples", "samples_per_contour")
+    settings = set(report.DEFAULT_SETTINGS).union(*report._NESTED_KEYS.values())
+    parser = _subparser(build_parser(), "patterns", command)
+    options = [o for action in parser._actions for o in action.option_strings]
+    assert "--manifest" in options
+    assert [(o, s) for o in options for s in sorted(settings) if _shadows(o, s)] == []
 
 
 class TestLoadStages:

@@ -28,7 +28,7 @@ from sorimir.patterns import (
     tokenize,
     vibrato_metrics,
 )
-from sorimir.pitch_track import F0Track
+from sorimir.pitch_track import F0Track, track_cents
 from sorimir.report import pattern_index_record
 from sorimir.score import Measure, NoteEvent, Pitch, Score, TimeSignature, note_sequence
 
@@ -576,7 +576,7 @@ def _contours_oracle(index, pattern, grids, tracks, samples_per_contour=200, ref
             )
             continue
         values = _resample_to_normalized(
-            segment.beats, segment.cents(reference_hz), samples_per_contour
+            segment.beats, track_cents(segment, reference_hz), samples_per_contour
         )
         contours.append(Contour(values, occ.daemok_id, occ.onset_beats, occ.span_beats))
     return contours
@@ -588,7 +588,7 @@ def _vibrato_pairs_oracle(index, pattern, grids, tracks, reference_hz=440.0):
         metrics = None
         if segment is not None:
             try:
-                metrics = vibrato_metrics(segment.cents(reference_hz), segment.hop_s)
+                metrics = vibrato_metrics(track_cents(segment, reference_hz), segment.hop_s)
             except NotEnoughDataError:
                 pass
         results.append((occ, metrics))

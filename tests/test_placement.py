@@ -115,7 +115,7 @@ def meter_contours():
     for name in make_fixtures.METERS:
         entries, settings = load_manifest(FIXTURES / f"{name}.manifest.json")
         events_by_id, grids, tracks = load_corpus(entries, settings)
-        index = mine_index(events_by_id, settings, settings["min_support"])
+        index = mine_index(events_by_id, settings)
         placed[name] = {
             text: occurrence_contours(index, NGramPattern.from_text(text), grids, tracks,
                                       samples_per_contour=settings["samples_per_contour"],

@@ -572,7 +572,7 @@ class TestPipeline:
         entries, settings = load_manifest(manifest_path)
         events_by_id = report.load_corpus(entries, settings)[0]
         chunks = []
-        pattern_index_record(report.mine_index(events_by_id, settings, settings["min_support"]),
+        pattern_index_record(report.mine_index(events_by_id, settings),
                              chunks.append)
         text = "".join(chunks)
         assert dump_json(json.loads(text)) == text == (tmp_path / "out" / "patterns.json").read_text()
