@@ -108,6 +108,9 @@ class PipelineError(SorimirError):
         self.cause = cause
         super().__init__(f"stage '{stage}' failed for daemok '{daemok_id}': {cause}")
 
+    def __reduce__(self):  # pickled as its three arguments, which `args` does not hold
+        return type(self), (self.stage, self.daemok_id, self.cause)
+
 
 # The errors a pipeline stage or a CLI command reports; any other exception is a bug and keeps
 # its traceback.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,15 +177,24 @@ class VibratoMetrics:
 class Contour:
     """One occurrence's F0 in cents on a normalized beat axis (NaN = unvoiced).
 
-    `vibrato` holds the metrics of the same slice, or None when it has too
-    little voiced data.
+    The first field is the `values` array, or a function that returns it:
+    `occurrence_contours` gives the resampling, which then runs on the first
+    read of `values` and is kept, so a contour whose values are never read
+    is never resampled. `vibrato` holds the metrics of the same slice, or
+    None when it has too little voiced data.
     """
 
-    values: np.ndarray
+    _values: np.ndarray | Callable[[], np.ndarray]
     daemok_id: str
     onset_beats: Fraction
     span_beats: Fraction
     vibrato: VibratoMetrics | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if callable(self._values):
+            object.__setattr__(self, "_values", self._values())
+        return self._values
 
     @property
     def label(self) -> str:
@@ -230,9 +239,11 @@ def occurrence_contours(
 
     Each occurrence is placed on its daemok's beat grid through its score's
     measures (`ScoreGrid.beat`) and sliced once, and its contour and vibrato
-    come from the same cents array. Occurrences whose span runs past the
-    annotated beat grid are skipped with a warning (the grid cannot place them
-    in time). Fully unvoiced slices yield all-missing contours and are kept.
+    come from the same cents array. The vibrato is measured here; the contour
+    is resampled to `samples_per_contour` points when its `values` are first
+    read. Occurrences whose span runs past the annotated beat grid are
+    skipped with a warning (the grid cannot place them in time). Fully
+    unvoiced slices yield all-missing contours and are kept.
     """
     if samples_per_contour < 2:
         raise ConfigurationError("samples_per_contour must be >= 2")
@@ -263,7 +274,7 @@ def occurrence_contours(
             vibrato = None
         contours.append(
             Contour(
-                values=_resample_to_normalized(segment.beats, cents, samples_per_contour),
+                partial(_resample_to_normalized, segment.beats, cents, samples_per_contour),
                 daemok_id=occ.daemok_id,
                 onset_beats=occ.onset_beats,
                 span_beats=occ.span_beats,

@@ -10,17 +10,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
+import sys
 import tempfile
+import threading
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from functools import partial
 from itertools import repeat, takewhile
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .beat_grid import JangdanSpec, ScoreGrid, load_beats
 from .errors import (
     RECOVERABLE_ERRORS,
@@ -62,6 +67,11 @@ _PALETTE = ("#3b6ea5", "#c0573b", "#4e9151", "#9157a3", "#ae8b2d", "#50858b", "#
 _WIDTH, _HEIGHT = 840, 420
 
 
+def _escape(text: str) -> str:
+    """`text` with `&`, `<` and `>` written as XML entities (quotes stay as they are)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(x):
     """Two decimals, |x| < 0.005 as 0.00 (never -0.00); an array gives a list of strings."""
     if isinstance(x, np.ndarray):
@@ -98,7 +108,7 @@ class _Svg:
             transform = f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"'
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{fill}"{transform}>{escape(content)}</text>'
+            f'text-anchor="{anchor}" fill="{fill}"{transform}>{_escape(content)}</text>'
         )
 
     def polyline(self, xs, ys, stroke, width=1.5):  # xs, ys: coordinates formatted by _fmt
@@ -536,6 +546,140 @@ def _staging_dir(out_root: Path):
         raise
 
 
+# Occurrences that each process of the contour stage must be given for its fork to repay
+# itself. Measured on a 2-vCPU host (README "Performance"): a fork and join costs the parent
+# about 10 ms (3 ms for the fork, pipe and wait alone, the rest in copy-on-write faults), and
+# splitting a stage two ways saves about 0.18 ms per placed occurrence, of the 0.5-0.6 ms an
+# occurrence costs serially. That breaks even at about 30 occurrences a share; the minimum
+# is twice that.
+MIN_SHARE_OCCURRENCES = 60
+
+
+def _support(index: PatternIndex, pattern_text: str) -> int:
+    """Occurrences of `pattern_text` in `index`; 0 for a text that names no mined pattern."""
+    try:
+        return index.support(NGramPattern.from_text(pattern_text))
+    except ValueError:
+        return 0
+
+
+def _shares(weights: list[int]) -> list[list[int]]:
+    """Job indices split into one share per process of the fan-out, each in job order.
+
+    There are as many shares as the CPUs the process may use, but never more than there are
+    jobs, nor more than the jobs' summed weight repays at `MIN_SHARE_OCCURRENCES` a share.
+    There is one share where `os.fork` is missing, or unsafe because another thread runs (a
+    child would inherit any lock that thread holds). Jobs go in descending weight (ties in job
+    order) to the least-loaded share (ties to the first), so the split depends only on the
+    weights and the CPU count."""
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    count = max(1, min(_kernels._cpu_count(), len(weights)) if can_fork else 1)
+    while count > 1 and sum(weights) < count * MIN_SHARE_OCCURRENCES:
+        count -= 1
+    shares, loads = [[] for _ in range(count)], [0] * count
+    for job in sorted(range(len(weights)), key=lambda j: -weights[j]):
+        least = loads.index(min(loads))
+        shares[least].append(job)
+        loads[least] += weights[job]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(job, share: list[int]) -> list[tuple]:
+    """`(index, job(index), caught warnings, None)` for each index of `share` in order, up to
+    and including the first job that raises, which gives `(index, None, caught, error)`.
+
+    Every warning is caught, unfiltered, as `(text, category, filename, lineno)`: the parent
+    warns them again in job order (`_warn_again`), through the filters they would have met."""
+    done = []
+    for i in share:
+        result = error = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = job(i)
+            except Exception as exc:  # the lowest failing job's error is raised, in job order
+                error = exc
+        done.append((i, result, [(str(w.message), w.category, w.filename, w.lineno)
+                                 for w in caught], error))
+        if error is not None:
+            break
+    return done
+
+
+def _warn_again(caught: list[tuple]) -> None:
+    """Warn each caught `(text, category, filename, lineno)` as `warnings.warn` first did:
+    through the filters and the once-registry of the module whose file raised it."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for text, category, filename, lineno in caught:
+        env = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(text, category, filename, lineno, env.get("__name__"),
+                               env.setdefault("__warningregistry__", {}), env or None)
+
+
+def _fan_out(job, weights: list[int]) -> list:
+    """`[job(i) for i in range(len(weights))]`, with the jobs split over processes (`_shares`).
+
+    The parent forks one child for each share but the first, which it runs itself. A child
+    runs its share (`_run_share`), sends the results over a pipe and leaves through
+    `os._exit`; what the jobs return, and any error, must pickle. Every child is reaped
+    before this returns or raises. Then, in job order, each job's warnings are warned again
+    and its result kept, until the first job that failed: its error is raised. So the
+    caller sees what a serial loop over the jobs would have given it."""
+    shares = _shares(weights)
+    done, children = [], []  # children: (pid, its share, the read end of its result pipe)
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(job, share, write_end)
+            os.close(write_end)
+            children.append((pid, share, read_end))
+        done += _run_share(job, shares[0])
+        while children:
+            pid, share, read_end = children[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read_end)
+            if payload:
+                done += pickle.loads(payload)
+            else:  # the child died before it could send anything: fail at its first job
+                code = os.waitstatus_to_exitcode(status)
+                done.append((share[0], None, [], ChildProcessError(
+                    f"a worker process ended with exit code {code} before it returned its results"
+                )))
+    finally:
+        for pid, _, read_end in children:  # left only if the parent failed: stop and reap them
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    results = []
+    for _, result, caught, error in sorted(done, key=lambda d: d[0]):
+        _warn_again(caught)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
+def _run_child(job, share: list[int], write_end: int):
+    """A forked child's whole life: run `share`, send what `_run_share` returns over
+    `write_end`, and exit. It never returns into the parent's stack, so no `finally`,
+    `atexit` handler or buffered output of the parent runs twice."""
+    code = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(_run_share(job, share)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_pipeline(manifest_path, out_dir=None) -> dict:
     """Execute every analysis stage for every daemok in the manifest.
 
@@ -563,11 +707,13 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
 
     with _staging_dir(out_root) as staging:
 
-        def emit(name: str, content, prov_text: str = corpus_prov):  # content: text or `write -> None`
-            for file_name, body in ((name, content), (name + ".prov.json", prov_text)):
+        def emit(name: str, content, prov_text: str = corpus_prov) -> tuple[str, str]:
+            """Write `content` (text or `write -> None`) and its sidecar; return both names."""
+            names = (name, name + ".prov.json")
+            for file_name, body in zip(names, (content, prov_text)):
                 with open(staging / file_name, "w", newline="\n") as fh:
                     fh.write(body) if isinstance(body, str) else body(fh.write)
-                outputs.append(file_name)
+            return names
 
         for daemok_id, events in events_by_id.items():
             with _stage("histogram", daemok_id):
@@ -577,22 +723,30 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 # A histogram is built from its daemok's score and F0 input, not from its beats.
                 own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
                 prov = dump_json({**provenance, "inputs": own})
-                emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
-                emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
+                outputs += emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
+                outputs += emit(f"{daemok_id}.histogram.svg",
+                                render_histogram_figure(f0_hist, score_hist), prov)
 
         with _stage("patterns", "*"):
             index = mine_index(events_by_id, settings)
-            emit("patterns.json", partial(pattern_index_record, index))
+            outputs += emit("patterns.json", partial(pattern_index_record, index))
 
-        placed: dict[str, int] = {}
-        for pi, pattern_text in enumerate(settings["contour_patterns"]):
+        patterns = settings["contour_patterns"]
+
+        def contour_job(pi: int) -> tuple[int, list[str]]:
+            """Pattern `pi`'s artifacts and sidecars, written: (placed count, file names). Its
+            contours are freed on return, before the process places its next pattern."""
             with _stage("contours", "*"):
-                placed[pattern_text], artifacts = pattern_artifacts(
-                    index, pattern_text, grids, tracks, settings
-                )
-                for suffix in artifacts:
-                    emit(f"pattern-{pi:02d}.{suffix}", artifacts[suffix]())
-                del artifacts  # and with it the contours, before the next pattern's are placed
+                count, artifacts = pattern_artifacts(index, patterns[pi], grids, tracks, settings)
+                return count, [name for suffix in artifacts
+                               for name in emit(f"pattern-{pi:02d}.{suffix}", artifacts[suffix]())]
+
+        with _stage("contours", "*"):  # a failed fork, or a child that died
+            results = _fan_out(contour_job, [_support(index, t) for t in patterns])
+        placed: dict[str, int] = {}
+        for pattern_text, (count, names) in zip(patterns, results):
+            placed[pattern_text] = count
+            outputs += names
 
         outputs.sort()
         for name in outputs:

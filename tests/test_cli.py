@@ -4,6 +4,8 @@ import io
 import json
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sorimir
 from sorimir import report
 from sorimir.cli import build_parser, main
 
@@ -330,6 +333,19 @@ class TestPatternsCommands:
         (line,) = err.splitlines()
         error = json.loads(line)["error"]
         assert error["type"] == "MemoryError" and error["message"].startswith("Unable to allocate")
+
+    def test_vibrato_never_resamples(self, capsys, fixtures_dir, manifest_path, tmp_path):
+        """`vibrato.json` reads no contour values, so a sample count too large to allocate is
+        never allocated: the record equals the one at the default count."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_fixture_manifest(fixtures_dir, samples_per_contour=10**15)))
+        pattern = ["--pattern", "A4:2/1 C5:2/1"]
+        code, out, err = run_cli(capsys, "patterns", "vibrato", "--manifest", str(path), *pattern)
+        assert code == 0 and err == ""
+        code, expected, _ = run_cli(
+            capsys, "patterns", "vibrato", "--manifest", str(manifest_path), *pattern
+        )
+        assert code == 0 and out == expected
 
     def test_unknown_pattern_errors(self, capsys, manifest_path):
         code, _, err = run_cli(
@@ -792,3 +808,14 @@ class TestSubcommandContract:
                 assert code == 1 and out == ""
                 (line,) = err.splitlines()
                 assert set(json.loads(line)["error"]) <= {"type", "message", "warnings"}
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    """The CLI's imports stay off `urllib.request` and what it loads (`xml.sax.saxutils` would
+    load all three), which would cost every command their import time."""
+    code = "import sys, sorimir.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    env = {"PYTHONPATH": str(Path(sorimir.__file__).parents[1]), "PATH": ""}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

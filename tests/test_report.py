@@ -445,6 +445,14 @@ class TestManifest:
 
 
 class TestPipeline:
+    def test_each_placed_contour_is_resampled_once(self, manifest_path, tmp_path, monkeypatch):
+        """The contour CSV and the overlay share one resampling of each contour."""
+        calls, resample = [], sorimir.patterns._resample_to_normalized
+        monkeypatch.setattr(sorimir.patterns, "_resample_to_normalized",
+                            lambda *args: calls.append(None) or resample(*args))
+        summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        assert len(calls) == sum(summary["contour_sets"].values()) == 2
+
     def test_fixture_run(self, manifest_path, tmp_path):
         out = tmp_path / "out"
         summary = run_pipeline(manifest_path, out_dir=out)
