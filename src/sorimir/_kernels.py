@@ -71,7 +71,12 @@ def _difference(frames, window, tau_max, n_fft):
 
 
 def _search(d, tau_min, tau_max, threshold):
-    """CMNDF first-dip search over rows of `d`; returns (lags, cmndf_minima)."""
+    """CMNDF first-dip search over rows of `d`; returns (lags, cmndf_minima).
+
+    Each first dip is walked down to its local minimum t and refined, in one
+    masked pass, by a parabola through t - 1, t, t + 1. A dip at t < 2 or at
+    tau_max reads t for both neighbours, so denom and delta are 0 and it keeps t.
+    """
     n_frames = d.shape[0]
     running = np.cumsum(d[:, 1:], axis=1)
     dprime = np.ones_like(d)
@@ -98,27 +103,16 @@ def _search(d, tau_min, tau_max, threshold):
     minima = np.ones(n_frames)
     rows = np.nonzero(has_dip)[0]
     ts = tau_star[rows]
-    lag = ts.astype(float)
-    val = dprime[rows, ts]
-
     inner = (ts >= 2) & (ts + 1 <= tau_max)
-    r_in, t_in = rows[inner], ts[inner]
-    y0 = dprime[r_in, t_in - 1]
-    y1 = dprime[r_in, t_in]
-    y2 = dprime[r_in, t_in + 1]
+    y0 = dprime[rows, np.where(inner, ts - 1, ts)]
+    y1 = dprime[rows, ts]
+    y2 = dprime[rows, np.where(inner, ts + 1, ts)]
     denom = y0 - 2.0 * y1 + y2
     delta = np.where(denom > 0.0, 0.5 * (y0 - y2) / np.where(denom > 0.0, denom, 1.0), 0.0)
     delta[np.abs(delta) >= 1.0] = 0.0
     refined = delta != 0.0
-    lag_in = lag[inner]
-    val_in = val[inner]
-    lag_in[refined] = t_in[refined] + delta[refined]
-    val_in[refined] = y1[refined] - 0.25 * (y0[refined] - y2[refined]) * delta[refined]
-    lag[inner] = lag_in
-    val[inner] = val_in
-
-    lags[rows] = lag
-    minima[rows] = val
+    lags[rows] = np.where(refined, ts + delta, ts)
+    minima[rows] = np.where(refined, y1 - 0.25 * (y0 - y2) * delta, y1)
     return lags, minima
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import report
 from .beat_grid import JangdanSpec, load_beats
-from .errors import RECOVERABLE_ERRORS, SorimirError
+from .errors import RECOVERABLE_ERRORS, SorimirError, UsageError
 from .histogram import BIN_MIDI, BIN_PITCH_CLASS, MODE_FACTORIES, f0_histogram, score_duration_histogram
 from .patterns import DEFAULT_MIN_SUPPORT, DEFAULT_N_VALUES
 from .pitch_track import (
@@ -66,8 +66,15 @@ def _filter_args(parser: argparse.ArgumentParser):
                         help="upper register gate (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through `parser_class` its subparsers, that raises UsageError."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sorimir",
         description="Audio/transcription alignment and melodic-pattern analysis for solo vocal music.",
     )
@@ -280,9 +287,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one subcommand; a failure is one JSON line that also carries the warnings before it."""
-    args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
+            args = build_parser().parse_args(argv)
             code = _COMMANDS[args.command](args)
     except RECOVERABLE_ERRORS as exc:
         # numpy raises a private MemoryError subclass; the JSON names the public type.

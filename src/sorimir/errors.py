@@ -9,6 +9,10 @@ class SorimirError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(SorimirError):
+    """The command line does not parse; carries argparse's message."""
+
+
 # -- score ------------------------------------------------------------------
 
 class MusicXmlParseError(SorimirError):

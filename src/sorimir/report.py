@@ -183,16 +183,21 @@ def render_histogram_figure(f0_hist: PitchHistogram, score_hist: PitchHistogram)
     return svg.document()
 
 
+def _contour_length(contours: list[Contour]) -> int:
+    """The sample count all `contours` share on their common axis (0 for none)."""
+    lengths = {c.values.shape[0] for c in contours}
+    if len(lengths) > 1:
+        raise IncompatibleContourError(f"contours have mismatched lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
 def render_contour_overlay(contours: list[Contour]) -> str:
     """Overlay of occurrence contours on the normalized beat axis.
 
     Missing values break a contour into separate polylines; the legend
     names each occurrence by daemok and onset.
     """
-    lengths = {c.values.shape[0] for c in contours}
-    if len(lengths) > 1:
-        raise IncompatibleContourError(f"contours have mismatched lengths {sorted(lengths)}")
-
+    n = _contour_length(contours)
     svg = _Svg(_WIDTH, _HEIGHT)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -215,7 +220,6 @@ def render_contour_overlay(contours: list[Contour]) -> str:
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    n = lengths.pop()
     xs = _fmt(x0 + plot_w * (np.arange(n) / max(n - 1, 1)))
     for ci, contour in enumerate(contours):
         color = _PALETTE[ci % len(_PALETTE)]
@@ -241,9 +245,8 @@ def render_contour_overlay(contours: list[Contour]) -> str:
 def contours_csv(pattern: NGramPattern, contours: list[Contour]) -> str:
     """Long-format CSV dump of contour samples (empty cell = unvoiced)."""
     lines = ["pattern,daemok,onset_beats,sample_index,normalized_position,cents"]
-    n = contours[0].values.shape[0] if contours else 0
-    width = max((c.values.shape[0] for c in contours), default=0)
-    positions = [f"{k},{k / (n - 1) if n > 1 else 0.0:.6f}," for k in range(width)]
+    n = _contour_length(contours)
+    positions = [f"{k},{k / (n - 1) if n > 1 else 0.0:.6f}," for k in range(n)]
     for c in contours:
         head = f"{pattern.text},{c.daemok_id},{fraction_str(c.onset_beats)},"
         lines.extend(

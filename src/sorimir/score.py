@@ -11,7 +11,7 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -315,46 +315,33 @@ def parse_musicxml(document) -> Score:
 def note_sequence(score: Score, merge_ties: bool = True) -> list[NoteEvent]:
     """Flatten a Score into an onset-sorted event list.
 
-    With `merge_ties`, each tie chain collapses into one NoteEvent whose
-    duration is the exact rational sum. Rests are always retained.
+    With `merge_ties`, one walk folds each tie chain (continuations: pitched,
+    tied from the previous, at the head's MIDI number) into one NoteEvent at
+    its head's onset, pitch and measure, untied, with the exact rational sum
+    of the durations. A chain broken or still open at the end raises
+    DanglingTieError naming the measure of its last tied event. Events outside
+    chains, rests included, are returned as they are.
     """
     events = [e for m in score.measures for e in m.events]
     if not merge_ties:
         return events
 
     merged: list[NoteEvent] = []
-    i = 0
-    n = len(events)
-    while i < n:
-        ev = events[i]
-        if ev.pitch is None or not ev.tied_to_next:
+    last = None  # the open tie chain's last event; the chain's merged head is merged[-1]
+    for ev in events:
+        if last is not None:
+            head = merged[-1]
+            if ev.pitch is None or not ev.tied_from_previous or ev.pitch.midi != head.pitch.midi:
+                raise DanglingTieError(f"tie started in measure {last.measure_index} never ends")
+            merged[-1] = replace(head, duration_beats=head.duration_beats + ev.duration_beats)
+        elif ev.pitch is not None and ev.tied_to_next:
+            merged.append(NoteEvent(ev.onset_beats, ev.duration_beats, ev.pitch, ev.measure_index))
+        else:
             merged.append(ev)
-            i += 1
             continue
-        total = ev.duration_beats
-        j = i
-        while events[j].tied_to_next:
-            nxt = events[j + 1] if j + 1 < n else None
-            if (
-                nxt is None
-                or nxt.pitch is None
-                or not nxt.tied_from_previous
-                or nxt.pitch.midi != ev.pitch.midi
-            ):
-                raise DanglingTieError(
-                    f"tie started in measure {events[j].measure_index} never ends"
-                )
-            total += nxt.duration_beats
-            j += 1
-        merged.append(
-            NoteEvent(
-                onset_beats=ev.onset_beats,
-                duration_beats=total,
-                pitch=ev.pitch,
-                measure_index=ev.measure_index,
-            )
-        )
-        i = j + 1
+        last = ev if ev.tied_to_next else None
+    if last is not None:
+        raise DanglingTieError(f"tie started in measure {last.measure_index} never ends")
     return merged
 
 

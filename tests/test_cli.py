@@ -819,3 +819,70 @@ def test_importing_the_cli_loads_no_network_modules():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# -- usage errors ---------------------------------------------------------------
+
+
+def _assert_one_usage_error_line(argv):
+    code, out, err = _run_quietly(*argv)
+    assert (code, out) == (1, ""), argv
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run",),
+        ("histogram", "--score", "s.musicxml", "--f0", "f.csv", "--min-conf", "abc"),
+        ("run", "--manifest", "m.json", "--bogus"),
+        ("bogus",),
+        ("histogram", "--score", "s.musicxml", "--f0", "f.csv", "--bin-kind", "octave"),
+    ],
+    ids=["missing-manifest", "non-float-min-conf", "unknown-flag", "unknown-subcommand", "bad-bin-kind"],
+)
+def test_a_usage_error_is_one_json_line(argv):
+    _assert_one_usage_error_line(argv)
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sorimir run") and err == ""
+
+
+def _commands(parser, path=()):
+    """(argv prefix, parser, is_leaf) for the parser and each subcommand below it."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    yield path, parser, not actions
+    for action in actions:
+        for name, child in action.choices.items():
+            yield from _commands(child, path + (name,))
+
+
+def _bad_command_lines():
+    """Command lines that must not parse, for every subcommand `build_parser` makes: each
+    required option left out, an unknown flag, and a value that fails an option's type or
+    choices; and for a command with subcommands, none given or an unknown one."""
+    for path, parser, is_leaf in _commands(build_parser()):
+        if not is_leaf:
+            yield path
+            yield path + ("bogus",)
+            continue
+        options = [a for a in parser._actions if a.option_strings and a.nargs != 0]
+        required = [a for a in options if a.required]
+        for left_out in required:
+            yield path + tuple(arg for a in required if a is not left_out for arg in (a.option_strings[0], "x"))
+        given = path + tuple(arg for a in required for arg in (a.option_strings[0], "x"))
+        yield given + ("--bogus",)
+        for a in options:
+            if a.type not in (None, str) or a.choices is not None:
+                yield given + (a.option_strings[0], "not-a-value")
+
+
+@pytest.mark.parametrize("argv", list(_bad_command_lines()), ids=lambda argv: " ".join(argv) or "no-command")
+def test_every_command_line_that_does_not_parse_is_one_json_line(argv):
+    _assert_one_usage_error_line(argv)

@@ -51,4 +51,4 @@ def test_pipeline_error_keeps_its_cause(cause):
 
 def test_the_classes_are_found():
     assert errors.PipelineError in _CLASSES and errors.SorimirError in _CLASSES
-    assert len(_CLASSES) == 18
+    assert len(_CLASSES) == 19

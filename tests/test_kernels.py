@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sorimir import _kernels
 
@@ -131,6 +133,103 @@ def test_kernel_matches_direct_sum_oracle(case):
     assert np.abs(got_lags[voiced] - ref_lags[voiced]).max() <= ORACLE_TOL
     assert np.abs(got_min[voiced] - ref_min[voiced]).max() <= ORACLE_TOL
     assert np.all(got_min[~voiced] == 1.0)
+
+
+def _search_oracle(d, tau_min, tau_max, threshold):
+    """`_kernels._search` before its one masked pass: inner dips gathered, refined and scattered
+    back. Every refined row goes through the same operations, so results are bitwise equal."""
+    n_frames = d.shape[0]
+    running = np.cumsum(d[:, 1:], axis=1)
+    dprime = np.ones_like(d)
+    np.divide(
+        d[:, 1:] * np.arange(1, tau_max + 1, dtype=float),
+        running,
+        out=dprime[:, 1:],
+        where=running > 0.0,
+    )
+
+    below = dprime < threshold
+    below[:, :tau_min] = False
+    has_dip = below.any(axis=1)
+    tau_first = np.argmax(below, axis=1)
+
+    non_decreasing = dprime[:, 1:] >= dprime[:, :-1]
+    eligible = non_decreasing & (np.arange(tau_max)[None, :] >= tau_first[:, None])
+    stop_found = eligible.any(axis=1)
+    tau_star = np.where(stop_found, np.argmax(eligible, axis=1), tau_max)
+
+    lags = np.full(n_frames, np.nan)
+    minima = np.ones(n_frames)
+    rows = np.nonzero(has_dip)[0]
+    ts = tau_star[rows]
+    lag = ts.astype(float)
+    val = dprime[rows, ts]
+
+    inner = (ts >= 2) & (ts + 1 <= tau_max)
+    r_in, t_in = rows[inner], ts[inner]
+    y0 = dprime[r_in, t_in - 1]
+    y1 = dprime[r_in, t_in]
+    y2 = dprime[r_in, t_in + 1]
+    denom = y0 - 2.0 * y1 + y2
+    delta = np.where(denom > 0.0, 0.5 * (y0 - y2) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    delta[np.abs(delta) >= 1.0] = 0.0
+    refined = delta != 0.0
+    lag_in = lag[inner]
+    val_in = val[inner]
+    lag_in[refined] = t_in[refined] + delta[refined]
+    val_in[refined] = y1[refined] - 0.25 * (y0[refined] - y2[refined]) * delta[refined]
+    lag[inner] = lag_in
+    val[inner] = val_in
+
+    lags[rows] = lag
+    minima[rows] = val
+    return lags, minima
+
+
+def _assert_search_matches_oracle(x, window, hop, tau_min, tau_max, threshold):
+    span = window + tau_max
+    frames = np.lib.stride_tricks.sliding_window_view(x, span)[::hop]
+    d = _kernels._difference(frames, window, tau_max, _kernels._fast_len(span))
+    got = _kernels._search(d, tau_min, tau_max, threshold)
+    want = _search_oracle(d, tau_min, tau_max, threshold)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_search_is_bitwise_equal_to_the_gather_and_scatter_oracle(case):
+    make, window, hop, tau_min, tau_max = _CASES[case]
+    x = make()
+    for threshold in (0.1, 0.15, 0.3, 0.6):
+        _assert_search_matches_oracle(x, window, hop, tau_min, tau_max, threshold)
+
+
+@st.composite
+def _short_signals(draw):
+    """A periodic tone plus noise, or raw samples; periods up to tau_max + 8 put dips at both
+    ends of the lag range, where a dip has no neighbour on one side."""
+    window, tau_max = 24, 40
+    n = window + tau_max + draw(st.integers(0, 120))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        period = draw(st.floats(1.5, tau_max + 8.0))
+        x = np.sin(2 * np.pi * np.arange(n) / period + draw(st.floats(0.0, 6.3)))
+        x += draw(st.sampled_from([0.0, 0.01, 0.3])) * rng.standard_normal(n)
+    else:
+        x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return x, window, draw(st.integers(1, 9)), draw(st.integers(1, 20)), tau_max
+
+
+# A tone of period 10 searched from lag 11: the first dip sits on a rising slope, where the
+# parabola's |delta| >= 1, so the dip keeps its integer lag.
+_RISING_DIP = (np.sin(2 * np.pi * np.arange(150) / 10.0), 24, 7, 11, 40)
+
+
+@given(_short_signals(), st.floats(0.1, 0.6))
+@example(_RISING_DIP, 0.5)
+@settings(max_examples=300, deadline=None)
+def test_search_matches_the_oracle_on_short_signals(signal, threshold):
+    x, window, hop, tau_min, tau_max = signal
+    _assert_search_matches_oracle(x, window, hop, tau_min, tau_max, threshold)
 
 
 def test_numpy_path_basic_shape():

@@ -131,6 +131,12 @@ class TestContoursCsv:
         assert lines[2].endswith(",")  # NaN -> empty cell
         assert lines[3].endswith("3.500000")
 
+    def test_mismatched_lengths_rejected(self):
+        """Sample k sits at k / (n - 1) of one n shared with the overlay, so contours of 3 and
+        5 samples are refused instead of placing the longer one's samples past position 1."""
+        with pytest.raises(IncompatibleContourError, match=r"mismatched lengths \[3, 5\]"):
+            contours_csv(NGramPattern(("A4:1/1", "C5:1/1")), [contour([0.0] * 3), contour([0.0] * 5)])
+
 
 def _fmt_scalar(x: float) -> str:
     if abs(x) < 0.005:

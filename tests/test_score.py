@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from sorimir.errors import (
     DanglingTieError,
     MusicXmlParseError,
+    SorimirError,
     StructureError,
     UnsupportedStructureError,
 )
 from sorimir.score import (
+    Measure,
     NoteEvent,
     Pitch,
+    Score,
     TimeSignature,
     event_records,
     note_sequence,
@@ -494,3 +497,93 @@ def test_tick_sums_give_the_score_of_fraction_sums(doc):
 
 def test_tick_sums_on_the_fixture(sample_score_bytes):
     assert parse_musicxml(sample_score_bytes) == _parse_musicxml_oracle(sample_score_bytes)
+
+
+# -- tie merging against the nested-loop merge it replaced --------------------
+
+
+def _note_sequence_oracle(score, merge_ties=True):
+    """The nested-loop tie merge that `note_sequence` replaced, with its lookahead."""
+    events = [e for m in score.measures for e in m.events]
+    if not merge_ties:
+        return events
+
+    merged = []
+    i = 0
+    n = len(events)
+    while i < n:
+        ev = events[i]
+        if ev.pitch is None or not ev.tied_to_next:
+            merged.append(ev)
+            i += 1
+            continue
+        total = ev.duration_beats
+        j = i
+        while events[j].tied_to_next:
+            nxt = events[j + 1] if j + 1 < n else None
+            if (
+                nxt is None
+                or nxt.pitch is None
+                or not nxt.tied_from_previous
+                or nxt.pitch.midi != ev.pitch.midi
+            ):
+                raise DanglingTieError(
+                    f"tie started in measure {events[j].measure_index} never ends"
+                )
+            total += nxt.duration_beats
+            j += 1
+        merged.append(
+            NoteEvent(
+                onset_beats=ev.onset_beats,
+                duration_beats=total,
+                pitch=ev.pitch,
+                measure_index=ev.measure_index,
+            )
+        )
+        i = j + 1
+    return merged
+
+
+# A4 spelled twice (A4 and G##4, both MIDI 69), so continuations are matched by MIDI number
+# while the merged event keeps its head's spelling; B4 breaks a chain by pitch.
+_A4 = (Pitch("A", 0, 4), Pitch("G", 2, 4))
+_TIE_PITCHES = st.sampled_from([None, *_A4, Pitch("B", 0, 4)])
+
+
+@st.composite
+def tie_scores(draw):
+    """Scores of rests and pitches with random tie flags (rests included), durations and
+    measure breaks. After an event tied to the next, three draws in four
+    continue the chain (an A4 tied from the previous), so that long chains are common."""
+    events, onset, m_index = [], Fraction(0), 0
+    for _ in range(draw(st.integers(0, 12))):
+        m_index += draw(st.integers(0, 1))
+        duration = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 4])))
+        if events and events[-1].tied_to_next and draw(st.integers(0, 3)):
+            pitch, tied_from_previous = draw(st.sampled_from(_A4)), True
+        else:
+            pitch, tied_from_previous = draw(_TIE_PITCHES), draw(st.booleans())
+        events.append(NoteEvent(onset, duration, pitch, m_index,
+                                tied_from_previous=tied_from_previous, tied_to_next=draw(st.booleans())))
+        onset += duration
+    measures = [
+        Measure(m, tuple(e for e in events if e.measure_index == m), Fraction(4))
+        for m in sorted({e.measure_index for e in events})
+    ]
+    return Score("d", TimeSignature(4, 4), tuple(measures), 1), events
+
+
+def _merge_outcome(merge, score, events):
+    """Merged events, with whether each is one of `events` itself, or the error's type and text."""
+    try:
+        merged = merge(score)
+    except SorimirError as exc:
+        return type(exc), str(exc)
+    return merged, [any(e is ev for ev in events) for e in merged]
+
+
+@given(tie_scores())
+@settings(max_examples=400, deadline=None)
+def test_one_walk_merges_ties_as_the_nested_loop_did(case):
+    score, events = case
+    assert _merge_outcome(note_sequence, score, events) == _merge_outcome(_note_sequence_oracle, score, events)
