@@ -8,8 +8,9 @@ never costs precision in a quiet frame after it.
 
 Frames are processed in fixed blocks of BLOCK_FRAMES, so temporaries stay
 the same size however long the signal is. The blocks are independent, and
-numpy's FFTs and array loops release the GIL, so the blocks are split over
-one thread per CPU the process may use (at most MAX_WORKERS); each thread
+numpy's FFTs and array loops release the GIL, so the blocks are split into
+one share per CPU the process may use (at most MAX_WORKERS); the calling
+thread runs the first share and a helper thread each other one, and each
 writes its rows straight into the shared output arrays. Every row goes
 through the same operations whichever thread or block holds it, so the
 tracks are bit-identical for any CPU count.
@@ -129,33 +130,38 @@ def yin_lag_search(x, window, hop, tau_min, tau_max, threshold):
     n_frames = (x.shape[0] - span) // hop + 1
     n_fft = _fast_len(span)
     frames = np.lib.stride_tricks.sliding_window_view(x, span)[::hop]
-    lags = np.empty(n_frames)
-    minima = np.empty(n_frames)
-    workers = min(_cpu_count(), -(-n_frames // BLOCK_FRAMES), MAX_WORKERS)
-    stop = threading.Event()
+    lags, minima = np.empty(n_frames), np.empty(n_frames)
+    workers = min(_cpu_count(), max(1, -(-n_frames // BLOCK_FRAMES)), MAX_WORKERS)
+    stop, errors = threading.Event(), [None] * workers
+    done = threading.Semaphore(0)  # released once by each share as it ends
 
-    def work(first, stride):
-        for b in range(first, n_frames, stride):
-            if stop.is_set():
-                return
-            e = min(b + BLOCK_FRAMES, n_frames)
-            d = _difference(frames[b:e], window, tau_max, n_fft)
-            lags[b:e], minima[b:e] = _search(d, tau_min, tau_max, threshold)
-
-    if workers <= 1:
-        work(0, BLOCK_FRAMES)
-        return lags, minima
-    # Imported here, so that a run without audio input never loads the pool.
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-    # Worker w takes blocks w, w + workers, ...; the first error stops the rest.
-    stride = workers * BLOCK_FRAMES
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work, w * BLOCK_FRAMES, stride) for w in range(workers)]
+    def work(share):
+        """Blocks share, share + workers, ...; an error is kept and stops every share."""
         try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
+            for b in range(share * BLOCK_FRAMES, n_frames, workers * BLOCK_FRAMES):
+                if stop.is_set():
+                    return
+                e = min(b + BLOCK_FRAMES, n_frames)
+                d = _difference(frames[b:e], window, tau_max, n_fft)
+                lags[b:e], minima[b:e] = _search(d, tau_min, tau_max, threshold)
+        except BaseException as exc:
+            errors[share] = exc
             stop.set()
-    for f in futures:
-        f.result()
+        finally:
+            done.release()
+
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(0)
+        # Not Thread.join: on CPython 3.11 an interrupted join marks a running thread stopped.
+        for _ in range(workers):
+            done.acquire()
+    finally:  # an interrupt while the caller waits stops the helpers; none outlives the call
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    for exc in filter(None, errors):  # the lowest failing share's error
+        raise exc
     return lags, minima

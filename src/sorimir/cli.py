@@ -240,8 +240,11 @@ def _collect_score_events(directory: str) -> dict[str, list]:
     files = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() in (".musicxml", ".xml"))
     if not files:
         raise SorimirError(f"no .musicxml/.xml files in {directory}")
-    events_by_id = {}
+    events_by_id, seen = {}, {}
     for p in files:
+        if p.stem in seen:
+            raise SorimirError(f"score id {p.stem!r} is given by both {seen[p.stem]} and {p}")
+        seen[p.stem] = p
         with report._stage("score", p.stem):
             events_by_id[p.stem] = note_sequence(parse_musicxml(p.read_bytes()), merge_ties=True)
     return events_by_id

@@ -74,7 +74,10 @@ class NGramPattern:
 
     @classmethod
     def from_text(cls, text: str) -> "NGramPattern":
-        return cls(tuple(text.split()))
+        try:
+            return cls(tuple(text.split()))
+        except ValueError as exc:
+            raise ValueError(f"pattern {text!r}: {exc}") from None
 
 
 class PatternOccurrence(NamedTuple):  # a tuple: tens of thousands per corpus, built cheaply
@@ -101,6 +104,22 @@ class PatternIndex:
         return len(self.patterns)
 
 
+def check_pattern_settings(
+    n_values: Sequence[int] = DEFAULT_N_VALUES,
+    min_support: int = DEFAULT_MIN_SUPPORT,
+    samples_per_contour: int = DEFAULT_SAMPLES_PER_CONTOUR,
+) -> None:
+    """Raise `ConfigurationError` for a mining or contour setting no corpus can satisfy."""
+    if not n_values:
+        raise ConfigurationError("n_values must not be empty")
+    if any(n < 2 for n in n_values):
+        raise ConfigurationError(f"n-gram lengths must be >= 2, got {sorted(n_values)}")
+    if min_support < 1:
+        raise ConfigurationError(f"min_support must be >= 1, got {min_support}")
+    if samples_per_contour < 2:
+        raise ConfigurationError("samples_per_contour must be >= 2")
+
+
 def mine_ngrams(
     sequences: Mapping[str, Sequence[str]],
     n_values: Sequence[int] = DEFAULT_N_VALUES,
@@ -119,12 +138,7 @@ def mine_ngrams(
     by (daemok_id, onset) and patterns by descending support, ties broken
     by token text.
     """
-    if not n_values:
-        raise ConfigurationError("n_values must not be empty")
-    if any(n < 2 for n in n_values):
-        raise ConfigurationError(f"n-gram lengths must be >= 2, got {sorted(n_values)}")
-    if min_support < 1:
-        raise ConfigurationError(f"min_support must be >= 1, got {min_support}")
+    check_pattern_settings(n_values, min_support)
 
     ids = sorted(sequences)
     # Prefix sums of token durations, in integer ticks at the LCM of their denominators, give
@@ -245,8 +259,7 @@ def occurrence_contours(
     skipped with a warning (the grid cannot place them in time). Fully
     unvoiced slices yield all-missing contours and are kept.
     """
-    if samples_per_contour < 2:
-        raise ConfigurationError("samples_per_contour must be >= 2")
+    check_pattern_settings(samples_per_contour=samples_per_contour)
     if pattern not in index.occurrences:
         raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
 

@@ -277,6 +277,7 @@ def track_cents(track: F0Track, reference_hz: float = 440.0) -> np.ndarray:
 _PCM_ZERO_AND_SCALE = {
     np.dtype(np.int16): (0.0, 2.0**15),
     np.dtype(np.int32): (0.0, 2.0**31),
+    np.dtype(np.int64): (0.0, 2.0**63),
     np.dtype(np.uint8): (128.0, 128.0),
 }
 
@@ -288,8 +289,9 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     sample_rate, data = wavfile.read(path)
     data = np.asarray(data)
     if data.dtype in _PCM_ZERO_AND_SCALE:
-        # Integer PCM: the channel sum is exact in float64, so shifting and scaling it
-        # once gives the bits of the mean of the scaled channels, with no 2-d float image.
+        # Integer PCM: shifted and scaled once as a channel sum, with no 2-d float image. Up
+        # to 32 bits the sum is exact in float64, so this gives the bits of the mean of the
+        # scaled channels; a 64-bit sample is rounded to float64 first.
         zero, scale = _PCM_ZERO_AND_SCALE[data.dtype]
         channels = data.reshape(data.shape[0], -1)
         data = channels.sum(axis=1, dtype=np.float64)

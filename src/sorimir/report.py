@@ -48,6 +48,7 @@ from .patterns import (
     Contour,
     NGramPattern,
     PatternIndex,
+    check_pattern_settings,
     mine_ngrams,
     occurrence_contours,
     occurrence_vibrato,
@@ -400,6 +401,10 @@ def _checked_settings(given) -> dict:
         reference_hz(settings)
         FilterConfig(**settings["filter"])
         JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
+        check_pattern_settings(settings["n_values"], settings["min_support"],
+                               settings["samples_per_contour"])
+        for text in settings["contour_patterns"]:
+            NGramPattern.from_text(text)
     return settings
 
 
@@ -558,14 +563,6 @@ def _staging_dir(out_root: Path):
 MIN_SHARE_OCCURRENCES = 60
 
 
-def _support(index: PatternIndex, pattern_text: str) -> int:
-    """Occurrences of `pattern_text` in `index`; 0 for a text that names no mined pattern."""
-    try:
-        return index.support(NGramPattern.from_text(pattern_text))
-    except ValueError:
-        return 0
-
-
 def _shares(weights: list[int]) -> list[list[int]]:
     """Job indices split into one share per process of the fan-out, each in job order.
 
@@ -687,8 +684,9 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     """Execute every analysis stage for every daemok in the manifest.
 
     Outputs land in `out_dir` (default: `out/` next to the manifest), each with a
-    `.prov.json` sidecar. Each is staged on disk as it is built and moved into `out_dir`
-    once every stage has passed: a failed run leaves no partial outputs behind.
+    `.prov.json` sidecar. Each is written into a new staging directory as it is built, and the
+    directory's files, the summary's `outputs`, are moved into `out_dir` once every stage has
+    passed: a failed run leaves no partial outputs behind.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
@@ -706,17 +704,14 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     reference = reference_hz(settings)
     events_by_id, grids, tracks = load_corpus(entries, settings)
     out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
-    outputs: list[str] = []  # names only: each artifact is on disk once `emit` returns
 
     with _staging_dir(out_root) as staging:
 
-        def emit(name: str, content, prov_text: str = corpus_prov) -> tuple[str, str]:
-            """Write `content` (text or `write -> None`) and its sidecar; return both names."""
-            names = (name, name + ".prov.json")
-            for file_name, body in zip(names, (content, prov_text)):
+        def emit(name: str, content, prov_text: str = corpus_prov) -> None:
+            """Write `content` (text or `write -> None`) and its sidecar into the staging dir."""
+            for file_name, body in ((name, content), (name + ".prov.json", prov_text)):
                 with open(staging / file_name, "w", newline="\n") as fh:
                     fh.write(body) if isinstance(body, str) else body(fh.write)
-            return names
 
         for daemok_id, events in events_by_id.items():
             with _stage("histogram", daemok_id):
@@ -726,32 +721,28 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 # A histogram is built from its daemok's score and F0 input, not from its beats.
                 own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
                 prov = dump_json({**provenance, "inputs": own})
-                outputs += emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
-                outputs += emit(f"{daemok_id}.histogram.svg",
-                                render_histogram_figure(f0_hist, score_hist), prov)
+                emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
+                emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
         with _stage("patterns", "*"):
             index = mine_index(events_by_id, settings)
-            outputs += emit("patterns.json", partial(pattern_index_record, index))
+            emit("patterns.json", partial(pattern_index_record, index))
 
         patterns = settings["contour_patterns"]
 
-        def contour_job(pi: int) -> tuple[int, list[str]]:
-            """Pattern `pi`'s artifacts and sidecars, written: (placed count, file names). Its
+        def contour_job(pi: int) -> int:
+            """Write pattern `pi`'s artifacts and sidecars; return its placed count. Its
             contours are freed on return, before the process places its next pattern."""
-            with _stage("contours", "*"):
-                count, artifacts = pattern_artifacts(index, patterns[pi], grids, tracks, settings)
-                return count, [name for suffix in artifacts
-                               for name in emit(f"pattern-{pi:02d}.{suffix}", artifacts[suffix]())]
+            count, artifacts = pattern_artifacts(index, patterns[pi], grids, tracks, settings)
+            for suffix, render in artifacts.items():
+                emit(f"pattern-{pi:02d}.{suffix}", render())
+            return count
 
-        with _stage("contours", "*"):  # a failed fork, or a child that died
-            results = _fan_out(contour_job, [_support(index, t) for t in patterns])
-        placed: dict[str, int] = {}
-        for pattern_text, (count, names) in zip(patterns, results):
-            placed[pattern_text] = count
-            outputs += names
+        with _stage("contours", "*"):  # a job's error, wherever it ran, or a child that died
+            placed = dict(zip(patterns, _fan_out(
+                contour_job, [index.support(NGramPattern.from_text(t)) for t in patterns])))
 
-        outputs.sort()
+        outputs = sorted(os.listdir(staging))  # a new directory: only `emit` wrote into it
         for name in outputs:
             (staging / name).replace(out_root / name)
 

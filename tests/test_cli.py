@@ -270,6 +270,18 @@ class TestPatternsCommands:
         assert code == 1
         assert "no .musicxml" in json.loads(err)["error"]["message"]
 
+    def test_mine_two_scores_of_one_id_fail(self, capsys, fixtures_dir, tmp_path):
+        for name in ("a.musicxml", "a.xml", "b.musicxml"):
+            shutil.copy(fixtures_dir / "joongmori_sample.musicxml", tmp_path / name)
+        code, out, err = run_cli(capsys, "patterns", "mine", "--scores", str(tmp_path))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": "SorimirError",
+            "message": f"score id 'a' is given by both {tmp_path / 'a.musicxml'} and "
+                       f"{tmp_path / 'a.xml'}",
+        }
+
     def test_mine_malformed_score_names_the_file(self, capsys, fixtures_dir, tmp_path):
         shutil.copy(fixtures_dir / "joongmori_sample.musicxml", tmp_path / "a.musicxml")
         good = (fixtures_dir / "joongmori_sample.musicxml").read_text()
@@ -468,6 +480,34 @@ class TestManifestSchema:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "PipelineError"
         assert "stage 'manifest'" in error["message"] and message in error["message"]
+
+    @pytest.mark.parametrize("settings, stage, message", [
+        ({"contour_patterns": ["bogus"]}, "manifest",
+         "pattern 'bogus': an n-gram pattern needs n >= 2 tokens"),
+        ({"contour_patterns": ["A4:2/1 bogus"]}, "manifest",
+         "pattern 'A4:2/1 bogus': token 'bogus' has no ':' separator"),
+        ({"samples_per_contour": 1}, "manifest", "samples_per_contour must be >= 2"),
+        ({"min_support": 0}, "manifest", "min_support must be >= 1, got 0"),
+        ({"n_values": []}, "manifest", "n_values must not be empty"),
+        ({"n_values": [1, 2]}, "manifest", "n-gram lengths must be >= 2, got [1, 2]"),
+        # Usable as a setting; it fails only when a contour is resampled to that length.
+        ({"samples_per_contour": 10**15}, "contours", "Unable to allocate"),
+    ])
+    def test_pattern_settings_fail_before_any_input_is_hashed(
+        self, capsys, monkeypatch, fixtures_dir, tmp_path, settings, stage, message
+    ):
+        hashed, sha256 = [], report._sha256
+        monkeypatch.setattr(report, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_fixture_manifest(fixtures_dir, **settings)))
+        code, out, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "PipelineError"
+        assert error["message"].startswith(f"stage '{stage}' failed for daemok '*': {message}")
+        assert (hashed == []) is (stage == "manifest")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["undecodable", "directory"])
     def test_unreadable_manifest_names_the_file(self, capsys, tmp_path, kind):

@@ -14,6 +14,7 @@ import pytest
 import sorimir
 from sorimir import _kernels, report
 from sorimir.cli import main
+from sorimir.patterns import NGramPattern
 
 # Patterns of the meter-12-8 fixture (min_support 1) and what `run` makes of each.
 PAIR = "A4:1/1 C5:1/1"  # 2 occurrences, both placed
@@ -43,7 +44,7 @@ def _weights(manifest) -> list[int]:
     """The support of each of the manifest's contour patterns, as `run` weighs its jobs."""
     entries, settings = report.load_manifest(manifest)
     index = report.mine_index(report.load_corpus(entries, settings)[0], settings)
-    return [report._support(index, p) for p in settings["contour_patterns"]]
+    return [index.support(NGramPattern.from_text(p)) for p in settings["contour_patterns"]]
 
 
 @pytest.fixture

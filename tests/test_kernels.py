@@ -1,5 +1,7 @@
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -329,6 +331,54 @@ def test_a_worker_error_reaches_the_caller(kernel_fails_on_second_block):
     assert threading.active_count() == before
     # the other worker stops at its next block instead of finishing its half of the signal
     assert len(kernel_fails_on_second_block) < 6000 // _kernels.BLOCK_FRAMES // 2
+
+
+def test_the_lowest_failing_share_gives_the_error(monkeypatch):
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 3)
+    all_started = threading.Barrier(3, timeout=10)
+
+    def failing(*args):
+        all_started.wait()  # every share is past its first stop check
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.2)  # share 0 fails last
+            raise MemoryError("share 0")
+        raise MemoryError("a helper's share")
+
+    monkeypatch.setattr(_kernels, "_search", failing)
+    with pytest.raises(MemoryError, match="share 0"):
+        _kernels.yin_lag_search(_vibrato_voice(60 * 22050, 22050), 1014, 220, 14, 367, 0.15)
+
+
+def test_an_interrupt_while_waiting_stops_and_joins_the_helpers(monkeypatch):
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    search, main = _kernels._search, threading.main_thread()
+    share_blocks = -(-6000 // _kernels.BLOCK_FRAMES) // 2  # of 6,000 frames, in two shares
+    caller_blocks, helper_blocks, in_flight = [], [], []
+
+    def slow_helper(*args):
+        """The caller's share runs at full speed; the helper's takes 50 ms a block, and it
+        interrupts the caller four blocks after the caller's last one, while the caller waits."""
+        if threading.current_thread() is main:
+            caller_blocks.append(None)
+        else:
+            helper_blocks.append(len(caller_blocks) == share_blocks)
+            if helper_blocks.count(True) == 4:
+                signal.pthread_kill(main.ident, signal.SIGINT)
+            in_flight.append(None)
+            time.sleep(0.05)
+            in_flight.pop()
+        return search(*args)
+
+    monkeypatch.setattr(_kernels, "_search", slow_helper)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _kernels.yin_lag_search(_vibrato_voice(60 * 22050, 22050), 1014, 220, 14, 367, 0.15)
+    assert not in_flight  # the helper's last block ended before the interrupt propagated
+    # A joined thread can stay listed a moment longer, but not alive.
+    assert sum(t.is_alive() for t in threading.enumerate()) == before
+    assert len(caller_blocks) == share_blocks
+    # the helper stops at its next block instead of finishing its share
+    assert len(helper_blocks) < share_blocks
 
 
 def test_threaded_peak_is_at_most_one_256_frame_block(monkeypatch):

@@ -476,6 +476,22 @@ class TestLoadWav:
         assert samples.shape == (n,)
         assert peak <= 12 * n + 2**18
 
+    def test_16_32_and_64_bit_pcm_of_one_sine_agree(self, tmp_path):
+        from scipy.io import wavfile
+
+        # One half-scale sine at 16 bits, shifted into the high bits of the wider types.
+        pcm = np.round(0.5 * np.sin(2 * np.pi * 440.0 * np.arange(8000) / 8000) * 2**15)
+        loaded = []
+        for dtype, shift in ((np.int16, 0), (np.int32, 16), (np.int64, 48)):
+            path = tmp_path / f"sine-{np.dtype(dtype).name}.wav"
+            wavfile.write(path, 8000, pcm.astype(dtype) << shift)
+            samples, _ = load_wav(path)
+            assert np.abs(samples).max() <= 1.0
+            loaded.append(samples)
+        assert np.abs(loaded[0]).max() == pytest.approx(0.5, abs=1e-4)
+        assert np.abs(loaded[1] - loaded[0]).max() <= 1e-9
+        assert np.abs(loaded[2] - loaded[0]).max() <= 1e-9
+
     def test_mono_24bit(self, tmp_path):
         path = tmp_path / "deep.wav"
         value = 1 << 22  # half of 24-bit full scale (2^23)

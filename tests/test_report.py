@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import tracemalloc
 import warnings
@@ -495,6 +496,22 @@ class TestPipeline:
         for p, data in snapshot.items():
             assert Path(p).read_bytes() == data
 
+    def test_outputs_list_only_what_this_run_wrote(self, manifest_path, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "pattern-05.contours.csv").write_text("stale\n")
+        summary = run_pipeline(manifest_path, out_dir=out)
+        names = [Path(p).name for p in summary["outputs"]]
+        assert names == sorted(
+            f"{artifact}{sidecar}" for sidecar in ("", ".prov.json") for artifact in (
+                "sample-daemok.histogram.json", "sample-daemok.histogram.svg", "patterns.json",
+                "pattern-00.contours.csv", "pattern-00.overlay.svg", "pattern-00.vibrato.json",
+            )
+        )
+        assert summary["outputs"] == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "pattern-05.contours.csv"])
+        assert (out / "pattern-05.contours.csv").read_text() == "stale\n"
+
     def test_all_svg_outputs_are_well_formed(self, manifest_path, tmp_path):
         summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
         for p in summary["outputs"]:
@@ -806,3 +823,32 @@ def test_no_contour_outlives_its_pattern(fixtures_dir, tmp_path, monkeypatch):
     assert patterns == list(summary["contour_sets"]) and len(patterns) == 2
     assert len(refs) == sum(summary["contour_sets"].values()) > len(patterns)
     assert all(ref() is None for ref in refs)
+
+
+def test_the_readme_settings_table_lists_every_setting():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | type | default |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    keys = [row.split("`")[1] for row in table.splitlines()]
+    assert keys == list(report.DEFAULT_SETTINGS)
+
+
+def test_the_yin_settings_are_the_estimator_arguments_and_the_extract_flags():
+    import inspect
+
+    from sorimir import cli
+    from sorimir.pitch_track import estimate_f0_yin
+
+    params = inspect.signature(estimate_f0_yin).parameters
+    keyword = [name for name, p in params.items() if p.default is not inspect.Parameter.empty]
+    assert list(report._NESTED_KEYS["yin"]) == keyword
+    # `f0 extract` passes each parsed flag to the estimator under its own keyword.
+    seen = {}
+
+    def estimate(samples, sample_rate, **kwargs):
+        seen.update(kwargs)
+        return sorimir.pitch_track.F0Track(np.zeros(0), np.zeros(0), 0.01)
+
+    with mock.patch.object(cli, "load_wav", return_value=(np.zeros(1), 8000)), \
+            mock.patch.object(cli, "estimate_f0_yin", estimate):
+        assert cli.main(["f0", "extract", "--in", "x.wav", "--out", os.devnull]) == 0
+    assert sorted(seen) == sorted(keyword)
