@@ -453,27 +453,55 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
     return normalized, settings
 
 
-def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict]:
+def load_corpus(entries: list[dict], settings: dict,
+                meanwhile=lambda events_by_id: None) -> tuple[dict, dict, dict]:
     """Every entry's score events, beat grid read against its score (`ScoreGrid`, which checks
-    that both have the same number of measures) and filtered F0 track, each keyed by daemok id."""
-    events_by_id, grids, tracks = {}, {}, {}
+    that both have the same number of measures) and filtered F0 track, each keyed by daemok id.
+
+    Where its F0 CSVs repay a fork (`_reader_pays`), one forked child, the F0 reader, imports
+    and filters them while this process parses the scores and beats, decodes any audio and
+    then calls `meanwhile(events_by_id)`. If this process fails first, the reader is killed and
+    the CSVs of the entries before the failure are read here. Either way the error raised is
+    the first in serial order (entry by entry; score, beats, then F0 within one), after the
+    warnings that came before it, and a reader that dies fails at its first entry's `f0`."""
     spec = JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
     config = FilterConfig(**settings["filter"])
-    for entry in entries:
+
+    def load(job: int):
+        """Job 2i gives entry i's `(events, grid)`, job 2i + 1 its filtered F0 track."""
+        entry = entries[job // 2]
         daemok_id = entry["id"]
-        with _stage("score", daemok_id):
-            score = parse_musicxml(Path(entry["score"]).read_bytes())
-            events_by_id[daemok_id] = note_sequence(score, merge_ties=settings["merge_ties"])
-        with _stage("beats", daemok_id):
-            grids[daemok_id] = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
+        if job % 2 == 0:
+            with _stage("score", daemok_id):
+                score = parse_musicxml(Path(entry["score"]).read_bytes())
+                events = note_sequence(score, merge_ties=settings["merge_ties"])
+            with _stage("beats", daemok_id):
+                return events, ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
         with _stage("f0", daemok_id):
             if "f0_csv" in entry:
                 track = import_f0_csv(Path(entry["f0_csv"]).read_text())
             else:
                 samples, sample_rate = load_wav(entry["audio"])
                 track = estimate_f0_yin(samples, sample_rate, **settings["yin"])
-            tracks[daemok_id] = filter_track(track, config)
-    return events_by_id, grids, tracks
+            return filter_track(track, config)
+
+    reader = [2 * i + 1 for i, e in enumerate(entries) if "f0_csv" in e]
+    reader = reader if _reader_pays(entries) else []
+    with _forked(load, [reader] if reader else []) as children:
+        done = _run_share(load, sorted(set(range(2 * len(entries))) - set(reader)))
+        failed = done[-1][0] if done[-1][3] is not None else None
+        if failed is None:
+            meanwhile({entries[j // 2]["id"]: r[0] for j, r, _, _ in done if j % 2 == 0})
+            done += _collect(children)
+    if failed is not None:  # the reader is killed: read the CSVs before the failure here
+        done += _run_share(load, [j for j in reader if j < failed])
+    try:
+        loaded = _in_job_order(done)
+    except ChildProcessError as exc:  # only the reader can raise one unstaged: it died
+        raise PipelineError("f0", entries[reader[0] // 2]["id"], exc) from exc
+    ids = [entry["id"] for entry in entries]
+    events, grids = zip(*loaded[::2])
+    return dict(zip(ids, events)), dict(zip(ids, grids)), dict(zip(ids, loaded[1::2]))
 
 
 def mine_index(events_by_id: dict, settings: dict) -> PatternIndex:
@@ -554,26 +582,54 @@ def _staging_dir(out_root: Path):
         raise
 
 
-# Occurrences that each process of the contour stage must be given for its fork to repay
-# itself. Measured on a 2-vCPU host (README "Performance"): a fork and join costs the parent
-# about 10 ms (3 ms for the fork, pipe and wait alone, the rest in copy-on-write faults), and
-# splitting a stage two ways saves about 0.18 ms per placed occurrence, of the 0.5-0.6 ms an
-# occurrence costs serially. That breaks even at about 30 occurrences a share; the minimum
-# is twice that.
+# Occurrences that each process of the output stages must be given for its fork to repay
+# itself, the stages' jobs being weighed in occurrences of the contour stage. Measured on a
+# 2-vCPU host (README "Performance"): a fork and join costs the parent about 10 ms (3 ms for
+# the fork, pipe and wait alone, the rest in copy-on-write faults), and splitting a stage two
+# ways saves about 0.18 ms per placed occurrence, of the 0.5-0.6 ms an occurrence costs
+# serially. That breaks even at about 30 occurrences a share; the minimum is twice that.
 MIN_SHARE_OCCURRENCES = 60
+
+# What one daemok's histogram job (both histograms, their affinities, the JSON and SVG and
+# their sidecars) weighs in occurrences. Timed serially on that host (README "Performance"),
+# it cost as much as 4.3-4.5 occurrences on csv_corpus, and more on longer tracks.
+HISTOGRAM_WEIGHT = 4
+
+# `patterns.json` occurrence rows that cost as much to write as one occurrence to place,
+# timed the same way: 340-370 on both csv_corpus and pattern_dense.
+ROWS_PER_OCCURRENCE = 350
+
+# F0 CSV bytes that repay forking the F0 reader of `load_corpus` (README "Performance").
+MIN_READER_BYTES = 1 << 20
+
+
+def _can_fork() -> bool:
+    """Whether a fork can pay: the process may use more than one CPU, and `os.fork` exists and
+    is safe, as no other thread runs (a child would inherit any lock that thread holds)."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and _kernels._cpu_count() > 1
+
+
+def _reader_pays(entries: list[dict]) -> bool:
+    """Whether `load_corpus` forks its F0 reader: `_can_fork`, and the entries' F0 CSVs hold
+    `MIN_READER_BYTES` or more (a file that cannot be read counts 0; it fails when read)."""
+    if not _can_fork():
+        return False
+    total = 0
+    for entry in entries:
+        with suppress(KeyError, OSError):
+            total += os.stat(entry["f0_csv"]).st_size
+    return total >= MIN_READER_BYTES
 
 
 def _shares(weights: list[int]) -> list[list[int]]:
     """Job indices split into one share per process of the fan-out, each in job order.
 
     There are as many shares as the CPUs the process may use, but never more than there are
-    jobs, nor more than the jobs' summed weight repays at `MIN_SHARE_OCCURRENCES` a share.
-    There is one share where `os.fork` is missing, or unsafe because another thread runs (a
-    child would inherit any lock that thread holds). Jobs go in descending weight (ties in job
-    order) to the least-loaded share (ties to the first), so the split depends only on the
-    weights and the CPU count."""
-    can_fork = hasattr(os, "fork") and threading.active_count() == 1
-    count = max(1, min(_kernels._cpu_count(), len(weights)) if can_fork else 1)
+    jobs, nor more than the jobs' summed weight repays at `MIN_SHARE_OCCURRENCES` a share, and
+    one where `_can_fork` says no. Jobs go in descending weight (ties in job order) to the
+    least-loaded share (ties to the first), so the split depends only on the weights and the
+    CPU count."""
+    count = max(1, min(_kernels._cpu_count(), len(weights))) if _can_fork() else 1
     while count > 1 and sum(weights) < count * MIN_SHARE_OCCURRENCES:
         count -= 1
     shares, loads = [[] for _ in range(count)], [0] * count
@@ -618,6 +674,68 @@ def _warn_again(caught: list[tuple]) -> None:
                                env.setdefault("__warningregistry__", {}), env or None)
 
 
+@contextmanager
+def _forked(job, shares: list[list[int]]):
+    """Fork one child for each of `shares` to run it (`_run_child`), and yield the list of
+    `(pid, share, read end of its result pipe)`. `_collect` takes what the children send; a
+    child still in the list on exit, because the parent failed or needs it no more, is killed
+    and reaped."""
+    children = []
+    try:
+        for share in shares:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_child(job, share, write_end)
+            os.close(write_end)
+            children.append((pid, share, read_end))
+        yield children
+    finally:
+        for pid, _, read_end in children:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.close(read_end)
+            os.waitpid(pid, 0)
+
+
+def _collect(children: list) -> list[tuple]:
+    """What the children in `children` sent (`_run_share`'s tuples), first child first, each
+    reaped once read and taken off the list. A child that died before it sent everything
+    gives `(its share's first index, None, [], ChildProcessError)` instead."""
+    done = []
+    while children:
+        pid, share, read_end = children[0]
+        with open(read_end, "rb", closefd=False) as pipe:
+            try:  # unpickled as it is read: the payload is never held as bytes as well
+                sent = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                sent = None
+        status = os.waitpid(pid, 0)[1]
+        children.pop(0)
+        os.close(read_end)
+        done += sent if sent is not None else [(share[0], None, [], ChildProcessError(
+            f"a worker process ended with exit code {os.waitstatus_to_exitcode(status)} "
+            "before it returned its results"))]
+    return done
+
+
+def _in_job_order(done: list[tuple]) -> list:
+    """The results of `done` (`_run_share`'s tuples, from any processes) in job order, each
+    job's warnings warned again before it; the first job that failed raises its error."""
+    results = []
+    for _, result, caught, error in sorted(done, key=lambda d: d[0]):
+        _warn_again(caught)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
 def _fan_out(job, weights: list[int]) -> list:
     """`[job(i) for i in range(len(weights))]`, with the jobs split over processes (`_shares`).
 
@@ -628,53 +746,21 @@ def _fan_out(job, weights: list[int]) -> list:
     and its result kept, until the first job that failed: its error is raised. So the
     caller sees what a serial loop over the jobs would have given it."""
     shares = _shares(weights)
-    done, children = [], []  # children: (pid, its share, the read end of its result pipe)
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(job, share, write_end)
-            os.close(write_end)
-            children.append((pid, share, read_end))
-        done += _run_share(job, shares[0])
-        while children:
-            pid, share, read_end = children[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            os.close(read_end)
-            if payload:
-                done += pickle.loads(payload)
-            else:  # the child died before it could send anything: fail at its first job
-                code = os.waitstatus_to_exitcode(status)
-                done.append((share[0], None, [], ChildProcessError(
-                    f"a worker process ended with exit code {code} before it returned its results"
-                )))
-    finally:
-        for pid, _, read_end in children:  # left only if the parent failed: stop and reap them
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.close(read_end)
-            os.waitpid(pid, 0)
-    results = []
-    for _, result, caught, error in sorted(done, key=lambda d: d[0]):
-        _warn_again(caught)
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
+    with _forked(job, shares[1:]) as children:
+        done = _run_share(job, shares[0])
+        done += _collect(children)
+    return _in_job_order(done)
 
 
 def _run_child(job, share: list[int], write_end: int):
     """A forked child's whole life: run `share`, send what `_run_share` returns over
     `write_end`, and exit. It never returns into the parent's stack, so no `finally`,
-    `atexit` handler or buffered output of the parent runs twice."""
+    `atexit` handler or buffered output of the parent runs twice. Protocol 5 pickles a
+    read-only array as bytes, so it is unpickled read-only, without a copy."""
     code = 1
     try:
         with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_share(job, share)))
+            pickle.dump(_run_share(job, share), pipe, protocol=5)
         code = 0
     finally:
         os._exit(code)
@@ -687,6 +773,10 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     `.prov.json` sidecar. Each is written into a new staging directory as it is built, and the
     directory's files, the summary's `outputs`, are moved into `out_dir` once every stage has
     passed: a failed run leaves no partial outputs behind.
+
+    The n-gram index is mined while `load_corpus`'s F0 reader runs. The histograms,
+    `patterns.json` and each pattern's contour artifacts are then the jobs of one fan-out
+    (`_fan_out`), in that order, so errors and warnings still come in stage order.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
@@ -702,7 +792,19 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                   "settings": settings, "version": __version__}
     corpus_prov = dump_json(provenance)
     reference = reference_hz(settings)
-    events_by_id, grids, tracks = load_corpus(entries, settings)
+
+    def mine(events: dict, _) -> PatternIndex:
+        with _stage("patterns", "*"):
+            return mine_index(events, settings)
+
+    # The index is mined beside the F0 reader. Its result, warnings and error are held as
+    # `_run_share` gives them, for the `patterns.json` job to replay after the histograms'.
+    mined = []
+    events_by_id, grids, tracks = load_corpus(
+        entries, settings,
+        meanwhile=lambda events: mined.extend(_run_share(partial(mine, events), [0])))
+    ((_, index, mine_warnings, mine_error),) = mined
+    patterns = settings["contour_patterns"]
     out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
 
     with _staging_dir(out_root) as staging:
@@ -713,10 +815,10 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 with open(staging / file_name, "w", newline="\n") as fh:
                     fh.write(body) if isinstance(body, str) else body(fh.write)
 
-        for daemok_id, events in events_by_id.items():
+        def histogram_job(daemok_id: str) -> None:
             with _stage("histogram", daemok_id):
                 f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
-                score_hist = score_duration_histogram(events)
+                score_hist = score_duration_histogram(events_by_id[daemok_id])
                 record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
                 # A histogram is built from its daemok's score and F0 input, not from its beats.
                 own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
@@ -724,11 +826,12 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
                 emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
-        with _stage("patterns", "*"):
-            index = mine_index(events_by_id, settings)
-            emit("patterns.json", partial(pattern_index_record, index))
-
-        patterns = settings["contour_patterns"]
+        def patterns_job() -> None:
+            _warn_again(mine_warnings)
+            if mine_error is not None:
+                raise mine_error
+            with _stage("patterns", "*"):
+                emit("patterns.json", partial(pattern_index_record, index))
 
         def contour_job(pi: int) -> int:
             """Write pattern `pi`'s artifacts and sidecars; return its placed count. Its
@@ -738,9 +841,17 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 emit(f"pattern-{pi:02d}.{suffix}", render())
             return count
 
-        with _stage("contours", "*"):  # a job's error, wherever it ran, or a child that died
-            placed = dict(zip(patterns, _fan_out(
-                contour_job, [index.support(NGramPattern.from_text(t)) for t in patterns])))
+        # Jobs are weighed in placed occurrences. Where mining failed, the `patterns.json` job
+        # raises its error, and no contour job follows it.
+        rows = 0 if mine_error else sum(map(len, index.occurrences.values()))
+        supports = [] if mine_error else [index.support(NGramPattern.from_text(text))
+                                          for text in patterns]
+        jobs = ([partial(histogram_job, d) for d in events_by_id] + [patterns_job]
+                + [partial(contour_job, pi) for pi in range(len(supports))])
+        weights = [HISTOGRAM_WEIGHT] * len(events_by_id) + [rows // ROWS_PER_OCCURRENCE] + supports
+        with _stage("contours", "*"):  # a contour job's error, wherever it ran, or a child that died
+            results = _fan_out(lambda j: jobs[j](), weights)
+        placed = dict(zip(patterns, results[len(events_by_id) + 1:]))
 
         outputs = sorted(os.listdir(staging))  # a new directory: only `emit` wrote into it
         for name in outputs:

@@ -1,4 +1,5 @@
-"""The contour stage of `run` split over processes: the same outputs and errors on any CPU count."""
+"""`run`'s forked work, the F0 reader beside the score parse and the output stages split over
+processes: the same outputs and errors on any CPU count."""
 
 import json
 import os
@@ -9,11 +10,13 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sorimir
 from sorimir import _kernels, report
 from sorimir.cli import main
+from sorimir.errors import IncompatibleHistogramError
 from sorimir.patterns import NGramPattern
 
 # Patterns of the meter-12-8 fixture (min_support 1) and what `run` makes of each.
@@ -40,18 +43,35 @@ def _manifest(fixtures_dir, tmp_path, patterns, **settings) -> Path:
     return path
 
 
+# The output fan-out of a one-daemok manifest: its histogram job, the `patterns.json` job, then
+# one job per contour pattern from this index on.
+FIRST_PATTERN = 2
+
+
 def _weights(manifest) -> list[int]:
-    """The support of each of the manifest's contour patterns, as `run` weighs its jobs."""
+    """The weight of each job of `run`'s output fan-out, as `run` weighs them: one histogram
+    job per daemok, the `patterns.json` job, then each contour pattern's support."""
     entries, settings = report.load_manifest(manifest)
     index = report.mine_index(report.load_corpus(entries, settings)[0], settings)
-    return [index.support(NGramPattern.from_text(p)) for p in settings["contour_patterns"]]
+    rows = sum(map(len, index.occurrences.values()))
+    return ([report.HISTOGRAM_WEIGHT] * len(entries) + [rows // report.ROWS_PER_OCCURRENCE]
+            + [index.support(NGramPattern.from_text(p)) for p in settings["contour_patterns"]])
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """`pin(n)`: the process may use n CPUs, and every pattern repays a fork."""
+    """`pin(n)`: the process may use n CPUs, every job repays a fork and any F0 CSV the reader."""
     monkeypatch.setattr(report, "MIN_SHARE_OCCURRENCES", 0)
+    monkeypatch.setattr(report, "MIN_READER_BYTES", 0)
     return lambda n: monkeypatch.setattr(_kernels, "_cpu_count", lambda: n)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Every child this process forks from now on, as a list that grows by one for each."""
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+    return forked
 
 
 class TestShares:
@@ -72,7 +92,7 @@ class TestShares:
         (2, [60, 59], 1),  # 119 occurrences do not repay two shares of 60
         (2, [60, 60], 2),
         (3, [100, 50, 29], 2),  # 179 repay two shares, not three
-        (2, [3, 3], 1),  # wav_long: 6 occurrences stay serial
+        (2, [4, 4, 0, 3, 3], 1),  # wav_long: 2 histograms, patterns.json, 6 occurrences
         (1, [500, 500], 1),
         (2, [], 1),
     ])
@@ -102,33 +122,43 @@ class TestShares:
 
 
 _RUN_PINNED = """
-import sys
+import os, sys
 from sorimir import _kernels, cli, report
 _kernels._cpu_count = lambda: int(sys.argv[1])
-report.MIN_SHARE_OCCURRENCES = 0
-sys.exit(cli.main(sys.argv[2:]))
+if sys.argv[2] == "lowered":  # every job repays a fork, and any F0 CSV the reader
+    report.MIN_SHARE_OCCURRENCES = report.MIN_READER_BYTES = 0
+fork = os.fork
+def counted():  # the parent adds a line to `forks` for each child it forks
+    pid = fork()
+    if pid:
+        with open("forks", "a") as fh:
+            fh.write("fork\\n")
+    return pid
+os.fork = counted
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-def _run_pinned(manifest, cwd: Path, count: int) -> subprocess.CompletedProcess:
-    """`sorimir run` in a fresh interpreter whose process may use `count` CPUs, writing `out`."""
+def _run_pinned(manifest, cwd: Path, count: int, lowered: bool = True) -> tuple:
+    """`sorimir run` in a fresh interpreter whose process may use `count` CPUs, writing `out`
+    in `cwd`: its exit code, stdout, stderr, `{name: bytes}` of `out`, and how many children it
+    forked. If `lowered`, every job repays a fork and any F0 CSV the reader."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(sorimir.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-c", _RUN_PINNED, str(count), "run", "--manifest", str(manifest),
-         "--out-dir", "out"],
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_PINNED, str(count), "lowered" if lowered else "measured",
+         "run", "--manifest", str(manifest), "--out-dir", "out"],
         cwd=cwd, env=env, capture_output=True, timeout=120,
     )
+    out, forks = cwd / "out", cwd / "forks"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    forked = len(forks.read_text().splitlines()) if forks.exists() else 0
+    return done.returncode, done.stdout, done.stderr, files, forked
 
 
 def test_run_is_byte_identical_on_one_two_and_three_cpus(fixtures_dir, tmp_path):
     manifest = _manifest(fixtures_dir, tmp_path, PATTERNS)
-    runs = {}
-    for count in (1, 2, 3):
-        done = _run_pinned(manifest, tmp_path / f"cpus{count}", count)
-        out = tmp_path / f"cpus{count}" / "out"
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        runs[count] = (done.returncode, done.stdout, done.stderr, files)
+    runs = {count: _run_pinned(manifest, tmp_path / f"cpus{count}", count)[:4] for count in (1, 2, 3)}
     assert runs[1] == runs[2] == runs[3]
     code, stdout, stderr, files = runs[1]
     assert code == 0
@@ -163,7 +193,8 @@ def test_a_job_failing_in_a_child_gives_the_serial_json_line(
     for count in (1, 2, 3):
         cpus(count)
         if count > 1:  # the warning and the failing job run in children, not in the parent
-            assert {0, 1}.isdisjoint(report._shares(_weights(manifest))[0])
+            shares = report._shares(_weights(manifest))
+            assert {FIRST_PATTERN, FIRST_PATTERN + 1}.isdisjoint(shares[0])
         lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
         assert not (tmp_path / f"out{count}").exists()
     assert lines[0] == lines[1] == lines[2]
@@ -174,19 +205,25 @@ def test_a_job_failing_in_a_child_gives_the_serial_json_line(
 
 
 def test_a_failure_in_the_parents_share_waits_for_the_children(capsys, cpus, fixtures_dir,
-                                                               tmp_path):
-    # PAIR runs in the parent and fails first; the children's later warnings are dropped.
+                                                               tmp_path, monkeypatch):
+    # The histogram job, the heaviest, runs in the parent and fails first; the children's
+    # later warnings and errors (PAIR and THREE fail at 10**15 samples) are dropped.
+    def failing(f0_hist, score_hist):
+        raise IncompatibleHistogramError("boom")
+
+    monkeypatch.setattr(report, "render_histogram_figure", failing)
     manifest = _manifest(fixtures_dir, tmp_path, [PAIR, PAST_20, THREE, PAST_22],
                          samples_per_contour=10**15)
     lines = []
     for count in (1, 2, 3):
         cpus(count)
-        assert 0 in report._shares(_weights(manifest))[0]
+        shares = report._shares(_weights(manifest))
+        assert len(shares) == count and 0 in shares[0]
         lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
         assert not (tmp_path / f"out{count}").exists()
     assert lines[0] == lines[1] == lines[2]
     assert "warnings" not in lines[0]
-    assert lines[0]["message"].startswith("stage 'contours' failed for daemok '*': Unable to")
+    assert lines[0]["message"] == "stage 'histogram' failed for daemok 'meter-12-8': boom"
 
 
 def test_a_child_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path, monkeypatch):
@@ -204,7 +241,7 @@ def test_a_child_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path
         "type": "PipelineError",
         "message": "stage 'contours' failed for daemok '*': a worker process ended with exit "
                    "code 9 before it returned its results",
-    }  # at the child's first pattern, PAST_20: no warning comes before it
+    }  # at the child's first job, `patterns.json`: no warning comes before it
     assert not (tmp_path / "out").exists()
 
 
@@ -235,3 +272,176 @@ def test_results_and_warnings_come_back_in_job_order(cpus, recwarn):
     texts = [str(w.message) for w in recwarn]
     assert [t.split(" from ")[0] for t in texts] == [f"job {i}" for i in range(5)]
     assert {t.split(" from ")[1] for t in texts} == {"parent", "child"}
+
+
+# Inputs that fail to load, each at the stage of its entry key.
+_BAD = {"score": "<score-partwise", "beats": "measure,beat,time\n", "f0_csv": "not,an,f0,csv\n",
+        "audio": "not a wav"}
+
+
+def _mixed(fixtures_dir, tmp_path, bad=()) -> Path:
+    """A manifest of four copies of the fixture daemok, d1 to d4, of which d3 reads a WAV tone
+    instead of the F0 CSV. Each `(daemok id, entry key)` of `bad` gets an input that fails."""
+    from scipy.io import wavfile
+
+    manifest = json.loads((fixtures_dir / "manifest.json").read_text())
+    entry = {k: v if k == "id" else str(fixtures_dir / v) for k, v in manifest["daemok"][0].items()}
+    wav = tmp_path / "tone.wav"
+    t = np.arange(22050) / 22050
+    wavfile.write(wav, 22050, (0.5 * np.sin(2 * np.pi * 440.0 * t) * 32767).astype(np.int16))
+    manifest["daemok"] = []
+    for daemok_id in ("d1", "d2", "d3", "d4"):
+        copy = {**entry, "id": daemok_id}
+        if daemok_id == "d3":
+            del copy["f0_csv"]
+            copy["audio"] = str(wav)
+        for key in (key for bad_id, key in bad if bad_id == daemok_id):
+            (tmp_path / f"{daemok_id}.{key}").write_text(_BAD[key])
+            copy[key] = str(tmp_path / f"{daemok_id}.{key}")
+        manifest["daemok"].append(copy)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("bad, stage, daemok_id", [
+    ((("d1", "f0_csv"), ("d2", "score")), "f0", "d1"),
+    ((("d1", "score"), ("d2", "f0_csv")), "score", "d1"),
+    ((("d2", "beats"), ("d2", "f0_csv")), "beats", "d2"),
+    ((("d4", "f0_csv"),), "f0", "d4"),  # the reader's own error, sent over its pipe
+    ((("d3", "audio"), ("d4", "f0_csv")), "f0", "d3"),  # audio is decoded in the parent
+])
+def test_the_first_error_in_serial_order_wins(capsys, cpus, forks, fixtures_dir, tmp_path, bad,
+                                              stage, daemok_id):
+    manifest = _mixed(fixtures_dir, tmp_path, bad)
+    lines = []
+    for count in (1, 2):
+        cpus(count)
+        lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
+        assert len(forks) == count - 1  # the F0 reader, on two CPUs only
+    assert lines[0] == lines[1]
+    assert lines[0]["message"].startswith(f"stage '{stage}' failed for daemok '{daemok_id}'")
+
+
+@pytest.mark.parametrize("histogram_fails", [True, False])
+def test_mining_fails_after_the_histograms_though_it_runs_before_them(
+    capsys, cpus, fixtures_dir, tmp_path, monkeypatch, histogram_fails
+):
+    record = report.histogram_record
+
+    def mine(events_by_id, settings):
+        warnings.warn("mined")
+        raise ValueError("no index")
+
+    def histogram(daemok_id, *args):
+        if histogram_fails and daemok_id == "d2":
+            raise ValueError("no histogram")
+        return record(daemok_id, *args)
+
+    monkeypatch.setattr(report, "mine_index", mine)
+    monkeypatch.setattr(report, "histogram_record", histogram)
+    manifest = _mixed(fixtures_dir, tmp_path)
+    lines = []
+    for count in (1, 2):
+        cpus(count)
+        lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
+    assert lines[0] == lines[1]
+    if histogram_fails:
+        assert lines[0] == {"type": "PipelineError",
+                            "message": "stage 'histogram' failed for daemok 'd2': no histogram"}
+    else:
+        assert lines[0] == {"type": "PipelineError", "warnings": ["mined"],
+                            "message": "stage 'patterns' failed for daemok '*': no index"}
+
+
+def test_the_reader_gives_the_serial_corpus(cpus, forks, fixtures_dir, tmp_path):
+    entries, settings = report.load_manifest(_mixed(fixtures_dir, tmp_path))
+    cpus(1)
+    events, grids, tracks = report.load_corpus(entries, settings)
+    cpus(2)
+    seen = []
+    forked = report.load_corpus(entries, settings, meanwhile=seen.append)
+    assert len(forks) == 1 and seen == [events] and list(seen[0]) == ["d1", "d2", "d3", "d4"]
+    assert forked[0] == events and list(forked[1]) == list(grids) and list(forked[2]) == list(tracks)
+    for daemok_id, track in forked[2].items():
+        assert track.hop_s == tracks[daemok_id].hop_s
+        for name in ("f0_hz", "confidence"):
+            sent, own = getattr(track, name), getattr(tracks[daemok_id], name)
+            np.testing.assert_array_equal(sent, own)
+            assert not sent.flags.writeable  # read-only, as a track built in this process
+
+
+def test_a_score_error_kills_and_reaps_a_running_reader(capsys, cpus, forks, fixtures_dir,
+                                                        tmp_path, monkeypatch):
+    manifest = _mixed(fixtures_dir, tmp_path, [("d2", "score")])
+    cpus(1)
+    serial = _json_line(capsys, manifest, tmp_path / "out1")
+    cpus(2)
+    parent, import_csv = os.getpid(), report.import_f0_csv
+
+    def slow(text):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed long before
+        return import_csv(text)
+
+    monkeypatch.setattr(report, "import_f0_csv", slow)
+    start = time.monotonic()
+    assert _json_line(capsys, manifest, tmp_path / "out2") == serial  # d1's CSV read here
+    assert time.monotonic() - start < 30  # the no_child_process_left fixture checks the reaping
+    assert len(forks) == 1
+    assert serial["message"].startswith("stage 'score' failed for daemok 'd2'")
+
+
+def test_a_reader_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path, monkeypatch):
+    cpus(2)
+    parent, import_csv = os.getpid(), report.import_f0_csv
+
+    def dying(text):
+        if os.getpid() != parent:
+            os._exit(3)
+        return import_csv(text)
+
+    monkeypatch.setattr(report, "import_f0_csv", dying)
+    manifest = _mixed(fixtures_dir, tmp_path)
+    assert _json_line(capsys, manifest, tmp_path / "out") == {
+        "type": "PipelineError",
+        "message": "stage 'f0' failed for daemok 'd1': a worker process ended with exit code 3 "
+                   "before it returned its results",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_corpus_that_splits_every_stage_is_byte_identical_on_one_two_and_three_cpus(
+    capsys, cpus, fixtures_dir, tmp_path, monkeypatch
+):
+    # 40 copies of the fixture daemok: 1.3 MB of F0 CSV, enough for the reader, and output
+    # jobs that split three ways at the measured thresholds (160 in histograms, 80 occurrences).
+    manifest = _manifest_of_copies(fixtures_dir, tmp_path, [f"copy-{i:02d}" for i in range(40)])
+    runs = {count: _run_pinned(manifest, tmp_path / f"cpus{count}", count, lowered=False)
+            for count in (1, 2, 3)}
+    assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 2, 3: 3}  # reader + shares
+    assert runs[1][:4] == runs[2][:4] == runs[3][:4]
+    code, stdout, _, files, _ = runs[1]
+    assert code == 0 and len(files) == 2 * (2 * 40 + 1 + 3)
+    assert json.loads(stdout)["contour_sets"] == {"A4:2/1 C5:2/1": 80}
+
+    # One CPU is the serial path, whatever the thresholds: nothing is forked.
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    cpus(1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.chdir(tmp_path / "cpus1")
+    assert main(["run", "--manifest", str(manifest), "--out-dir", "serial"]) == 0
+    assert capsys.readouterr().out.encode() == stdout.replace(b'"out/', b'"serial/')
+    assert {p.name: p.read_bytes() for p in sorted(Path("serial").iterdir())} == files
+
+
+def _manifest_of_copies(fixtures_dir, tmp_path, ids) -> Path:
+    """The fixture manifest with its one daemok's inputs repeated under each of `ids`."""
+    manifest = json.loads((fixtures_dir / "manifest.json").read_text())
+    entry = {k: v if k == "id" else str(fixtures_dir / v) for k, v in manifest["daemok"][0].items()}
+    manifest["daemok"] = [{**entry, "id": daemok_id} for daemok_id in ids]
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps(manifest))
+    return path

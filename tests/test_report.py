@@ -575,12 +575,13 @@ class TestPipeline:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("mine_index", "contours_csv", "render_contour_overlay"):
+        for name in ("pattern_index_record", "contours_csv", "render_contour_overlay"):
             monkeypatch.setattr(report, name, traced(name, getattr(report, name)))
         summary = run_pipeline(manifest_path, out_dir=out)
         histograms = ["sample-daemok.histogram.json", "sample-daemok.histogram.json.prov.json",
                       "sample-daemok.histogram.svg", "sample-daemok.histogram.svg.prov.json"]
-        assert seen["mine_index"] == histograms
+        # `patterns.json` is open, and still empty, while its text is written into it.
+        assert seen["pattern_index_record"] == sorted(histograms + ["patterns.json"])
         assert seen["contours_csv"] == sorted(histograms + ["patterns.json", "patterns.json.prov.json"])
         assert "pattern-00.contours.csv" in seen["render_contour_overlay"]
         assert sorted(p.name for p in out.iterdir()) == [Path(f).name for f in summary["outputs"]]
