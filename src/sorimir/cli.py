@@ -262,8 +262,7 @@ def _cmd_patterns(args) -> int:
 
     # contours | vibrato: `run`'s contour stage for one pattern, every setting from the manifest
     entries, settings = report.load_manifest(args.manifest)
-    events_by_id, grids, tracks = report.load_corpus(entries, settings)
-    index = report.mine_index(events_by_id, settings)
+    _, grids, tracks, index = report.load_corpus(entries, settings)
     _, artifacts = report.pattern_artifacts(index, args.pattern, grids, tracks, settings)
     if args.patterns_command == "contours":
         _write_outputs(args, artifacts["contours.csv"], artifacts["overlay.svg"])

@@ -196,7 +196,8 @@ def render_contour_overlay(contours: list[Contour]) -> str:
     """Overlay of occurrence contours on the normalized beat axis.
 
     Missing values break a contour into separate polylines; the legend
-    names each occurrence by daemok and onset.
+    names each occurrence by daemok and onset, in as many rows as fit above
+    the x axis, the last of them "+k more" where the others do not fit.
     """
     n = _contour_length(contours)
     svg = _Svg(_WIDTH, _HEIGHT)
@@ -222,6 +223,8 @@ def render_contour_overlay(contours: list[Contour]) -> str:
     lo, hi = lo - pad, hi + pad
 
     xs = _fmt(x0 + plot_w * (np.arange(n) / max(n - 1, 1)))
+    rows = (plot_h - 6) // 14 + 1  # legend rows whose circle ends above the x axis
+    named = len(contours) if len(contours) <= rows else rows - 1
     for ci, contour in enumerate(contours):
         color = _PALETTE[ci % len(_PALETTE)]
         ys = _fmt(y0 - plot_h * (contour.values - lo) / (hi - lo))
@@ -230,9 +233,13 @@ def render_contour_overlay(contours: list[Contour]) -> str:
         for start, stop in np.flatnonzero(edges).reshape(-1, 2).tolist():
             if stop - start > 1:
                 svg.polyline(xs[start:stop], ys[start:stop], color)
-        ly = _MARGIN_T + 2 + 14 * ci
-        svg.circle(x0 + plot_w - 150, ly, 4, color)
-        svg.text(x0 + plot_w - 142, ly + 4, contour.label, size=10, anchor="start")
+        if ci < named:
+            ly = _MARGIN_T + 2 + 14 * ci
+            svg.circle(x0 + plot_w - 150, ly, 4, color)
+            svg.text(x0 + plot_w - 142, ly + 4, contour.label, size=10, anchor="start")
+    if named < len(contours):
+        svg.text(x0 + plot_w - 142, _MARGIN_T + 6 + 14 * named,
+                 f"+{len(contours) - named} more", size=10, anchor="start")
 
     for frac in (0.0, 0.5, 1.0):
         gx = x0 + plot_w * frac
@@ -453,22 +460,25 @@ def load_manifest(manifest_path) -> tuple[list[dict], dict]:
     return normalized, settings
 
 
-def load_corpus(entries: list[dict], settings: dict,
-                meanwhile=lambda events_by_id: None) -> tuple[dict, dict, dict]:
+def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, PatternIndex]:
     """Every entry's score events, beat grid read against its score (`ScoreGrid`, which checks
-    that both have the same number of measures) and filtered F0 track, each keyed by daemok id.
+    that both have the same number of measures) and filtered F0 track, each keyed by daemok id,
+    and the pattern index mined from the events (`mine_index`, under stage `patterns`).
 
-    Where its F0 CSVs repay a fork (`_reader_pays`), one forked child, the F0 reader, imports
-    and filters them while this process parses the scores and beats, decodes any audio and
-    then calls `meanwhile(events_by_id)`. If this process fails first, the reader is killed and
-    the CSVs of the entries before the failure are read here. Either way the error raised is
-    the first in serial order (entry by entry; score, beats, then F0 within one), after the
-    warnings that came before it, and a reader that dies fails at its first entry's `f0`."""
+    These are the jobs of one fan-out (`_fan_out`): 2i loads entry i's score and beats, 2i + 1
+    its F0 track, and the last job mines. Where its F0 CSVs repay a fork (`_reader_pays`),
+    their jobs are the share of one forked child, the F0 reader, while this process runs every
+    other job. The error raised is the first in serial order (entry by entry; score, beats,
+    then F0 within one; mining last), after the warnings that came before it, and a reader that
+    dies fails at its first entry's `f0`."""
     spec = JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
     config = FilterConfig(**settings["filter"])
+    events_by_id = {}
 
     def load(job: int):
-        """Job 2i gives entry i's `(events, grid)`, job 2i + 1 its filtered F0 track."""
+        if job == 2 * len(entries):
+            with _stage("patterns", "*"):
+                return mine_index(events_by_id, settings)
         entry = entries[job // 2]
         daemok_id = entry["id"]
         if job % 2 == 0:
@@ -476,7 +486,11 @@ def load_corpus(entries: list[dict], settings: dict,
                 score = parse_musicxml(Path(entry["score"]).read_bytes())
                 events = note_sequence(score, merge_ties=settings["merge_ties"])
             with _stage("beats", daemok_id):
-                return events, ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
+                grid = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
+            # Every score job and mining are in this process's share, run in job order, so
+            # mining sees every entry's events.
+            events_by_id[daemok_id] = events
+            return grid
         with _stage("f0", daemok_id):
             if "f0_csv" in entry:
                 track = import_f0_csv(Path(entry["f0_csv"]).read_text())
@@ -487,21 +501,13 @@ def load_corpus(entries: list[dict], settings: dict,
 
     reader = [2 * i + 1 for i, e in enumerate(entries) if "f0_csv" in e]
     reader = reader if _reader_pays(entries) else []
-    with _forked(load, [reader] if reader else []) as children:
-        done = _run_share(load, sorted(set(range(2 * len(entries))) - set(reader)))
-        failed = done[-1][0] if done[-1][3] is not None else None
-        if failed is None:
-            meanwhile({entries[j // 2]["id"]: r[0] for j, r, _, _ in done if j % 2 == 0})
-            done += _collect(children)
-    if failed is not None:  # the reader is killed: read the CSVs before the failure here
-        done += _run_share(load, [j for j in reader if j < failed])
+    own = sorted(set(range(2 * len(entries) + 1)) - set(reader))
     try:
-        loaded = _in_job_order(done)
+        *loaded, index = _fan_out(load, [own, reader] if reader else [own])
     except ChildProcessError as exc:  # only the reader can raise one unstaged: it died
         raise PipelineError("f0", entries[reader[0] // 2]["id"], exc) from exc
     ids = [entry["id"] for entry in entries]
-    events, grids = zip(*loaded[::2])
-    return dict(zip(ids, events)), dict(zip(ids, grids)), dict(zip(ids, loaded[1::2]))
+    return events_by_id, dict(zip(ids, loaded[::2])), dict(zip(ids, loaded[1::2])), index
 
 
 def mine_index(events_by_id: dict, settings: dict) -> PatternIndex:
@@ -674,15 +680,19 @@ def _warn_again(caught: list[tuple]) -> None:
                                env.setdefault("__warningregistry__", {}), env or None)
 
 
-@contextmanager
-def _forked(job, shares: list[list[int]]):
-    """Fork one child for each of `shares` to run it (`_run_child`), and yield the list of
-    `(pid, share, read end of its result pipe)`. `_collect` takes what the children send; a
-    child still in the list on exit, because the parent failed or needs it no more, is killed
-    and reaped."""
-    children = []
+def _fan_out(job, shares: list[list[int]]) -> list:
+    """`[job(i) for i in range(n)]`, with the job indices 0 to n - 1 split into `shares` (each in
+    job order; `run_pipeline` passes `_shares(weights)`).
+
+    The parent runs the first share and forks one child for each other (`_run_child`), whose
+    results and errors must pickle. It reads and reaps every child, even after a job of its own
+    failed; a child that died before it sent everything fails at its share's first job. Only a
+    parent stopped by an error that is not an `Exception` kills its children, and reaps them.
+    Then, in job order, each job's warnings are warned again and its result kept, until the
+    first job that failed raises its error: the caller sees what a serial loop would give it."""
+    children = []  # (pid, its share, the read end of its result pipe)
     try:
-        for share in shares:
+        for share in shares[1:]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -694,39 +704,26 @@ def _forked(job, shares: list[list[int]]):
                 _run_child(job, share, write_end)
             os.close(write_end)
             children.append((pid, share, read_end))
-        yield children
+        done = _run_share(job, shares[0])
+        while children:
+            pid, share, read_end = children[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                try:  # unpickled as it is read: the payload is never held as bytes as well
+                    sent = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    sent = None
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read_end)
+            done += sent if sent is not None else [(share[0], None, [], ChildProcessError(
+                f"a worker process ended with exit code {os.waitstatus_to_exitcode(status)} "
+                "before it returned its results"))]
     finally:
-        for pid, _, read_end in children:
+        for pid, _, read_end in children:  # left only if the parent was stopped
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.close(read_end)
             os.waitpid(pid, 0)
-
-
-def _collect(children: list) -> list[tuple]:
-    """What the children in `children` sent (`_run_share`'s tuples), first child first, each
-    reaped once read and taken off the list. A child that died before it sent everything
-    gives `(its share's first index, None, [], ChildProcessError)` instead."""
-    done = []
-    while children:
-        pid, share, read_end = children[0]
-        with open(read_end, "rb", closefd=False) as pipe:
-            try:  # unpickled as it is read: the payload is never held as bytes as well
-                sent = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                sent = None
-        status = os.waitpid(pid, 0)[1]
-        children.pop(0)
-        os.close(read_end)
-        done += sent if sent is not None else [(share[0], None, [], ChildProcessError(
-            f"a worker process ended with exit code {os.waitstatus_to_exitcode(status)} "
-            "before it returned its results"))]
-    return done
-
-
-def _in_job_order(done: list[tuple]) -> list:
-    """The results of `done` (`_run_share`'s tuples, from any processes) in job order, each
-    job's warnings warned again before it; the first job that failed raises its error."""
     results = []
     for _, result, caught, error in sorted(done, key=lambda d: d[0]):
         _warn_again(caught)
@@ -734,22 +731,6 @@ def _in_job_order(done: list[tuple]) -> list:
             raise error
         results.append(result)
     return results
-
-
-def _fan_out(job, weights: list[int]) -> list:
-    """`[job(i) for i in range(len(weights))]`, with the jobs split over processes (`_shares`).
-
-    The parent forks one child for each share but the first, which it runs itself. A child
-    runs its share (`_run_share`), sends the results over a pipe and leaves through
-    `os._exit`; what the jobs return, and any error, must pickle. Every child is reaped
-    before this returns or raises. Then, in job order, each job's warnings are warned again
-    and its result kept, until the first job that failed: its error is raised. So the
-    caller sees what a serial loop over the jobs would have given it."""
-    shares = _shares(weights)
-    with _forked(job, shares[1:]) as children:
-        done = _run_share(job, shares[0])
-        done += _collect(children)
-    return _in_job_order(done)
 
 
 def _run_child(job, share: list[int], write_end: int):
@@ -774,9 +755,9 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     directory's files, the summary's `outputs`, are moved into `out_dir` once every stage has
     passed: a failed run leaves no partial outputs behind.
 
-    The n-gram index is mined while `load_corpus`'s F0 reader runs. The histograms,
-    `patterns.json` and each pattern's contour artifacts are then the jobs of one fan-out
-    (`_fan_out`), in that order, so errors and warnings still come in stage order.
+    `load_corpus` reads the inputs and mines the n-gram index. `patterns.json`, the histograms
+    and each pattern's contour artifacts are then the jobs of one fan-out (`_fan_out` over
+    `_shares` of their weights), in that order, so errors and warnings come in stage order.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
@@ -793,17 +774,7 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     corpus_prov = dump_json(provenance)
     reference = reference_hz(settings)
 
-    def mine(events: dict, _) -> PatternIndex:
-        with _stage("patterns", "*"):
-            return mine_index(events, settings)
-
-    # The index is mined beside the F0 reader. Its result, warnings and error are held as
-    # `_run_share` gives them, for the `patterns.json` job to replay after the histograms'.
-    mined = []
-    events_by_id, grids, tracks = load_corpus(
-        entries, settings,
-        meanwhile=lambda events: mined.extend(_run_share(partial(mine, events), [0])))
-    ((_, index, mine_warnings, mine_error),) = mined
+    events_by_id, grids, tracks, index = load_corpus(entries, settings)
     patterns = settings["contour_patterns"]
     out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
 
@@ -814,6 +785,10 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
             for file_name, body in ((name, content), (name + ".prov.json", prov_text)):
                 with open(staging / file_name, "w", newline="\n") as fh:
                     fh.write(body) if isinstance(body, str) else body(fh.write)
+
+        def patterns_job() -> None:
+            with _stage("patterns", "*"):
+                emit("patterns.json", partial(pattern_index_record, index))
 
         def histogram_job(daemok_id: str) -> None:
             with _stage("histogram", daemok_id):
@@ -826,13 +801,6 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
                 emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
-        def patterns_job() -> None:
-            _warn_again(mine_warnings)
-            if mine_error is not None:
-                raise mine_error
-            with _stage("patterns", "*"):
-                emit("patterns.json", partial(pattern_index_record, index))
-
         def contour_job(pi: int) -> int:
             """Write pattern `pi`'s artifacts and sidecars; return its placed count. Its
             contours are freed on return, before the process places its next pattern."""
@@ -841,16 +809,14 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 emit(f"pattern-{pi:02d}.{suffix}", render())
             return count
 
-        # Jobs are weighed in placed occurrences. Where mining failed, the `patterns.json` job
-        # raises its error, and no contour job follows it.
-        rows = 0 if mine_error else sum(map(len, index.occurrences.values()))
-        supports = [] if mine_error else [index.support(NGramPattern.from_text(text))
-                                          for text in patterns]
-        jobs = ([partial(histogram_job, d) for d in events_by_id] + [patterns_job]
-                + [partial(contour_job, pi) for pi in range(len(supports))])
-        weights = [HISTOGRAM_WEIGHT] * len(events_by_id) + [rows // ROWS_PER_OCCURRENCE] + supports
+        # Jobs are weighed in placed occurrences: `patterns.json` rows, histograms, then supports.
+        rows = sum(map(len, index.occurrences.values()))
+        jobs = ([patterns_job] + [partial(histogram_job, d) for d in events_by_id]
+                + [partial(contour_job, pi) for pi in range(len(patterns))])
+        weights = ([rows // ROWS_PER_OCCURRENCE] + [HISTOGRAM_WEIGHT] * len(events_by_id)
+                   + [index.support(NGramPattern.from_text(text)) for text in patterns])
         with _stage("contours", "*"):  # a contour job's error, wherever it ran, or a child that died
-            results = _fan_out(lambda j: jobs[j](), weights)
+            results = _fan_out(lambda j: jobs[j](), _shares(weights))
         placed = dict(zip(patterns, results[len(events_by_id) + 1:]))
 
         outputs = sorted(os.listdir(staging))  # a new directory: only `emit` wrote into it

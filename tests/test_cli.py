@@ -682,6 +682,26 @@ class TestLoadStages:
             assert f"stage '{stage}' failed for daemok 'sample-daemok'" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--out-dir", "{out}", "--manifest"),
+        PATTERNS,
+        ("patterns", "vibrato", "--pattern", "A4:2/1 C5:2/1", "--manifest"),
+    ])
+    def test_a_mining_failure_is_stage_patterns(self, capsys, manifest_path, tmp_path,
+                                                monkeypatch, argv):
+        def failing(events_by_id, settings):
+            raise MemoryError("no room for the index")
+
+        monkeypatch.setattr(report, "mine_index", failing)
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        code, out, err = run_cli(capsys, *argv, str(manifest_path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "PipelineError",
+            "message": "stage 'patterns' failed for daemok '*': no room for the index",
+        }
+        assert not (tmp_path / "out").exists()
+
 
 _SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -0.5, 1e7])
 

@@ -1,6 +1,7 @@
 """`run`'s forked work, the F0 reader beside the score parse and the output stages split over
 processes: the same outputs and errors on any CPU count."""
 
+import ast
 import json
 import os
 import subprocess
@@ -43,18 +44,18 @@ def _manifest(fixtures_dir, tmp_path, patterns, **settings) -> Path:
     return path
 
 
-# The output fan-out of a one-daemok manifest: its histogram job, the `patterns.json` job, then
+# The output fan-out of a one-daemok manifest: the `patterns.json` job, its histogram job, then
 # one job per contour pattern from this index on.
 FIRST_PATTERN = 2
 
 
 def _weights(manifest) -> list[int]:
-    """The weight of each job of `run`'s output fan-out, as `run` weighs them: one histogram
-    job per daemok, the `patterns.json` job, then each contour pattern's support."""
+    """The weight of each job of `run`'s output fan-out, as `run` weighs them: the
+    `patterns.json` job, one histogram job per daemok, then each contour pattern's support."""
     entries, settings = report.load_manifest(manifest)
-    index = report.mine_index(report.load_corpus(entries, settings)[0], settings)
+    index = report.load_corpus(entries, settings)[3]
     rows = sum(map(len, index.occurrences.values()))
-    return ([report.HISTOGRAM_WEIGHT] * len(entries) + [rows // report.ROWS_PER_OCCURRENCE]
+    return ([rows // report.ROWS_PER_OCCURRENCE] + [report.HISTOGRAM_WEIGHT] * len(entries)
             + [index.support(NGramPattern.from_text(p)) for p in settings["contour_patterns"]])
 
 
@@ -218,7 +219,7 @@ def test_a_failure_in_the_parents_share_waits_for_the_children(capsys, cpus, fix
     for count in (1, 2, 3):
         cpus(count)
         shares = report._shares(_weights(manifest))
-        assert len(shares) == count and 0 in shares[0]
+        assert len(shares) == count and 1 in shares[0]
         lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
         assert not (tmp_path / f"out{count}").exists()
     assert lines[0] == lines[1] == lines[2]
@@ -245,8 +246,7 @@ def test_a_child_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def test_an_error_of_the_parents_own_kills_and_reaps_every_child(cpus):
-    cpus(3)
+def test_an_error_of_the_parents_own_kills_and_reaps_every_child():
     parent = os.getpid()
 
     def job(i):
@@ -256,19 +256,17 @@ def test_an_error_of_the_parents_own_kills_and_reaps_every_child(cpus):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        report._fan_out(job, [1, 1, 1])
+        report._fan_out(job, [[0], [1], [2]])
     assert time.monotonic() - start < 30  # the no_child_process_left fixture checks the reaping
 
 
-def test_results_and_warnings_come_back_in_job_order(cpus, recwarn):
-    cpus(3)
-
+def test_results_and_warnings_come_back_in_job_order(recwarn):
     def job(i):
         warnings.warn(f"job {i} from {'parent' if os.getpid() == parent else 'child'}")
         return i * i
 
     parent = os.getpid()
-    assert report._fan_out(job, [5, 4, 3, 2, 1]) == [0, 1, 4, 9, 16]
+    assert report._fan_out(job, [[0], [1, 4], [2, 3]]) == [0, 1, 4, 9, 16]
     texts = [str(w.message) for w in recwarn]
     assert [t.split(" from ")[0] for t in texts] == [f"job {i}" for i in range(5)]
     assert {t.split(" from ")[1] for t in texts} == {"parent", "child"}
@@ -323,18 +321,20 @@ def test_the_first_error_in_serial_order_wins(capsys, cpus, forks, fixtures_dir,
     assert lines[0]["message"].startswith(f"stage '{stage}' failed for daemok '{daemok_id}'")
 
 
-@pytest.mark.parametrize("histogram_fails", [True, False])
-def test_mining_fails_after_the_histograms_though_it_runs_before_them(
-    capsys, cpus, fixtures_dir, tmp_path, monkeypatch, histogram_fails
-):
-    record = report.histogram_record
+@pytest.mark.parametrize("mining_fails", [True, False])
+def test_mining_fails_and_warns_before_the_histograms(capsys, cpus, fixtures_dir, tmp_path,
+                                                      monkeypatch, mining_fails):
+    mine_index, record = report.mine_index, report.histogram_record
 
     def mine(events_by_id, settings):
         warnings.warn("mined")
-        raise ValueError("no index")
+        if mining_fails:
+            raise ValueError("no index")
+        return mine_index(events_by_id, settings)
 
     def histogram(daemok_id, *args):
-        if histogram_fails and daemok_id == "d2":
+        warnings.warn(f"histogram of {daemok_id}")
+        if daemok_id == "d2":
             raise ValueError("no histogram")
         return record(daemok_id, *args)
 
@@ -346,23 +346,24 @@ def test_mining_fails_after_the_histograms_though_it_runs_before_them(
         cpus(count)
         lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
     assert lines[0] == lines[1]
-    if histogram_fails:
-        assert lines[0] == {"type": "PipelineError",
-                            "message": "stage 'histogram' failed for daemok 'd2': no histogram"}
-    else:
+    if mining_fails:
         assert lines[0] == {"type": "PipelineError", "warnings": ["mined"],
                             "message": "stage 'patterns' failed for daemok '*': no index"}
+    else:
+        assert lines[0] == {"type": "PipelineError",
+                            "warnings": ["mined", "histogram of d1", "histogram of d2"],
+                            "message": "stage 'histogram' failed for daemok 'd2': no histogram"}
 
 
 def test_the_reader_gives_the_serial_corpus(cpus, forks, fixtures_dir, tmp_path):
     entries, settings = report.load_manifest(_mixed(fixtures_dir, tmp_path))
     cpus(1)
-    events, grids, tracks = report.load_corpus(entries, settings)
+    events, grids, tracks, index = report.load_corpus(entries, settings)
     cpus(2)
-    seen = []
-    forked = report.load_corpus(entries, settings, meanwhile=seen.append)
-    assert len(forks) == 1 and seen == [events] and list(seen[0]) == ["d1", "d2", "d3", "d4"]
+    forked = report.load_corpus(entries, settings)
+    assert len(forks) == 1 and list(forked[0]) == ["d1", "d2", "d3", "d4"]
     assert forked[0] == events and list(forked[1]) == list(grids) and list(forked[2]) == list(tracks)
+    assert forked[3] == index and len(index) > 0
     for daemok_id, track in forked[2].items():
         assert track.hop_s == tracks[daemok_id].hop_s
         for name in ("f0_hz", "confidence"):
@@ -371,8 +372,8 @@ def test_the_reader_gives_the_serial_corpus(cpus, forks, fixtures_dir, tmp_path)
             assert not sent.flags.writeable  # read-only, as a track built in this process
 
 
-def test_a_score_error_kills_and_reaps_a_running_reader(capsys, cpus, forks, fixtures_dir,
-                                                        tmp_path, monkeypatch):
+def test_a_score_error_waits_for_a_slow_reader(capsys, cpus, forks, fixtures_dir, tmp_path,
+                                               monkeypatch):
     manifest = _mixed(fixtures_dir, tmp_path, [("d2", "score")])
     cpus(1)
     serial = _json_line(capsys, manifest, tmp_path / "out1")
@@ -381,13 +382,13 @@ def test_a_score_error_kills_and_reaps_a_running_reader(capsys, cpus, forks, fix
 
     def slow(text):
         if os.getpid() != parent:
-            time.sleep(60)  # killed long before
+            time.sleep(0.2)  # three CSVs: the parent fails long before the reader is done
         return import_csv(text)
 
     monkeypatch.setattr(report, "import_f0_csv", slow)
     start = time.monotonic()
-    assert _json_line(capsys, manifest, tmp_path / "out2") == serial  # d1's CSV read here
-    assert time.monotonic() - start < 30  # the no_child_process_left fixture checks the reaping
+    assert _json_line(capsys, manifest, tmp_path / "out2") == serial
+    assert time.monotonic() - start >= 0.5  # the no_child_process_left fixture checks the reaping
     assert len(forks) == 1
     assert serial["message"].startswith("stage 'score' failed for daemok 'd2'")
 
@@ -445,3 +446,17 @@ def _manifest_of_copies(fixtures_dir, tmp_path, ids) -> Path:
     path = tmp_path / "copies.json"
     path.write_text(json.dumps(manifest))
     return path
+
+
+def test_the_fan_out_is_the_only_place_that_forks():
+    """`sorimir` calls `os.fork` once, in `_fan_out`, so no second fork path grows back."""
+    calls = []
+    for path in sorted(Path(sorimir.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # id of a node -> the innermost function around it (ast.walk goes outside in)
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in ast.walk(function))
+        calls += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "fork"]
+    assert calls == [("report.py", "_fan_out")]

@@ -17,7 +17,7 @@ from sorimir.beat_grid import BeatGrid, JangdanSpec, ScoreGrid, load_beats
 from sorimir.errors import BeatValidationError, PipelineError
 from sorimir.patterns import NGramPattern, mine_ngrams, occurrence_contours, parse_token, tokenize
 from sorimir.pitch_track import import_f0_csv
-from sorimir.report import load_corpus, load_manifest, mine_index, reference_hz, run_pipeline
+from sorimir.report import load_corpus, load_manifest, reference_hz, run_pipeline
 from sorimir.score import Measure, NoteEvent, Score, TimeSignature, note_sequence, parse_musicxml
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,8 +114,7 @@ def meter_contours():
     placed = {}
     for name in make_fixtures.METERS:
         entries, settings = load_manifest(FIXTURES / f"{name}.manifest.json")
-        events_by_id, grids, tracks = load_corpus(entries, settings)
-        index = mine_index(events_by_id, settings)
+        _, grids, tracks, index = load_corpus(entries, settings)
         placed[name] = {
             text: occurrence_contours(index, NGramPattern.from_text(text), grids, tracks,
                                       samples_per_contour=settings["samples_per_contour"],

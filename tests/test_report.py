@@ -121,6 +121,25 @@ class TestContourOverlay:
         cs = [contour(np.sin(np.linspace(0, 3, 40)) * 30)]
         assert render_contour_overlay(cs) == render_contour_overlay(cs)
 
+    def test_twenty_four_contours_name_every_occurrence(self):
+        contours = [contour([float(i)] * 30, daemok=f"d{i}", onset=i) for i in range(24)]
+        assert render_contour_overlay(contours) == _overlay_oracle(contours)
+
+    def test_a_long_legend_stays_above_the_x_axis(self):
+        contours = [contour([float(i % 7)] * 30, daemok=f"d{i}", onset=i) for i in range(121)]
+        root = ET.fromstring(render_contour_overlay(contours))
+        ns = "{http://www.w3.org/2000/svg}"
+        axis = root.find(f"{ns}line")  # the x axis comes first
+        y0 = float(axis.get("y1"))
+        assert axis.get("y2") == axis.get("y1") and y0 > 300
+        circles = root.findall(f"{ns}circle")
+        legend = [t for t in root.findall(f"{ns}text") if t.get("text-anchor") == "start"]
+        assert len(circles) == 23 and len(legend) == 24
+        assert [t.text for t in legend] == [c.label for c in contours[:23]] + ["+98 more"]
+        assert all(float(c.get("cy")) + float(c.get("r")) < y0 for c in circles)
+        assert all(float(t.get("y")) < y0 for t in legend)
+        assert len(root.findall(f"{ns}polyline")) == 121
+
 
 class TestContoursCsv:
     def test_layout(self):
@@ -580,8 +599,8 @@ class TestPipeline:
         summary = run_pipeline(manifest_path, out_dir=out)
         histograms = ["sample-daemok.histogram.json", "sample-daemok.histogram.json.prov.json",
                       "sample-daemok.histogram.svg", "sample-daemok.histogram.svg.prov.json"]
-        # `patterns.json` is open, and still empty, while its text is written into it.
-        assert seen["pattern_index_record"] == sorted(histograms + ["patterns.json"])
+        # `patterns.json`, the first artifact, is open and still empty while its text is written.
+        assert seen["pattern_index_record"] == ["patterns.json"]
         assert seen["contours_csv"] == sorted(histograms + ["patterns.json", "patterns.json.prov.json"])
         assert "pattern-00.contours.csv" in seen["render_contour_overlay"]
         assert sorted(p.name for p in out.iterdir()) == [Path(f).name for f in summary["outputs"]]
@@ -602,10 +621,8 @@ class TestPipeline:
     def test_pattern_index_record_round_trips_json(self, manifest_path, tmp_path):
         run_pipeline(manifest_path, out_dir=tmp_path / "out")
         entries, settings = load_manifest(manifest_path)
-        events_by_id = report.load_corpus(entries, settings)[0]
         chunks = []
-        pattern_index_record(report.mine_index(events_by_id, settings),
-                             chunks.append)
+        pattern_index_record(report.load_corpus(entries, settings)[3], chunks.append)
         text = "".join(chunks)
         assert dump_json(json.loads(text)) == text == (tmp_path / "out" / "patterns.json").read_text()
         top = json.loads(text)["patterns"][0]
