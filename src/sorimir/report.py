@@ -465,47 +465,41 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
     that both have the same number of measures) and filtered F0 track, each keyed by daemok id,
     and the pattern index mined from the events (`mine_index`, under stage `patterns`).
 
-    These are the jobs of one fan-out (`_fan_out`): 2i loads entry i's score and beats, 2i + 1
-    its F0 track, and the last job mines. Where its F0 CSVs repay a fork (`_reader_pays`),
-    their jobs are the share of one forked child, the F0 reader, while this process runs every
-    other job. The error raised is the first in serial order (entry by entry; score, beats,
-    then F0 within one; mining last), after the warnings that came before it, and a reader that
-    dies fails at its first entry's `f0`."""
+    These are the jobs of one fan-out (`_fan_out`): 2i loads entry i's score and beats (stage
+    `score`, its beats under `beats`), 2i + 1 its F0 track (stage `f0`), and the last job mines.
+    Wherever a fork can pay (`_can_fork`) and some entry has an F0 CSV, the CSVs' jobs are the
+    share of one forked child, the F0 reader, while this process runs every other job. The
+    error raised is the first in serial order (entry by entry; score, beats, then F0 within
+    one; mining last), after the warnings that came before it, and a reader that dies fails at
+    `f0` of the daemok it was reading."""
     spec = JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
     config = FilterConfig(**settings["filter"])
     events_by_id = {}
 
-    def load(job: int):
-        if job == 2 * len(entries):
-            with _stage("patterns", "*"):
-                return mine_index(events_by_id, settings)
-        entry = entries[job // 2]
-        daemok_id = entry["id"]
-        if job % 2 == 0:
-            with _stage("score", daemok_id):
-                score = parse_musicxml(Path(entry["score"]).read_bytes())
-                events = note_sequence(score, merge_ties=settings["merge_ties"])
-            with _stage("beats", daemok_id):
-                grid = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
-            # Every score job and mining are in this process's share, run in job order, so
-            # mining sees every entry's events.
-            events_by_id[daemok_id] = events
-            return grid
-        with _stage("f0", daemok_id):
-            if "f0_csv" in entry:
-                track = import_f0_csv(Path(entry["f0_csv"]).read_text())
-            else:
-                samples, sample_rate = load_wav(entry["audio"])
-                track = estimate_f0_yin(samples, sample_rate, **settings["yin"])
-            return filter_track(track, config)
+    def score_job(entry: dict):
+        score = parse_musicxml(Path(entry["score"]).read_bytes())
+        events = note_sequence(score, merge_ties=settings["merge_ties"])
+        with _stage("beats", entry["id"]):
+            grid = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
+        # Every score job and mining are in this process's share, run in job order, so mining
+        # sees every entry's events.
+        events_by_id[entry["id"]] = events
+        return grid
 
-    reader = [2 * i + 1 for i, e in enumerate(entries) if "f0_csv" in e]
-    reader = reader if _reader_pays(entries) else []
-    own = sorted(set(range(2 * len(entries) + 1)) - set(reader))
-    try:
-        *loaded, index = _fan_out(load, [own, reader] if reader else [own])
-    except ChildProcessError as exc:  # only the reader can raise one unstaged: it died
-        raise PipelineError("f0", entries[reader[0] // 2]["id"], exc) from exc
+    def f0_job(entry: dict):
+        if "f0_csv" in entry:
+            track = import_f0_csv(Path(entry["f0_csv"]).read_text())
+        else:
+            samples, sample_rate = load_wav(entry["audio"])
+            track = estimate_f0_yin(samples, sample_rate, **settings["yin"])
+        return filter_track(track, config)
+
+    jobs = [job for entry in entries for job in (("score", entry["id"], partial(score_job, entry)),
+                                                  ("f0", entry["id"], partial(f0_job, entry)))]
+    jobs.append(("patterns", "*", lambda: mine_index(events_by_id, settings)))
+    reader = [2 * i + 1 for i, e in enumerate(entries) if "f0_csv" in e] if _can_fork() else []
+    own = sorted(set(range(len(jobs))) - set(reader))
+    *loaded, index = _fan_out(jobs, [own, reader] if reader else [own])
     ids = [entry["id"] for entry in entries]
     return events_by_id, dict(zip(ids, loaded[::2])), dict(zip(ids, loaded[1::2])), index
 
@@ -605,26 +599,10 @@ HISTOGRAM_WEIGHT = 4
 # timed the same way: 340-370 on both csv_corpus and pattern_dense.
 ROWS_PER_OCCURRENCE = 350
 
-# F0 CSV bytes that repay forking the F0 reader of `load_corpus` (README "Performance").
-MIN_READER_BYTES = 1 << 20
-
-
 def _can_fork() -> bool:
     """Whether a fork can pay: the process may use more than one CPU, and `os.fork` exists and
     is safe, as no other thread runs (a child would inherit any lock that thread holds)."""
     return hasattr(os, "fork") and threading.active_count() == 1 and _kernels._cpu_count() > 1
-
-
-def _reader_pays(entries: list[dict]) -> bool:
-    """Whether `load_corpus` forks its F0 reader: `_can_fork`, and the entries' F0 CSVs hold
-    `MIN_READER_BYTES` or more (a file that cannot be read counts 0; it fails when read)."""
-    if not _can_fork():
-        return False
-    total = 0
-    for entry in entries:
-        with suppress(KeyError, OSError):
-            total += os.stat(entry["f0_csv"]).st_size
-    return total >= MIN_READER_BYTES
 
 
 def _shares(weights: list[int]) -> list[list[int]]:
@@ -646,26 +624,26 @@ def _shares(weights: list[int]) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _run_share(job, share: list[int]) -> list[tuple]:
-    """`(index, job(index), caught warnings, None)` for each index of `share` in order, up to
-    and including the first job that raises, which gives `(index, None, caught, error)`.
+def _run_share(jobs: list[tuple], share: list[int]):
+    """Run each job of `share` in order under its stage (`_stage`), yielding `(index, result,
+    caught warnings, None)` as each ends, up to and including the first job that raises, which
+    yields `(index, None, caught, error)`.
 
     Every warning is caught, unfiltered, as `(text, category, filename, lineno)`: the parent
     warns them again in job order (`_warn_again`), through the filters they would have met."""
-    done = []
     for i in share:
+        stage, daemok_id, run = jobs[i]
         result = error = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                result = job(i)
+                with _stage(stage, daemok_id):
+                    result = run()
             except Exception as exc:  # the lowest failing job's error is raised, in job order
                 error = exc
-        done.append((i, result, [(str(w.message), w.category, w.filename, w.lineno)
-                                 for w in caught], error))
+        yield i, result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught], error
         if error is not None:
-            break
-    return done
+            return
 
 
 def _warn_again(caught: list[tuple]) -> None:
@@ -680,49 +658,54 @@ def _warn_again(caught: list[tuple]) -> None:
                                env.setdefault("__warningregistry__", {}), env or None)
 
 
-def _fan_out(job, shares: list[list[int]]) -> list:
-    """`[job(i) for i in range(n)]`, with the job indices 0 to n - 1 split into `shares` (each in
-    job order; `run_pipeline` passes `_shares(weights)`).
+def _fan_out(jobs: list[tuple], shares: list[list[int]]) -> list:
+    """The result of each of `jobs`, `(stage, daemok id, run)` with `run()` the job's work, with
+    the job indices split into `shares` (each in job order; `run_pipeline` passes
+    `_shares(weights)`). This is the one place that guards forked work: each job runs under its
+    own stage (`_stage`), wherever it runs.
 
     The parent runs the first share and forks one child for each other (`_run_child`), whose
-    results and errors must pickle. It reads and reaps every child, even after a job of its own
-    failed; a child that died before it sent everything fails at its share's first job. Only a
-    parent stopped by an error that is not an `Exception` kills its children, and reaps them.
-    Then, in job order, each job's warnings are warned again and its result kept, until the
-    first job that failed raises its error: the caller sees what a serial loop would give it."""
-    children = []  # (pid, its share, the read end of its result pipe)
+    results and errors must pickle. A child writes each job's outcome as soon as the job ends.
+    The parent reaps and reads every child, even after a job of its own failed; a child that
+    died fails at the first job of its share that it never reported, under that job's stage
+    and daemok, and a fork that fails at its share's first job. Only such a fork, or a parent
+    stopped by an error that is not an `Exception`, kills the children, and reaps them. Then,
+    in job order, each job's warnings are warned again and its result kept, until the first
+    job that failed raises its error: the caller sees what a serial loop would give it."""
+    children = []  # (pid, its share, the file it writes its results to)
     try:
         for share in shares[1:]:
-            read_end, write_end = os.pipe()
+            results_file = tempfile.TemporaryFile()
             try:
                 pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            except OSError as exc:  # no worker for the share: its first job cannot run
+                results_file.close()
+                raise PipelineError(*jobs[share[0]][:2], exc) from exc
             if pid == 0:
-                _run_child(job, share, write_end)
-            os.close(write_end)
-            children.append((pid, share, read_end))
-        done = _run_share(job, shares[0])
+                _run_child(jobs, share, results_file)
+            children.append((pid, share, results_file))
+        done = list(_run_share(jobs, shares[0]))
         while children:
-            pid, share, read_end = children[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                try:  # unpickled as it is read: the payload is never held as bytes as well
-                    sent = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    sent = None
+            pid, share, results_file = children[0]
             status = os.waitpid(pid, 0)[1]
             children.pop(0)
-            os.close(read_end)
-            done += sent if sent is not None else [(share[0], None, [], ChildProcessError(
-                f"a worker process ended with exit code {os.waitstatus_to_exitcode(status)} "
-                "before it returned its results"))]
+            sent = []
+            with results_file:
+                results_file.seek(0)
+                with suppress(EOFError, pickle.UnpicklingError):  # its end, or a cut-off pickle
+                    while True:  # unpickled as it is read: never held as bytes as well
+                        sent.append(pickle.load(results_file))
+            if len(sent) < len(share) and (not sent or sent[-1][3] is None):  # it died
+                i = share[len(sent)]
+                sent.append((i, None, [], PipelineError(*jobs[i][:2], ChildProcessError(
+                    f"a worker process ended with exit code {os.waitstatus_to_exitcode(status)} "
+                    "before it returned its results"))))
+            done += sent
     finally:
-        for pid, _, read_end in children:  # left only if the parent was stopped
+        for pid, _, results_file in children:  # left only if the parent was stopped
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-            os.close(read_end)
+            results_file.close()
             os.waitpid(pid, 0)
     results = []
     for _, result, caught, error in sorted(done, key=lambda d: d[0]):
@@ -733,15 +716,19 @@ def _fan_out(job, shares: list[list[int]]) -> list:
     return results
 
 
-def _run_child(job, share: list[int], write_end: int):
-    """A forked child's whole life: run `share`, send what `_run_share` returns over
-    `write_end`, and exit. It never returns into the parent's stack, so no `finally`,
-    `atexit` handler or buffered output of the parent runs twice. Protocol 5 pickles a
-    read-only array as bytes, so it is unpickled read-only, without a copy."""
+def _run_child(jobs: list[tuple], share: list[int], results_file):
+    """A forked child's whole life: run `share`, write each tuple `_run_share` yields to
+    `results_file` as soon as it comes, and exit. It never returns into the parent's stack, so
+    no `finally`, `atexit` handler or buffered output of the parent runs twice. Protocol 5
+    pickles a read-only array as bytes, so it is unpickled read-only, without a copy.
+
+    A file, unlike a pipe, never blocks the child until the parent reads: the parent reads
+    only once its own share is done, and a pipe would leave the child idle until then."""
     code = 1
     try:
-        with open(write_end, "wb") as pipe:
-            pickle.dump(_run_share(job, share), pipe, protocol=5)
+        for done in _run_share(jobs, share):
+            pickle.dump(done, results_file, protocol=5)
+            results_file.flush()  # reported before the next job starts, should that one kill it
         code = 0
     finally:
         os._exit(code)
@@ -757,7 +744,8 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
 
     `load_corpus` reads the inputs and mines the n-gram index. `patterns.json`, the histograms
     and each pattern's contour artifacts are then the jobs of one fan-out (`_fan_out` over
-    `_shares` of their weights), in that order, so errors and warnings come in stage order.
+    `_shares` of their weights), in that order and under stages `patterns`, `histogram` (of its
+    daemok) and `contours`, so errors and warnings come in stage order.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
@@ -786,20 +774,15 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 with open(staging / file_name, "w", newline="\n") as fh:
                     fh.write(body) if isinstance(body, str) else body(fh.write)
 
-        def patterns_job() -> None:
-            with _stage("patterns", "*"):
-                emit("patterns.json", partial(pattern_index_record, index))
-
         def histogram_job(daemok_id: str) -> None:
-            with _stage("histogram", daemok_id):
-                f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
-                score_hist = score_duration_histogram(events_by_id[daemok_id])
-                record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
-                # A histogram is built from its daemok's score and F0 input, not from its beats.
-                own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
-                prov = dump_json({**provenance, "inputs": own})
-                emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
-                emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
+            f0_hist = f0_histogram(tracks[daemok_id], reference_hz=reference)
+            score_hist = score_duration_histogram(events_by_id[daemok_id])
+            record = histogram_record(daemok_id, f0_hist, score_hist, settings["modes"])
+            # A histogram is built from its daemok's score and F0 input, not from its beats.
+            own = {k: v for k, v in hashes[daemok_id].items() if not k.endswith(":beats")}
+            prov = dump_json({**provenance, "inputs": own})
+            emit(f"{daemok_id}.histogram.json", partial(write_json, record), prov)
+            emit(f"{daemok_id}.histogram.svg", render_histogram_figure(f0_hist, score_hist), prov)
 
         def contour_job(pi: int) -> int:
             """Write pattern `pi`'s artifacts and sidecars; return its placed count. Its
@@ -811,12 +794,13 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
 
         # Jobs are weighed in placed occurrences: `patterns.json` rows, histograms, then supports.
         rows = sum(map(len, index.occurrences.values()))
-        jobs = ([patterns_job] + [partial(histogram_job, d) for d in events_by_id]
-                + [partial(contour_job, pi) for pi in range(len(patterns))])
+        jobs = ([("patterns", "*", partial(emit, "patterns.json",
+                                           partial(pattern_index_record, index)))]
+                + [("histogram", d, partial(histogram_job, d)) for d in events_by_id]
+                + [("contours", "*", partial(contour_job, pi)) for pi in range(len(patterns))])
         weights = ([rows // ROWS_PER_OCCURRENCE] + [HISTOGRAM_WEIGHT] * len(events_by_id)
                    + [index.support(NGramPattern.from_text(text)) for text in patterns])
-        with _stage("contours", "*"):  # a contour job's error, wherever it ran, or a child that died
-            results = _fan_out(lambda j: jobs[j](), _shares(weights))
+        results = _fan_out(jobs, _shares(weights))
         placed = dict(zip(patterns, results[len(events_by_id) + 1:]))
 
         outputs = sorted(os.listdir(staging))  # a new directory: only `emit` wrote into it

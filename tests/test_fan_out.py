@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 import sorimir
 from sorimir import _kernels, report
 from sorimir.cli import main
-from sorimir.errors import IncompatibleHistogramError
+from sorimir.errors import IncompatibleHistogramError, PipelineError
 from sorimir.patterns import NGramPattern
 
 # Patterns of the meter-12-8 fixture (min_support 1) and what `run` makes of each.
@@ -61,9 +62,8 @@ def _weights(manifest) -> list[int]:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """`pin(n)`: the process may use n CPUs, every job repays a fork and any F0 CSV the reader."""
+    """`pin(n)`: the process may use n CPUs, and every job repays a fork."""
     monkeypatch.setattr(report, "MIN_SHARE_OCCURRENCES", 0)
-    monkeypatch.setattr(report, "MIN_READER_BYTES", 0)
     return lambda n: monkeypatch.setattr(_kernels, "_cpu_count", lambda: n)
 
 
@@ -126,8 +126,8 @@ _RUN_PINNED = """
 import os, sys
 from sorimir import _kernels, cli, report
 _kernels._cpu_count = lambda: int(sys.argv[1])
-if sys.argv[2] == "lowered":  # every job repays a fork, and any F0 CSV the reader
-    report.MIN_SHARE_OCCURRENCES = report.MIN_READER_BYTES = 0
+if sys.argv[2] == "lowered":  # every job repays a fork
+    report.MIN_SHARE_OCCURRENCES = 0
 fork = os.fork
 def counted():  # the parent adds a line to `forks` for each child it forks
     pid = fork()
@@ -143,7 +143,7 @@ sys.exit(cli.main(sys.argv[3:]))
 def _run_pinned(manifest, cwd: Path, count: int, lowered: bool = True) -> tuple:
     """`sorimir run` in a fresh interpreter whose process may use `count` CPUs, writing `out`
     in `cwd`: its exit code, stdout, stderr, `{name: bytes}` of `out`, and how many children it
-    forked. If `lowered`, every job repays a fork and any F0 CSV the reader."""
+    forked. If `lowered`, every job repays a fork."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(sorimir.__file__).parents[1])}
     done = subprocess.run(
@@ -171,7 +171,12 @@ def test_run_is_byte_identical_on_one_two_and_three_cpus(fixtures_dir, tmp_path)
 
 
 def _json_line(capsys, manifest, out_dir) -> dict:
-    code = main(["run", "--manifest", str(manifest), "--out-dir", str(out_dir)])
+    return _error_of(capsys, ["run", "--manifest", str(manifest), "--out-dir", str(out_dir)])
+
+
+def _error_of(capsys, argv: list[str]) -> dict:
+    """The error of the command line `argv`, which must fail with one JSON line and exit 1."""
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     (line,) = captured.err.splitlines()
@@ -242,8 +247,41 @@ def test_a_child_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path
         "type": "PipelineError",
         "message": "stage 'contours' failed for daemok '*': a worker process ended with exit "
                    "code 9 before it returned its results",
-    }  # at the child's first job, `patterns.json`: no warning comes before it
+    }  # at the child's first contour job: no warning comes before it
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_worker_that_dies_is_named_at_the_job_it_was_running(capsys, cpus, fixtures_dir,
+                                                                 tmp_path, monkeypatch, count):
+    # d4's histogram job runs in a child after an earlier histogram job of its share reported.
+    parent, record = os.getpid(), report.histogram_record
+
+    def dying(daemok_id, *args):
+        warnings.warn(f"histogram of {daemok_id}")
+        if daemok_id == "d4" and os.getpid() != parent:
+            os._exit(9)
+        return record(daemok_id, *args)
+
+    monkeypatch.setattr(report, "histogram_record", dying)
+    manifest = _mixed(fixtures_dir, tmp_path)
+    cpus(count)
+    job = 1 + 3  # the jobs are `patterns.json`, then the histograms of d1 to d4
+    shares = report._shares(_weights(manifest))
+    (share,) = [share for share in shares if job in share]
+    assert share is not shares[0] and share.index(job) > 0
+    assert _json_line(capsys, manifest, tmp_path / "out") == {
+        "type": "PipelineError",
+        "warnings": ["histogram of d1", "histogram of d2", "histogram of d3"],
+        "message": "stage 'histogram' failed for daemok 'd4': a worker process ended with exit "
+                   "code 9 before it returned its results",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def _jobs(job, count: int) -> list[tuple]:
+    """`job(0)` to `job(count - 1)` as `_fan_out` jobs, job i under stage `job` of daemok `di`."""
+    return [("job", f"d{i}", partial(job, i)) for i in range(count)]
 
 
 def test_an_error_of_the_parents_own_kills_and_reaps_every_child():
@@ -256,8 +294,23 @@ def test_an_error_of_the_parents_own_kills_and_reaps_every_child():
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        report._fan_out(job, [[0], [1], [2]])
+        report._fan_out(_jobs(job, 3), [[0], [1], [2]])
     assert time.monotonic() - start < 30  # the no_child_process_left fixture checks the reaping
+
+
+def test_a_fork_that_fails_is_named_at_its_shares_first_job(monkeypatch):
+    fork, forked = os.fork, []
+
+    def failing():
+        if forked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forked.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    with pytest.raises(PipelineError, match=r"^stage 'job' failed for daemok 'd2': \[Errno 11\]"):
+        report._fan_out(_jobs(lambda i: i, 4), [[0], [1], [2, 3]])
+    assert len(forked) == 1  # the first child, killed and reaped on the way out
 
 
 def test_results_and_warnings_come_back_in_job_order(recwarn):
@@ -266,7 +319,7 @@ def test_results_and_warnings_come_back_in_job_order(recwarn):
         return i * i
 
     parent = os.getpid()
-    assert report._fan_out(job, [[0], [1, 4], [2, 3]]) == [0, 1, 4, 9, 16]
+    assert report._fan_out(_jobs(job, 5), [[0], [1, 4], [2, 3]]) == [0, 1, 4, 9, 16]
     texts = [str(w.message) for w in recwarn]
     assert [t.split(" from ")[0] for t in texts] == [f"job {i}" for i in range(5)]
     assert {t.split(" from ")[1] for t in texts} == {"parent", "child"}
@@ -410,6 +463,55 @@ def test_a_reader_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_pat
                    "before it returned its results",
     }
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_reader_that_dies_is_named_at_the_csv_it_was_reading(capsys, cpus, forks, fixtures_dir,
+                                                                tmp_path, monkeypatch, count):
+    parent, import_csv, read = os.getpid(), report.import_f0_csv, []
+
+    def dying(text):
+        if os.getpid() != parent:
+            read.append(None)
+            if len(read) == 3:  # d4's, after d1's and d2's (d3 reads a WAV)
+                os._exit(3)
+        return import_csv(text)
+
+    monkeypatch.setattr(report, "import_f0_csv", dying)
+    cpus(count)
+    assert _json_line(capsys, _mixed(fixtures_dir, tmp_path), tmp_path / "out") == {
+        "type": "PipelineError",
+        "message": "stage 'f0' failed for daemok 'd4': a worker process ended with exit code 3 "
+                   "before it returned its results",
+    }
+    assert len(forks) == 1 and not (tmp_path / "out").exists()
+
+
+def test_an_unreadable_csv_fails_at_f0_through_the_reader(capsys, cpus, forks, fixtures_dir,
+                                                          tmp_path):
+    # `patterns contours` hashes no input first (it has no `inputs` stage): the F0 job is the
+    # first to open d2's CSV, which is missing.
+    manifest = _mixed(fixtures_dir, tmp_path)
+    data = json.loads(manifest.read_text())
+    data["daemok"][1]["f0_csv"] = str(tmp_path / "missing.f0.csv")
+    manifest.write_text(json.dumps(data))
+    lines = []
+    for count in (1, 2):
+        cpus(count)
+        lines.append(_error_of(capsys, ["patterns", "contours", "--manifest", str(manifest),
+                                        "--pattern", "A4:2/1 C5:2/1"]))
+        assert len(forks) == count - 1  # the F0 reader, on two CPUs only
+    assert lines[0] == lines[1]
+    assert lines[0]["message"].startswith("stage 'f0' failed for daemok 'd2': [Errno 2]")
+
+
+def test_one_daemok_forks_one_reader_and_is_byte_identical(fixtures_dir, manifest_path, tmp_path):
+    # The fixture's 32 KB of F0 CSV: any CSV is read in a forked reader where a fork can pay.
+    runs = {count: _run_pinned(manifest_path, tmp_path / f"cpus{count}", count, lowered=False)
+            for count in (1, 2)}
+    assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 1}
+    assert runs[1][:4] == runs[2][:4]
+    assert runs[1][0] == 0 and len(runs[1][3]) == 2 * (2 + 1 + 3)
 
 
 def test_a_corpus_that_splits_every_stage_is_byte_identical_on_one_two_and_three_cpus(

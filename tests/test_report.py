@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sorimir
-from sorimir import report
+from sorimir import _kernels, report
 from sorimir.errors import (
     IncompatibleContourError,
     IncompatibleHistogramError,
@@ -792,9 +792,11 @@ def test_names_wrapped_by_the_pipeline_benchmark_exist():
 
 
 def test_every_traced_span_on_the_csv_path_is_called(manifest_path, tmp_path, monkeypatch):
-    """A refactor that stops calling a wrapped global would silently drop its benchmark span."""
+    """A refactor that stops calling a wrapped global would silently drop its benchmark span.
+    On one CPU, the serial path: a span recorded in a forked child stays in the child."""
     import importlib
 
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
     child = _pipebench_child()
     tracer = child.Tracer("test")
     for module_name, attr, name, counts in child.TRACED:
