@@ -1,19 +1,33 @@
 """The YIN lag search, the hot numeric kernel.
 
 The difference function is computed as in YIN's eq. 7 (de Cheveigné &
-Kawahara, JASA 2002): d(τ) = r_t(0) + r_{t+τ}(0) − 2 r_t(τ). The cross term
-r_t(τ) comes from real FFTs of each frame; the energy terms come from a
-cumulative sum of x² taken over each frame's own span, so a loud passage
-never costs precision in a quiet frame after it.
+Kawahara, JASA 2002): d(τ) = r_t(0) + r_{t+τ}(0) − 2 r_t(τ). Each term is a
+sum over the window, so it splits over any partition of the window. Frame i's
+window is cut into hop-blocks: blocks i..i+q−1 whole, where q = window // hop,
+and the first rem = window % hop samples of block i+q (hop ≥ window is q = 0).
+A hop-block lies in about window / hop frames (4.6 at the defaults), and its
+partial terms are computed once for all of them:
+
+- the cross term r_t(τ): the real FFTs of the block's target (its first
+  min(hop, window) samples and the tau_max after them) and of its heads (its
+  first hop and its first rem samples), multiplied as conj(head) · target. A
+  frame sums its q whole-block products and its rem product, in block order,
+  and takes one inverse FFT. The FFT size is _fast_len(min(hop, window) +
+  tau_max), 600 at the default settings and 22.05 kHz, and a frame costs
+  about four such FFTs: three forward per hop-block, one inverse per frame.
+- the energy terms: a cumulative sum of x² over each block's own target, so
+  the sums are local to one hop (10 ms by default) and a loud passage never
+  costs precision in a quiet frame after it.
 
 Frames are processed in fixed blocks of BLOCK_FRAMES, so temporaries stay
-the same size however long the signal is. The blocks are independent, and
+the same size however long the signal is; a block recomputes the q or q + 1
+hop-blocks it shares with the next one. The blocks are independent, and
 numpy's FFTs and array loops release the GIL, so the blocks are split into
 one share per CPU the process may use (at most MAX_WORKERS); the calling
 thread runs the first share and a helper thread each other one, and each
 writes its rows straight into the shared output arrays. Every row goes
 through the same operations whichever thread or block holds it, so the
-tracks are bit-identical for any CPU count.
+tracks are bit-identical for any CPU count and block size.
 """
 
 from __future__ import annotations
@@ -24,9 +38,9 @@ import threading
 import numpy as np
 
 USING_NUMBA = False  # the kernel is pure numpy; kept for run metadata
-# Frames per block. One block's temporaries peak at about 1.7 MB at span 1381
-# (the default settings at 22.05 kHz), and at most MAX_WORKERS blocks are in
-# flight: 3 × 64 frames peak below the single 256-frame block used before.
+# Frames per block. One block's temporaries peak at about 1.2 MB at the default
+# settings at 22.05 kHz, and at most MAX_WORKERS blocks are in flight: 3 × 64
+# frames peak below a single 256-frame block.
 BLOCK_FRAMES = 64
 MAX_WORKERS = 3
 
@@ -55,18 +69,53 @@ def _fast_len(n):
     return best
 
 
-def _difference(frames, window, tau_max, n_fft):
-    """d[i, τ] for τ in 0..tau_max over rows of `frames` (each window + tau_max long)."""
-    # conj(head) · spec is formed in place, so at most two spectra are alive at once.
-    spec = np.fft.rfft(frames[:, :window], n=n_fft)
-    np.conjugate(spec, out=spec)
-    spec *= np.fft.rfft(frames, n=n_fft)
-    twice_cross = 2.0 * np.fft.irfft(spec, n=n_fft)[:, : tau_max + 1]
+def _difference(x, first, count, window, hop, tau_max):
+    """d[r, τ] for τ in 0..tau_max of frames first + r, r in 0..count - 1, from hop-block partials.
+
+    Counted from hop-block `first`, frame first + r is made of hop-blocks r..r+q-1 whole and of
+    the first rem samples of hop-block r + q.
+    """
+    q, rem = divmod(window, hop)
+    size = min(hop, window) + tau_max  # a hop-block's target: what a frame uses of it, and tau_max more
+    n_fft = _fast_len(size)
+    n_blocks = count + q - (rem == 0)  # up to the last frame's last hop-block
+    start, stop = first * hop, (first + n_blocks - 1) * hop + size
+    seg = x[start:stop]
+    if seg.shape[0] < stop - start:  # the target of the last frame's rem hop-block runs past x
+        seg = np.concatenate([seg, np.zeros(stop - start - seg.shape[0])])
+    targets = np.lib.stride_tricks.sliding_window_view(seg, size)[::hop]
+
+    def frame_sums(block_terms):
+        """Each frame's sum of `block_terms(head)` over its hop-blocks, added in hop-block order,
+        so a frame's row has the same bits in any block of frames."""
+        total = 0.0
+        for head, offsets in ((hop, range(q)), (rem, range(q, q + (rem > 0)))):
+            if offsets:
+                terms = block_terms(head)
+                for k in offsets:
+                    total += terms[k : k + count]
+                del terms
+        return total
+
+    energy = np.zeros((n_blocks, size + 1))
+    np.cumsum(targets * targets, axis=1, out=energy[:, 1:])
+    # Σ x² over the frame's samples shifted by τ; at τ = 0 it is the frame's own energy.
+    lagged = frame_sums(lambda head: energy[:, head : head + tau_max + 1] - energy[:, : tau_max + 1])
+    del energy
+    spec = np.fft.rfft(targets, n=n_fft)
+
+    def block_cross(head):
+        """Spectra of r(τ) = Σ head · target(τ) over each hop-block's first `head` samples."""
+        cross = np.fft.rfft(targets[:, :head], n=n_fft)
+        np.conjugate(cross, out=cross)
+        cross *= spec
+        return cross
+
+    cross = frame_sums(block_cross)
     del spec
-    energy = np.zeros((frames.shape[0], frames.shape[1] + 1))
-    np.cumsum(frames * frames, axis=1, out=energy[:, 1:])
-    tail = energy[:, window : window + tau_max + 1] - energy[:, : tau_max + 1]
-    d = energy[:, window, None] + tail - twice_cross
+    twice_cross = 2.0 * np.fft.irfft(cross, n=n_fft)[:, : tau_max + 1]
+    del cross
+    d = lagged[:, :1] + lagged - twice_cross
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -126,10 +175,7 @@ def yin_lag_search(x, window, hop, tau_min, tau_max, threshold):
     and refined by parabolic interpolation. Returns (lags, cmndf_minima)
     with lag = NaN and minimum = 1.0 for frames without a dip.
     """
-    span = window + tau_max
-    n_frames = (x.shape[0] - span) // hop + 1
-    n_fft = _fast_len(span)
-    frames = np.lib.stride_tricks.sliding_window_view(x, span)[::hop]
+    n_frames = (x.shape[0] - window - tau_max) // hop + 1
     lags, minima = np.empty(n_frames), np.empty(n_frames)
     workers = min(_cpu_count(), max(1, -(-n_frames // BLOCK_FRAMES)), MAX_WORKERS)
     stop, errors = threading.Event(), [None] * workers
@@ -142,7 +188,7 @@ def yin_lag_search(x, window, hop, tau_min, tau_max, threshold):
                 if stop.is_set():
                     return
                 e = min(b + BLOCK_FRAMES, n_frames)
-                d = _difference(frames[b:e], window, tau_max, n_fft)
+                d = _difference(x, b, e - b, window, hop, tau_max)
                 lags[b:e], minima[b:e] = _search(d, tau_min, tau_max, threshold)
         except BaseException as exc:
             errors[share] = exc

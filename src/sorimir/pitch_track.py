@@ -106,6 +106,12 @@ def estimate_f0_yin(
         raise ConfigurationError(f"sample rate {sample_rate} Hz < 8000 Hz minimum")
     if not 0 < search_min_hz < search_max_hz:
         raise ConfigurationError(f"bad search range {search_min_hz}..{search_max_hz} Hz")
+    if not 0 < threshold < np.inf:
+        raise ConfigurationError(f"YIN threshold {threshold} is not finite and positive")
+    if not np.isfinite([frame_s * sample_rate, hop_s * sample_rate]).all():
+        raise ConfigurationError(
+            f"frame_s {frame_s} and hop_s {hop_s} must be finite numbers of samples at {sample_rate} Hz"
+        )
 
     window = int(round(frame_s * sample_rate))
     hop = int(round(hop_s * sample_rate))

@@ -121,6 +121,26 @@ class TestF0Commands:
         voiced = track.f0_hz[track.voiced]
         assert abs(np.median(voiced) - 440.0) < 2.0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--hop", "inf"), "frame_s 0.046 and hop_s inf must be finite numbers of samples"),
+            (("--frame", "inf"), "frame_s inf and hop_s 0.01 must be finite numbers of samples"),
+            (("--hop", "1e308"), "hop_s 1e+308 must be finite numbers of samples at 22050 Hz"),
+            (("--threshold", "nan"), "YIN threshold nan is not finite and positive"),
+            (("--threshold", "-1"), "YIN threshold -1.0 is not finite and positive"),
+            (("--threshold", "0"), "YIN threshold 0.0 is not finite and positive"),
+        ],
+    )
+    def test_bad_yin_settings_are_one_json_line(self, capsys, tmp_path, flags, message):
+        wav = _tone_wav(tmp_path / "tone.wav")
+        code, out, err = run_cli(capsys, "f0", "extract", "--in", str(wav), *flags)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert message in error["message"]
+
     def test_bad_csv_reports_format_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,frequency,confidence\n0.00,440,0.9\n0.02,441,0.9\n0.01,442,0.9\n")
@@ -432,6 +452,40 @@ class TestRunCommand:
         assert error["message"].startswith("stage 'f0' failed for daemok 'sample-daemok'")
         assert threading.active_count() == before
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "yin, message",
+        [
+            ({"threshold": -1}, "YIN threshold -1 is not finite and positive"),
+            ({"threshold": 0.0}, "YIN threshold 0.0 is not finite and positive"),
+            ({"hop_s": 1e308}, "hop_s 1e+308 must be finite numbers of samples at 22050 Hz"),
+        ],
+    )
+    def test_bad_yin_settings_fail_at_f0(self, capsys, fixtures_dir, tmp_path, yin, message):
+        manifest = _fixture_manifest(fixtures_dir, yin=yin)
+        entry = manifest["daemok"][0]
+        del entry["f0_csv"]
+        entry["audio"] = str(_tone_wav(tmp_path / "tone.wav"))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "PipelineError"
+        assert error["message"].startswith("stage 'f0' failed for daemok 'sample-daemok': ")
+        assert message in error["message"]
+        assert not (tmp_path / "out").exists()
+
+
+def _tone_wav(path: Path, sr: int = 22050) -> Path:
+    """One second of a 440 Hz tone as 16-bit PCM."""
+    import numpy as np
+    from scipy.io import wavfile
+
+    t = np.arange(sr) / sr
+    wavfile.write(path, sr, (0.5 * np.sin(2 * np.pi * 440.0 * t) * 32767).astype(np.int16))
+    return path
 
 
 def _fixture_manifest(fixtures_dir, **settings) -> dict:

@@ -107,13 +107,20 @@ def _block_plus_one():
     return _vibrato_voice(500 + _kernels.BLOCK_FRAMES * 50, 22050, seed=3)
 
 
-# (signal, window, hop, tau_min, tau_max); threshold is 0.15 throughout.
+# (signal, window, hop, tau_min, tau_max); threshold is 0.15 throughout. The last three are
+# hop-block partitions of the window: q = window // hop whole blocks plus rem = window % hop.
 _CASES = {
     "mixed_leading_silence": (_mixed_signal, 2029, 441, 41, 147),
     "vibrato_voice": (lambda: _vibrato_voice(SR, SR), 2029, 441, 41, 147),
     "zero_gap_after_loud": (_zero_gap, 2029, 441, 41, 147),
     "near_silent_after_loud": (_near_silent, 2029, 441, 41, 147),
     "block_plus_one_frames": (_block_plus_one, 400, 50, 20, 100),
+    # the pipeline's defaults at 22.05 kHz: q = 4, rem = 134; 95 frames, two blocks
+    "default_settings_22k": (lambda: _vibrato_voice(22050, 22050, seed=4), 1014, 220, 14, 367),
+    # q = 0: the window is the head of one hop-block
+    "hop_longer_than_window": (lambda: _vibrato_voice(80 * 450, 22050, seed=5), 400, 450, 20, 100),
+    # q = 1, rem = 1
+    "hop_one_short_of_window": (lambda: _vibrato_voice(80 * 399, 22050, seed=6), 400, 399, 20, 100),
 }
 
 
@@ -189,9 +196,8 @@ def _search_oracle(d, tau_min, tau_max, threshold):
 
 
 def _assert_search_matches_oracle(x, window, hop, tau_min, tau_max, threshold):
-    span = window + tau_max
-    frames = np.lib.stride_tricks.sliding_window_view(x, span)[::hop]
-    d = _kernels._difference(frames, window, tau_max, _kernels._fast_len(span))
+    n_frames = (x.shape[0] - window - tau_max) // hop + 1
+    d = _kernels._difference(x, 0, n_frames, window, hop, tau_max)
     got = _kernels._search(d, tau_min, tau_max, threshold)
     want = _search_oracle(d, tau_min, tau_max, threshold)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -232,6 +238,49 @@ _RISING_DIP = (np.sin(2 * np.pi * np.arange(150) / 10.0), 24, 7, 11, 40)
 def test_search_matches_the_oracle_on_short_signals(signal, threshold):
     x, window, hop, tau_min, tau_max = signal
     _assert_search_matches_oracle(x, window, hop, tau_min, tau_max, threshold)
+
+
+def _literal_difference(x, frame, window, hop, tau_max):
+    """d(τ) of one frame as a literal sum of squared differences."""
+    s = frame * hop
+    return [float(np.sum((x[s : s + window] - x[s + tau : s + tau + window]) ** 2))
+            for tau in range(tau_max + 1)]
+
+
+@st.composite
+def _partitions(draw):
+    """Integer samples (so the literal sums are exact), a window split into any number of
+    hop-blocks with any remainder, and a chunk of frames starting anywhere."""
+    window = draw(st.integers(2, 40))
+    divisors = [h for h in range(1, window + 1) if window % h == 0]
+    hop = draw(st.one_of(st.integers(1, window + 8), st.sampled_from(divisors)))
+    tau_max = draw(st.integers(1, 30))
+    n_frames = draw(st.integers(1, 10))
+    n = window + tau_max + (n_frames - 1) * hop + draw(st.integers(0, hop - 1))
+    x = np.array(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)), dtype=float)
+    first = draw(st.integers(0, n_frames - 1))
+    return x, first, draw(st.integers(1, n_frames - first)), window, hop, tau_max
+
+
+def _ramp(window, hop, tau_max, n_frames):
+    n = window + tau_max + (n_frames - 1) * hop
+    return np.arange(n, dtype=float) % 7 - 3.0, 0, n_frames, window, hop, tau_max
+
+
+@given(_partitions())
+@example(_ramp(10, 13, 6, 4))  # hop > window: q = 0
+@example(_ramp(12, 12, 5, 4))  # hop = window: q = 1, rem = 0
+@example(_ramp(12, 4, 9, 5))  # rem = 0
+@example(_ramp(13, 4, 9, 5))  # rem = 1
+@example(_ramp(12, 5, 9, 5))  # rem = hop - 1
+@settings(max_examples=300, deadline=None)
+def test_each_row_of_the_difference_is_the_literal_sum(partition):
+    x, first, count, window, hop, tau_max = partition
+    d = _kernels._difference(x, first, count, window, hop, tau_max)
+    assert d.shape == (count, tau_max + 1)
+    for r in range(count):
+        want = _literal_difference(x, first + r, window, hop, tau_max)
+        assert np.abs(d[r] - want).max() <= ORACLE_TOL, f"frame {first + r}"
 
 
 def test_numpy_path_basic_shape():
@@ -385,10 +434,9 @@ def test_threaded_peak_is_at_most_one_256_frame_block(monkeypatch):
     monkeypatch.setattr(_kernels, "_cpu_count", lambda: _kernels.MAX_WORKERS)
     sr, window, hop, tau_min, tau_max = 22050, 1014, 220, 14, 367
     x = _vibrato_voice(60 * sr, sr)
-    frames = np.lib.stride_tricks.sliding_window_view(x, window + tau_max)[::hop]
     tracemalloc.start()
     try:
-        d = _kernels._difference(frames[:256], window, tau_max, _kernels._fast_len(window + tau_max))
+        d = _kernels._difference(x, 0, 256, window, hop, tau_max)
         _kernels._search(d, tau_min, tau_max, 0.15)
         del d
         _, one_block = tracemalloc.get_traced_memory()
