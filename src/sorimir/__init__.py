@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"  # first, so that submodules can import it
 
-from .beat_grid import BeatGrid, JangdanSpec, ScoreGrid, TrackSegment, load_beats, slice_track
+from .beat_grid import BeatGrid, ScoreGrid, TrackSegment, load_beats, slice_track
 from .errors import SorimirError
 from .histogram import (
     ModeTemplate,

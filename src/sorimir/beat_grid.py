@@ -25,27 +25,20 @@ from .score import Score
 
 
 @dataclass(frozen=True)
-class JangdanSpec:
-    name: str = "joongmori"
-    beats_per_measure: int = 12
-
-    def __post_init__(self):
-        if self.beats_per_measure < 1:
-            raise ValueError("beats_per_measure must be >= 1")
-
-
-@dataclass(frozen=True)
 class BeatGrid:
-    """Complete beat grid for one daemok: global beat k is at `times[k]` seconds."""
+    """Complete beat grid for one daemok: global beat k is at `times[k]` seconds, and every
+    measure holds `beats_per_measure` beats."""
 
-    spec: JangdanSpec
     times: np.ndarray
+    beats_per_measure: int
 
     def __post_init__(self):
+        bpm = self.beats_per_measure
+        if bpm < 1:
+            raise ValueError("beats_per_measure must be >= 1")
         times = np.array(self.times, dtype=np.float64)
         if times.ndim != 1 or not np.all(np.isfinite(times)):
             raise ValueError("beat times must be a 1-d array of finite seconds")
-        bpm = self.spec.beats_per_measure
         m, short = divmod(times.shape[0], bpm)
         if short:
             raise BeatValidationError(f"measure {m} has {short} beats, expected {bpm}", [m])
@@ -63,7 +56,7 @@ class BeatGrid:
 
     @property
     def n_measures(self) -> int:
-        return self.n_beats // self.spec.beats_per_measure
+        return self.n_beats // self.beats_per_measure
 
     @property
     def last_beat(self) -> int:
@@ -89,8 +82,9 @@ class BeatGrid:
         return float(out) if np.isscalar(time_s) else out
 
 
-def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
+def load_beats(text, beats_per_measure: int = 12) -> BeatGrid:
     """Parse and validate a `measure,beat,time` CSV into a BeatGrid: the one check of its rows."""
+    BeatGrid((), beats_per_measure)  # a bad beats_per_measure fails before any row is read
     if hasattr(text, "read"):
         text = text.read()
     reader = csv.reader(io.StringIO(text))
@@ -130,7 +124,7 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
 
     # Beats of a measure are distinct and sorted, so they are 0..bpm-1 iff there are bpm of them
     # and the last is bpm - 1.
-    bpm = spec.beats_per_measure
+    bpm = beats_per_measure
     beats = {m: [r[1] for r in group] for m, group in groupby(rows, key=lambda r: r[0])}
     n_measures = max(beats) + 1
     if missing_total := n_measures - len(beats):
@@ -144,7 +138,7 @@ def load_beats(text, spec: JangdanSpec = JangdanSpec()) -> BeatGrid:
     }
     if bad:
         raise BeatValidationError("; ".join(bad.values()), measures=list(bad))
-    return BeatGrid(spec, [r[2] for r in rows])
+    return BeatGrid([r[2] for r in rows], bpm)
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,7 @@ class ScoreGrid:
         first = measures[0] if measures else None
         if first and first.is_pickup and starts[1] - starts[0] < first.capacity_beats:
             downbeats[0] = starts[1] - first.capacity_beats
-        bpm = self.grid.spec.beats_per_measure
+        bpm = self.grid.beats_per_measure
         scales = [bpm / m.capacity_beats for m in measures]  # grid beats per quarter-note beat
         origins = [m * bpm - downbeat * scale
                    for m, (downbeat, scale) in enumerate(zip(downbeats, scales))]

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from . import report
-from .beat_grid import JangdanSpec, load_beats
+from .beat_grid import load_beats
 from .errors import RECOVERABLE_ERRORS, SorimirError, UsageError
 from .histogram import BIN_MIDI, BIN_PITCH_CLASS, MODE_FACTORIES, f0_histogram, score_duration_histogram
 from .patterns import DEFAULT_MIN_SUPPORT, DEFAULT_N_VALUES
@@ -112,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     beats_sub = p_beats.add_subparsers(dest="beats_command", required=True)
     p_val = beats_sub.add_parser("validate", help="check a beats CSV against the jangdan spec")
     p_val.add_argument("--in", dest="infile", required=True)
-    p_val.add_argument("--beats-per-measure", type=int, default=JangdanSpec().beats_per_measure)
-    p_val.add_argument("--jangdan", default=JangdanSpec().name)
+    p_val.add_argument("--beats-per-measure", type=int,
+                       default=report.DEFAULT_SETTINGS["beats_per_measure"])
+    p_val.add_argument("--jangdan", default=report.DEFAULT_SETTINGS["jangdan"])
 
     # histogram
     p_hist = sub.add_parser("histogram", help="paired F0/score pitch histograms")
@@ -197,16 +198,13 @@ def _cmd_f0(args) -> int:
 
 
 def _cmd_beats(args) -> int:
-    grid = load_beats(
-        Path(args.infile).read_text(),
-        JangdanSpec(args.jangdan, args.beats_per_measure),
-    )
+    grid = load_beats(Path(args.infile).read_text(), args.beats_per_measure)
     sys.stdout.write(
         dump_json(
             {
                 "ok": True,
-                "jangdan": grid.spec.name,
-                "beats_per_measure": grid.spec.beats_per_measure,
+                "jangdan": args.jangdan,
+                "beats_per_measure": grid.beats_per_measure,
                 "measures": grid.n_measures,
                 "beats": grid.n_beats,
                 "first_time_s": grid.times[0],

@@ -48,7 +48,7 @@ class ConfigurationError(SorimirError):
 
 
 class FormatError(SorimirError):
-    """A text input (CSV) violates its format; carries the 1-based data row."""
+    """An input file (a CSV, a WAV) violates its format; carries the 1-based data row of a CSV."""
 
     def __init__(self, message, row=None):
         self.row = row

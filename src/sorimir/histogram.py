@@ -17,15 +17,13 @@ import numpy as np
 
 from .errors import UndefinedAffinityError
 from .pitch_track import F0Track, hz_to_cents
-from .score import NoteEvent, fraction_str, pitch_from_midi, pitch_name
+from .score import PITCH_CLASS_NAMES, NoteEvent, fraction_str, pitch_from_midi, pitch_name
 
 BIN_MIDI = "midi"
 BIN_PITCH_CLASS = "pitch_class"
 
 UNIT_FRAMES = "frames"
 UNIT_BEATS = "beats"
-
-PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
 PC_D = 2
 

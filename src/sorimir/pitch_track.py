@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,9 @@ def estimate_f0_yin(
         raise ConfigurationError("expected a mono (1-d) sample array")
     if x.size == 0:
         raise EmptyTrackError("cannot estimate F0 of an empty signal")
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):  # a NaN gives NaN for both
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise DomainError(f"sample {i} is {x[i]}: YIN needs finite samples")
     if sample_rate < 8000:
         raise ConfigurationError(f"sample rate {sample_rate} Hz < 8000 Hz minimum")
     if not 0 < search_min_hz < search_max_hz:
@@ -289,10 +293,14 @@ _PCM_ZERO_AND_SCALE = {
 
 
 def load_wav(path) -> tuple[np.ndarray, int]:
-    """Read a RIFF WAVE file as float64 mono in [-1, 1]; channels are averaged."""
+    """Read a RIFF WAVE file as float64 mono in [-1, 1]; channels are averaged. A file that
+    scipy cannot read as a WAV is a `FormatError` naming the path."""
     from scipy.io import wavfile
 
-    sample_rate, data = wavfile.read(path)
+    try:
+        sample_rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:  # struct.error: a header cut short
+        raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
     data = np.asarray(data)
     if data.dtype in _PCM_ZERO_AND_SCALE:
         # Integer PCM: shifted and scaled once as a channel sum, with no 2-d float image. Up

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from .beat_grid import JangdanSpec, ScoreGrid, load_beats
+from .beat_grid import BeatGrid, ScoreGrid, load_beats
 from .errors import (
     RECOVERABLE_ERRORS,
     DomainError,
@@ -273,8 +273,8 @@ DEFAULT_SETTINGS = {
     "filter": asdict(FilterConfig()),
     "reference_hz": 440.0,
     "tuning_offset_cents": 0.0,
-    "jangdan": JangdanSpec().name,
-    "beats_per_measure": JangdanSpec().beats_per_measure,
+    "jangdan": "joongmori",
+    "beats_per_measure": 12,
     "merge_ties": True,
     "skip_rests": False,
     "n_values": list(DEFAULT_N_VALUES),
@@ -407,7 +407,7 @@ def _checked_settings(given) -> dict:
     with _stage("manifest", "*"):
         reference_hz(settings)
         FilterConfig(**settings["filter"])
-        JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
+        BeatGrid((), settings["beats_per_measure"])
         check_pattern_settings(settings["n_values"], settings["min_support"],
                                settings["samples_per_contour"])
         for text in settings["contour_patterns"]:
@@ -472,7 +472,6 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
     error raised is the first in serial order (entry by entry; score, beats, then F0 within
     one; mining last), after the warnings that came before it, and a reader that dies fails at
     `f0` of the daemok it was reading."""
-    spec = JangdanSpec(settings["jangdan"], settings["beats_per_measure"])
     config = FilterConfig(**settings["filter"])
     events_by_id = {}
 
@@ -480,7 +479,8 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
         score = parse_musicxml(Path(entry["score"]).read_bytes())
         events = note_sequence(score, merge_ties=settings["merge_ties"])
         with _stage("beats", entry["id"]):
-            grid = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(), spec))
+            beats = load_beats(Path(entry["beats"]).read_text(), settings["beats_per_measure"])
+            grid = ScoreGrid(score, beats)
         # Every score job and mining are in this process's share, run in job order, so mining
         # sees every entry's events.
         events_by_id[entry["id"]] = events

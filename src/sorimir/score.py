@@ -23,8 +23,8 @@ from .errors import (
 
 STEP_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
-# Canonical spelling used when converting a bare MIDI number back to a name.
-_SHARP_SPELLING = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
+# Canonical spelling of each pitch class, used when converting a bare MIDI number back to a name.
+PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
 _ALTER_SUFFIX = {-2: "bb", -1: "b", 0: "", 1: "#", 2: "##"}
 _SUFFIX_ALTER = {v: k for k, v in _ALTER_SUFFIX.items()}
@@ -74,7 +74,7 @@ def pitch_from_midi(midi: int) -> Pitch:
     """Spell a MIDI number under the fixed sharp-spelling policy."""
     if not 0 <= midi <= 127:
         raise ValueError(f"MIDI {midi} outside 0..127")
-    name = _SHARP_SPELLING[midi % 12]
+    name = PITCH_CLASS_NAMES[midi % 12]
     step, alter = name[0], len(name) - 1
     return Pitch(step, alter, midi // 12 - 1)
 
@@ -138,6 +138,9 @@ class Measure:
 
 @dataclass(frozen=True)
 class Score:
+    """A parsed score. `time_signature` and `divisions` are the first the score gives (its
+    opening meter); each measure's length is its own `capacity_beats`."""
+
     daemok_id: str
     time_signature: TimeSignature
     measures: tuple[Measure, ...]
@@ -207,6 +210,7 @@ def parse_musicxml(document) -> Score:
 
     divisions: int | None = None
     time_sig: TimeSignature | None = None
+    opening: dict = {}  # the first <divisions> and <time>, which the Score records
     voice_seen: str | None = None
     measures: list[Measure] = []
     # Onsets and measure content are summed as integer ticks, `unit` to the quarter note: the
@@ -229,6 +233,7 @@ def parse_musicxml(document) -> Score:
                     divisions = _int_text(div_text, "divisions", m_index)
                     if divisions < 1:
                         raise StructureError(f"<divisions> must be positive, got {divisions}")
+                    opening.setdefault("divisions", divisions)
                     scale = math.lcm(unit, divisions) // unit
                     unit, onset_ticks, content_ticks = unit * scale, onset_ticks * scale, content_ticks * scale
                 time_el = child.find("time")
@@ -239,6 +244,7 @@ def parse_musicxml(document) -> Score:
                         )
                     except (TypeError, ValueError) as exc:
                         raise StructureError(f"bad <time> in measure {m_index}: {exc}") from exc
+                    opening.setdefault("time_signature", time_sig)
                 continue
 
             if child.tag != "note":
@@ -306,9 +312,9 @@ def parse_musicxml(document) -> Score:
 
     return Score(
         daemok_id=daemok_id,
-        time_signature=time_sig,
+        time_signature=opening["time_signature"],
         measures=tuple(measures),
-        divisions=divisions if divisions is not None else 1,
+        divisions=opening.get("divisions", 1),
     )
 
 

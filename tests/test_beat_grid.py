@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatGrid, JangdanSpec, load_beats, slice_track
+from sorimir.beat_grid import BeatGrid, load_beats, slice_track
 from sorimir.errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
 from sorimir.pitch_track import F0Track, track_cents
 
@@ -30,7 +30,7 @@ def one_measure_csv(n_rows, start=0.0, step=0.5):
 
 def tiny_grid(times, beats_per_measure=None):
     """Grid with one measure whose beat count equals len(times)."""
-    return BeatGrid(JangdanSpec("test", beats_per_measure or len(times)), times)
+    return BeatGrid(times, beats_per_measure or len(times))
 
 
 class TestValidation:
@@ -113,14 +113,14 @@ class TestValidation:
 
     def test_missing_measures_are_capped_at_ten(self):
         with pytest.raises(BeatValidationError) as err:
-            load_beats("measure,beat,time\n1000000,0,0.0\n", JangdanSpec("t", 1))
+            load_beats("measure,beat,time\n1000000,0,0.0\n", 1)
         assert err.value.measures == tuple(range(10))
         assert str(err.value) == f"missing measures {list(range(10))} (first 10 of 1000000)"
 
     @pytest.mark.parametrize("last, tail", [(12, ""), (13, " (first 10 of 11)")])
     def test_ten_missing_measures_are_all_listed(self, last, tail):
         with pytest.raises(BeatValidationError) as err:
-            load_beats(f"measure,beat,time\n0,0,0.0\n5,0,1.0\n{last},0,2.0\n", JangdanSpec("t", 1))
+            load_beats(f"measure,beat,time\n0,0,0.0\n5,0,1.0\n{last},0,2.0\n", 1)
         assert err.value.measures == (1, 2, 3, 4, 6, 7, 8, 9, 10, 11)
         assert str(err.value) == f"missing measures {list(err.value.measures)}{tail}"
 
@@ -128,7 +128,7 @@ class TestValidation:
 class TestDirectConstruction:
     def test_times_are_a_read_only_float64_copy(self):
         source = np.array([0.0, 0.5, 1.0, 1.5])
-        grid = BeatGrid(JangdanSpec("t", 2), source)
+        grid = BeatGrid(source, 2)
         source[0] = 9.0
         assert grid.times.dtype == np.float64 and grid.times.tolist() == [0.0, 0.5, 1.0, 1.5]
         assert (grid.n_beats, grid.n_measures, grid.last_beat) == (4, 2, 3)
@@ -136,28 +136,35 @@ class TestDirectConstruction:
             grid.times[0] = 1.0
 
     def test_list_of_ints_is_accepted(self):
-        assert BeatGrid(JangdanSpec("t", 3), [0, 1, 2]).times.tobytes() == np.arange(3.0).tobytes()
+        assert BeatGrid([0, 1, 2], 3).times.tobytes() == np.arange(3.0).tobytes()
 
     def test_empty_grid(self):
-        grid = BeatGrid(JangdanSpec("t", 4), [])
+        grid = BeatGrid([], 4)
         assert (grid.n_beats, grid.n_measures) == (0, 0)
 
     @pytest.mark.parametrize("times", [[[0.0, 1.0]], [0.0, float("nan")], [0.0, float("inf")], 0.5])
     def test_not_1d_finite_is_value_error(self, times):
         with pytest.raises(ValueError, match="1-d array of finite seconds"):
-            BeatGrid(JangdanSpec("t", 1), times)
+            BeatGrid(times, 1)
 
     def test_partial_last_measure(self):
         with pytest.raises(BeatValidationError, match=r"^measure 1 has 2 beats, expected 3$") as err:
-            BeatGrid(JangdanSpec("t", 3), [0.0, 0.5, 1.0, 1.5, 2.0])
+            BeatGrid([0.0, 0.5, 1.0, 1.5, 2.0], 3)
         assert err.value.measures == (1,)
 
     @pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 0.5, 0.25]])
     def test_times_must_increase(self, times):
         with pytest.raises(OrderingError) as err:
-            BeatGrid(JangdanSpec("t", 3), times)
+            BeatGrid(times, 3)
         assert str(err.value) == f"time {times[2]:.6f} at global beat 2 does not increase past 0.500000"
         assert err.value.row is None
+
+    @pytest.mark.parametrize("bpm", [0, -1])
+    def test_beats_per_measure_below_one_is_value_error(self, bpm):
+        with pytest.raises(ValueError, match="^beats_per_measure must be >= 1$"):
+            BeatGrid([], bpm)
+        with pytest.raises(ValueError, match="^beats_per_measure must be >= 1$"):
+            load_beats("not a beats CSV", bpm)  # checked before any row is read
 
     def test_ordering_error_is_a_format_error(self):
         assert issubclass(OrderingError, FormatError)
@@ -175,11 +182,11 @@ class OracleAnnotation:
 
 @dataclass(frozen=True)
 class OracleGrid:
-    spec: JangdanSpec
+    beats_per_measure: int
     annotations: tuple
 
     def __post_init__(self):
-        bpm = self.spec.beats_per_measure
+        bpm = self.beats_per_measure
         per_measure = {}
         for a in self.annotations:
             per_measure.setdefault(a.measure_index, []).append(a)
@@ -207,7 +214,7 @@ class OracleGrid:
         object.__setattr__(self, "times", times)
 
 
-def oracle_load_beats(text, spec):
+def oracle_load_beats(text, beats_per_measure):
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["measure", "beat", "time"]:
@@ -244,12 +251,12 @@ def oracle_load_beats(text, spec):
                 f"time {cur[2]} at measure {cur[0]} beat {cur[1]} does not increase",
                 row=cur[3],
             )
-    return OracleGrid(spec, tuple(OracleAnnotation(m, b, t) for m, b, t, _ in ordered))
+    return OracleGrid(beats_per_measure, tuple(OracleAnnotation(m, b, t) for m, b, t, _ in ordered))
 
 
-def _outcome(load, text, spec):
+def _outcome(load, text, beats_per_measure):
     try:
-        grid = load(text, spec)
+        grid = load(text, beats_per_measure)
     except (FormatError, BeatValidationError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "measures", None)
     return "ok", grid.times.tobytes()
@@ -294,23 +301,22 @@ def mutated_beats_csv(draw):
     for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
         lines.insert(at, draw(st.sampled_from(["", "  "])))
     text = "\n".join(["measure,beat,time"] + lines) + "\n"
-    spec_bpm = draw(st.sampled_from([bpm, bpm, bpm, draw(st.integers(1, 12))]))
-    return text, JangdanSpec("t", spec_bpm)
+    return text, draw(st.sampled_from([bpm, bpm, bpm, draw(st.integers(1, 12))]))
 
 
 class TestLoadBeatsMatchesOracle:
     @given(mutated_beats_csv())
     @settings(max_examples=300, deadline=None)
     def test_same_times_or_same_error(self, case):
-        text, spec = case
-        expected = _outcome(oracle_load_beats, text, spec)
+        text, bpm = case
+        expected = _outcome(oracle_load_beats, text, bpm)
         if expected == ("ok", b""):  # the oracle accepted a CSV without rows as an empty grid
             expected = ("BeatValidationError", "no beat annotations", None, ())
-        assert _outcome(load_beats, text, spec) == expected
+        assert _outcome(load_beats, text, bpm) == expected
 
     def test_fixture(self, fixtures_dir):
         text = (fixtures_dir / "sample.beats.csv").read_text()
-        assert _outcome(load_beats, text, JangdanSpec()) == _outcome(oracle_load_beats, text, JangdanSpec())
+        assert _outcome(load_beats, text, 12) == _outcome(oracle_load_beats, text, 12)
 
 
 class TestInterpolation:

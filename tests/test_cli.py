@@ -26,6 +26,36 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A WAV that `f0 extract` cannot take, by kind: the error type and the start of its message
+# (scipy's own words follow the path).
+_BAD_AUDIO = {
+    "nan_samples": ("DomainError", "sample 20000 is nan: YIN needs finite samples"),
+    "one_inf_sample": ("DomainError", "sample 30000 is inf: YIN needs finite samples"),
+    "not_riff": ("FormatError", "cannot read WAV file {path}: File format b'not ' not understood"),
+    "cut_header": ("FormatError", "cannot read WAV file {path}: "),
+}
+
+
+def _bad_audio(tmp_path: Path, kind: str) -> tuple[Path, str, str]:
+    """A WAV of `kind` made from two seconds of a float32 tone, its error type and message start."""
+    import numpy as np
+    from scipy.io import wavfile
+
+    path, sr = tmp_path / f"{kind}.wav", 22050
+    x = (0.5 * np.sin(2 * np.pi * 440.0 * np.arange(2 * sr) / sr)).astype(np.float32)
+    if kind == "nan_samples":
+        x[20000:21000] = np.nan
+    elif kind == "one_inf_sample":
+        x[30000] = np.inf
+    wavfile.write(path, sr, x)
+    if kind == "not_riff":
+        path.write_bytes(b"not a wave file")
+    elif kind == "cut_header":
+        path.write_bytes(path.read_bytes()[:20])
+    error_type, message = _BAD_AUDIO[kind]
+    return path, error_type, message.format(path=path)
+
+
 def _never_rendered(*args):
     """Stands in for a renderer whose output the command neither prints nor writes."""
     raise AssertionError("rendered an artifact that is not written")
@@ -140,6 +170,16 @@ class TestF0Commands:
         error = json.loads(line)["error"]
         assert error["type"] == "ConfigurationError"
         assert message in error["message"]
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_AUDIO))
+    def test_bad_audio_is_one_json_line(self, capsys, tmp_path, kind):
+        wav, error_type, message = _bad_audio(tmp_path, kind)
+        code, out, err = run_cli(capsys, "f0", "extract", "--in", str(wav))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]  # with no "warnings"
+        assert json.loads(line) == {"error": error} and error["type"] == error_type
+        assert error["message"].startswith(message)
 
     def test_bad_csv_reports_format_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -475,6 +515,24 @@ class TestRunCommand:
         assert error["type"] == "PipelineError"
         assert error["message"].startswith("stage 'f0' failed for daemok 'sample-daemok': ")
         assert message in error["message"]
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_AUDIO))
+    def test_bad_audio_fails_at_f0(self, capsys, fixtures_dir, tmp_path, kind):
+        wav, error_type, message = _bad_audio(tmp_path, kind)
+        manifest = _fixture_manifest(fixtures_dir)
+        entry = manifest["daemok"][0]
+        del entry["f0_csv"]
+        entry["audio"] = str(wav)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "run", "--manifest", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert json.loads(line) == {"error": error} and error["type"] == "PipelineError"
+        assert error["message"].startswith(f"stage 'f0' failed for daemok 'sample-daemok': {message}")
         assert not (tmp_path / "out").exists()
 
 

@@ -403,19 +403,26 @@ def test_an_interrupt_while_waiting_stops_and_joins_the_helpers(monkeypatch):
     search, main = _kernels._search, threading.main_thread()
     share_blocks = -(-6000 // _kernels.BLOCK_FRAMES) // 2  # of 6,000 frames, in two shares
     caller_blocks, helper_blocks, in_flight = [], [], []
+    caller_done = threading.Event()
 
     def slow_helper(*args):
-        """The caller's share runs at full speed; the helper's takes 50 ms a block, and it
-        interrupts the caller four blocks after the caller's last one, while the caller waits."""
+        """The caller's share runs at full speed, and its last block sets `caller_done`. The
+        helper waits for that before its first block and interrupts the caller at its second,
+        while the caller waits; each of its blocks takes 50 ms."""
         if threading.current_thread() is main:
             caller_blocks.append(None)
-        else:
-            helper_blocks.append(len(caller_blocks) == share_blocks)
-            if helper_blocks.count(True) == 4:
-                signal.pthread_kill(main.ident, signal.SIGINT)
-            in_flight.append(None)
-            time.sleep(0.05)
-            in_flight.pop()
+            result = search(*args)
+            if len(caller_blocks) == share_blocks:
+                caller_done.set()
+            return result
+        if not helper_blocks:
+            assert caller_done.wait(timeout=60)
+        helper_blocks.append(None)
+        if len(helper_blocks) == 2:
+            signal.pthread_kill(main.ident, signal.SIGINT)
+        in_flight.append(None)
+        time.sleep(0.05)
+        in_flight.pop()
         return search(*args)
 
     monkeypatch.setattr(_kernels, "_search", slow_helper)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatGrid, JangdanSpec, ScoreGrid, slice_track
+from sorimir.beat_grid import BeatGrid, ScoreGrid, slice_track
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
     Contour,
@@ -48,8 +48,8 @@ def index_json(index):
 
 def beats_grid(times, bpm=None):
     """A grid on a score in bpm/4 whose measures are rests, so that a grid beat is a quarter note."""
-    grid = BeatGrid(JangdanSpec("test", bpm or len(times)), times)
-    bpm = grid.spec.beats_per_measure
+    grid = BeatGrid(times, bpm or len(times))
+    bpm = grid.beats_per_measure
     measures = tuple(
         Measure(m, (ev(None, m * bpm, bpm, m),), capacity_beats=Fraction(bpm))
         for m in range(grid.n_measures)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatGrid, JangdanSpec, ScoreGrid, load_beats
+from sorimir.beat_grid import BeatGrid, ScoreGrid, load_beats
 from sorimir.errors import BeatValidationError, PipelineError
 from sorimir.patterns import NGramPattern, mine_ngrams, occurrence_contours, parse_token, tokenize
 from sorimir.pitch_track import import_f0_csv
@@ -54,7 +54,7 @@ def measures_score(capacities, contents, pickup=False):
 
 
 def grid(n_measures, bpm):
-    return BeatGrid(JangdanSpec("t", bpm), np.arange(n_measures * bpm) * 0.5)
+    return BeatGrid(np.arange(n_measures * bpm) * 0.5, bpm)
 
 
 class TestScoreGrid:
@@ -200,7 +200,7 @@ def rendered_scores(draw):
 def test_contours_of_a_rendered_score_sit_on_the_written_pitch(rendered):
     xml, beats_text, f0_text, bpm = rendered
     score = parse_musicxml(xml)
-    grids = {"d": ScoreGrid(score, load_beats(beats_text, JangdanSpec("t", bpm)))}
+    grids = {"d": ScoreGrid(score, load_beats(beats_text, bpm))}
     tracks = {"d": import_f0_csv(f0_text)}
     index = mine_ngrams({"d": tokenize(note_sequence(score))}, n_values=(2,), min_support=1)
     checked = 0

@@ -715,7 +715,8 @@ class TestPipeline:
             },
         }
         (tmp_path / "m.json").write_text(json.dumps(manifest))
-        run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
+        with pytest.warns(UserWarning, match="no sequence is long enough for 2-grams"):
+            run_pipeline(tmp_path / "m.json", out_dir=tmp_path / "out")
         record = json.loads((tmp_path / "out" / "one.histogram.json").read_text())
         masses = record["f0_histogram"]["masses"]
         assert set(masses) == {"69"}

@@ -212,6 +212,23 @@ class TestParseMusicXml:
         assert score.measures[0].is_pickup
         assert events[1].onset_beats == Fraction(1)
 
+    def test_the_score_records_its_opening_meter(self):
+        doc = b"""<?xml version="1.0"?>
+<score-partwise><part-list/><part id="P1">
+  <measure number="1">
+    <attributes><divisions>1</divisions><time><beats>4</beats><beat-type>4</beat-type></time></attributes>
+    <note><pitch><step>C</step><octave>5</octave></pitch><duration>4</duration></note>
+  </measure>
+  <measure number="2">
+    <attributes><divisions>2</divisions><time><beats>3</beats><beat-type>4</beat-type></time></attributes>
+    <note><pitch><step>D</step><octave>5</octave></pitch><duration>6</duration></note>
+  </measure>
+</part></score-partwise>"""
+        score = parse_musicxml(doc)
+        assert (str(score.time_signature), score.divisions) == ("4/4", 1)
+        assert [m.capacity_beats for m in score.measures] == [4, 3]
+        assert [(e.onset_beats, e.duration_beats) for e in note_sequence(score)] == [(0, 4), (4, 3)]
+
     def test_lyrics_and_directions_skipped(self, sample_score):
         # The fixture carries a <lyric>; parsing ignored it and kept the note.
         assert note_sequence(sample_score)[0].pitch.midi == 74
@@ -369,7 +386,7 @@ def _parse_musicxml_oracle(document):
         )
     part = parts[0]
     daemok_id = (root.findtext("movement-title") or root.findtext("work/work-title") or part.get("id") or "score").strip()
-    divisions = time_sig = voice_seen = None
+    divisions = first_divisions = time_sig = voice_seen = None
     measures = []
     onset = Fraction(0)
     for m_index, m_el in enumerate(part.findall("measure")):
@@ -382,6 +399,7 @@ def _parse_musicxml_oracle(document):
                     divisions = _int_text(div_text, "divisions", m_index)
                     if divisions < 1:
                         raise StructureError(f"<divisions> must be positive, got {divisions}")
+                    first_divisions = first_divisions or divisions
                 time_el = child.find("time")
                 if time_el is not None:
                     try:
@@ -439,11 +457,11 @@ def _parse_musicxml_oracle(document):
         )
     if time_sig is None:
         raise StructureError("score contains no measures")
-    return Score(
+    return Score(  # the score's opening meter: its first <time> (the only one generated here)
         daemok_id=daemok_id,
         time_signature=time_sig,
         measures=tuple(measures),
-        divisions=divisions if divisions is not None else 1,
+        divisions=first_divisions or 1,
     )
 
 
