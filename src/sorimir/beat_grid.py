@@ -65,7 +65,7 @@ class BeatGrid:
     def time_at_beat(self, global_beat):
         """Seconds at a (possibly fractional) global beat; exact at annotations."""
         beat = np.asarray(global_beat, dtype=np.float64)
-        if np.any(beat < 0) or np.any(beat > self.last_beat):
+        if (beat < 0).any() or (beat > self.last_beat).any():
             raise BeatRangeError(f"global beat {global_beat} outside 0..{self.last_beat}")
         out = np.interp(beat, np.arange(self.n_beats), self.times)
         return float(out) if np.isscalar(global_beat) else out
@@ -73,7 +73,7 @@ class BeatGrid:
     def beat_at_time(self, time_s):
         """Inverse of `time_at_beat` on the annotated range."""
         t = np.asarray(time_s, dtype=np.float64)
-        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
+        if (t < self.times[0]).any() or (t > self.times[-1]).any():
             raise BeatRangeError(
                 f"time {time_s} outside annotated range "
                 f"{self.times[0]:.3f}..{self.times[-1]:.3f} s"
@@ -201,6 +201,53 @@ class ScoreGrid:
         m = min(max(m, 0), len(scales) - 1)
         return origins[m] + position * scales[m]
 
+    @cached_property
+    def _tick_table(self) -> tuple | None:
+        """`_measures` in int64 for `beats`: the ticks of every measure start but the first
+        (one `np.searchsorted` over them finds a position's measure), and each measure's origin
+        and scale as numerators over one common denominator; each with its largest magnitude.
+        None where a number does not fit int64."""
+        unit, ticks, origins, scales = self._measures
+        common = math.lcm(*(f.denominator for f in (*origins, *scales)))
+        columns = [ticks[1:-1], *([f.numerator * (common // f.denominator) for f in fs]
+                                  for fs in (origins, scales))]
+        tops = [max(map(abs, column), default=0) for column in columns]
+        if max(tops) >= 2**63:
+            return None
+        return common, *(np.array(column, dtype=np.int64) for column in columns), *tops
+
+    def beats(self, positions, end: bool = False) -> np.ndarray:
+        """`float(self.beat(p, end))` for each of `positions`, bitwise, as one float64 array.
+
+        Positions become integer ticks of 1/`den` quarter-note beat, `den` a common multiple of
+        the measure ticks' unit and the positions' denominators. Measure m puts tick t at grid
+        beat (origin[m] * den + t * scale[m]) / (den * common), with `_tick_table`'s integers.
+        The measures are found with one `np.searchsorted` and each numerator is divided once in
+        float64: while it and the denominator are at most 2^53 both are exact, so the quotient
+        rounds as `float` rounds the `Fraction`. A position whose numerator would pass 2^53
+        falls back to `beat`."""
+        unit = self._measures[0]
+        positions = list(positions)
+        den = math.lcm(unit, *(p.denominator for p in positions))
+        at = [p.numerator * (den // p.denominator) for p in positions]
+        out = np.empty(len(positions))
+        exact = np.zeros(len(positions), dtype=bool)
+        limit, table = 2**53, self._tick_table
+        if positions and table:
+            common, ticks, origin, scale, top_tick, top_origin, top_scale = table
+            # Every tick and numerator must fit int64, so that the numerators past 2^53 are seen.
+            if (den * common <= limit and top_tick * (den // unit) < 2**63
+                    and top_origin * den + max(map(abs, at)) * top_scale < 2**63):
+                at = np.array(at, dtype=np.int64)
+                m = np.searchsorted(ticks * (den // unit), at, "left" if end else "right")
+                numerators = origin[m] * den + at * scale[m]
+                exact = np.abs(numerators) <= limit
+                np.divide(numerators, den * common, out=out)
+        if not exact.all():
+            for i in np.flatnonzero(~exact):
+                out[i] = float(self.beat(positions[i], end))
+        return out
+
 
 @dataclass(frozen=True)
 class TrackSegment:
@@ -229,13 +276,19 @@ def slice_track(track: F0Track, grid: BeatGrid, start_beat: float, end_beat: flo
     """
     if not start_beat < end_beat:
         raise BeatRangeError(f"inverted beat interval [{start_beat}, {end_beat})")
-    hop, n = track.hop_s, len(track)
-
-    def first_frame(t: float) -> int:  # smallest k in 0..n with k * hop >= t, as in track.times()
-        # t / hop and k * hop are each rounded once, so ceil(t / hop) - 1 is never past it.
-        start = max(math.ceil(min(max(t / hop, 0.0), n)) - 1, 0)
-        return next(k for k in range(start, n + 1) if k == n or k * hop >= t)
-
-    lo, hi = first_frame(grid.time_at_beat(start_beat)), first_frame(grid.time_at_beat(end_beat))
+    hop = track.hop_s
+    times = [grid.time_at_beat(start_beat), grid.time_at_beat(end_beat)]
+    lo, hi = first_frames(np.array(times), hop, len(track)).tolist()
     beats = grid.beat_at_time(np.arange(lo, hi) * hop)
     return TrackSegment(beats=beats, f0_hz=track.f0_hz[lo:hi], hop_s=hop)
+
+
+def first_frames(times: np.ndarray, hop: float, n: int) -> np.ndarray:
+    """For each of `times`, the first of `n` frames at or after it: the smallest k in 0..n with
+    k * hop >= t, frame k being at k * hop seconds as in `F0Track.times`."""
+    # t / hop and k * hop are each rounded once, so ceil(t / hop) - 1 is never past it. The
+    # frame numbers stay whole floats, exact far beyond any track length.
+    frames = np.maximum(np.ceil(np.minimum(np.maximum(times / hop, 0.0), n)) - 1.0, 0.0)
+    while (behind := (frames < n) & (frames * hop < times)).any():
+        frames += behind
+    return frames.astype(np.int64)

@@ -13,12 +13,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Sequence
+from itertools import accumulate, compress
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .beat_grid import ScoreGrid, slice_track
+from .beat_grid import ScoreGrid, first_frames, slice_track
 from .errors import ConfigurationError, DependencyError, NotEnoughDataError
 from .pitch_track import F0Track, track_cents
 from .score import NoteEvent, Pitch, fraction_str, parse_pitch_name, pitch_name
@@ -241,6 +241,66 @@ def _resample_to_normalized(beats: np.ndarray, cents: np.ndarray, samples: int) 
     return out
 
 
+class Placement(NamedTuple):
+    """One occurrence on its daemok's F0 track: the track's frames `lo:hi`, their grid beats
+    and cents (views of arrays that the daemok's other placements share) and the track's hop."""
+
+    lo: int
+    hi: int
+    beats: np.ndarray
+    cents: np.ndarray
+    hop_s: float
+
+
+def place_occurrences(
+    index: PatternIndex,
+    patterns: Iterable[NGramPattern],
+    grids: Mapping[str, ScoreGrid],
+    tracks: Mapping[str, F0Track],
+    reference_hz: float = 440.0,
+) -> dict[NGramPattern, list[Placement | str | None]]:
+    """Every occurrence of each of `patterns` that the index holds, placed in one pass per daemok.
+
+    A daemok's occurrences get their start and end grid beats from two `ScoreGrid.beats`
+    calls, and the times of those beats from one `np.interp` and their frames from one
+    `first_frames`, the rule of `slice_track`. One `slice_track` from the first start to the
+    last end and one `track_cents` give the frames' beats and cents, of which each occurrence
+    is a `lo:hi` view: no frame is sliced twice, and no array reaches past the occurrences.
+    Each pattern maps to one entry per occurrence, in index order: its `Placement`, the text
+    of its warning if it runs past the grid (which cannot place it in time), or None if its
+    daemok has no grid or no track.
+    """
+    placements = {p: [None] * len(index.occurrences[p]) for p in patterns if p in index.occurrences}
+    by_daemok: dict[str, list[tuple[list, int, PatternOccurrence]]] = {}
+    for pattern, slots in placements.items():
+        for i, occ in enumerate(index.occurrences[pattern]):
+            if occ.daemok_id in grids and occ.daemok_id in tracks:
+                by_daemok.setdefault(occ.daemok_id, []).append((slots, i, occ))
+    for daemok_id, items in by_daemok.items():
+        placed, track = grids[daemok_id], tracks[daemok_id]
+        grid = placed.grid
+        starts = placed.beats(occ.onset_beats for _, _, occ in items)
+        ends = placed.beats((occ.onset_beats + occ.span_beats for _, _, occ in items), end=True)
+        inside = (starts >= 0) & (ends <= grid.last_beat)
+        for (slots, i, _), start in zip(compress(items, ~inside), starts[~inside].tolist()):
+            slots[i] = (f"occurrence at {daemok_id} beat {start} runs past the annotated grid; "
+                        "skipped")
+        if not inside.any():
+            continue
+        count, hop = int(np.count_nonzero(inside)), track.hop_s
+        bounds = np.concatenate([starts[inside], ends[inside]])  # each start beat, then each end
+        times = np.interp(bounds, np.arange(grid.n_beats), grid.times)
+        frames = first_frames(times, hop, len(track))
+        segment = slice_track(track, grid, float(bounds[:count].min()), float(bounds[count:].max()))
+        cents = track_cents(segment, reference_hz)
+        first = int(frames[:count].min())  # the segment's first frame
+        for (slots, i, _), lo, hi in zip(compress(items, inside), frames[:count].tolist(),
+                                         frames[count:].tolist()):
+            slots[i] = Placement(lo, hi, segment.beats[lo - first : hi - first],
+                                 cents[lo - first : hi - first], hop)
+    return placements
+
+
 def occurrence_contours(
     index: PatternIndex,
     pattern: NGramPattern,
@@ -248,46 +308,39 @@ def occurrence_contours(
     tracks: Mapping[str, F0Track],
     samples_per_contour: int = DEFAULT_SAMPLES_PER_CONTOUR,
     reference_hz: float = 440.0,
+    placements: Mapping[NGramPattern, list] | None = None,
 ) -> list[Contour]:
     """Beat-aligned cents contour and vibrato metrics of every occurrence of `pattern`.
 
-    Each occurrence is placed on its daemok's beat grid through its score's
-    measures (`ScoreGrid.beat`) and sliced once, and its contour and vibrato
-    come from the same cents array. The vibrato is measured here; the contour
-    is resampled to `samples_per_contour` points when its `values` are first
-    read. Occurrences whose span runs past the annotated beat grid are
-    skipped with a warning (the grid cannot place them in time). Fully
-    unvoiced slices yield all-missing contours and are kept.
+    The occurrences are read from `placements`, `place_occurrences` of some patterns that
+    include this one with the same grids, tracks and `reference_hz`, or placed here when it
+    is None. The vibrato is measured here; the contour is resampled to
+    `samples_per_contour` points when its `values` are first read. Occurrences whose span
+    runs past the annotated beat grid are skipped with a warning (the grid cannot place them
+    in time). Fully unvoiced slices yield all-missing contours and are kept.
     """
     check_pattern_settings(samples_per_contour=samples_per_contour)
     if pattern not in index.occurrences:
         raise ConfigurationError(f"pattern {pattern.text!r} is not in the index")
+    if placements is None:
+        placements = place_occurrences(index, [pattern], grids, tracks, reference_hz)
 
     contours: list[Contour] = []
-    for occ in index.occurrences[pattern]:
+    for occ, place in zip(index.occurrences[pattern], placements[pattern]):
         if occ.daemok_id not in grids:
             raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
         if occ.daemok_id not in tracks:
             raise DependencyError(f"no F0 track for daemok '{occ.daemok_id}'")
-        placed = grids[occ.daemok_id]
-        grid = placed.grid
-        start = float(placed.beat(occ.onset_beats))
-        end = float(placed.beat(occ.onset_beats + occ.span_beats, end=True))
-        if start < 0 or end > grid.last_beat:
-            warnings.warn(
-                f"occurrence at {occ.daemok_id} beat {start} runs past the annotated grid; skipped",
-                stacklevel=2,
-            )
+        if isinstance(place, str):
+            warnings.warn(place, stacklevel=2)
             continue
-        segment = slice_track(tracks[occ.daemok_id], grid, start, end)
-        cents = track_cents(segment, reference_hz)
         try:
-            vibrato = vibrato_metrics(cents, segment.hop_s)
+            vibrato = vibrato_metrics(place.cents, place.hop_s)
         except NotEnoughDataError:
             vibrato = None
         contours.append(
             Contour(
-                partial(_resample_to_normalized, segment.beats, cents, samples_per_contour),
+                partial(_resample_to_normalized, place.beats, place.cents, samples_per_contour),
                 daemok_id=occ.daemok_id,
                 onset_beats=occ.onset_beats,
                 span_beats=occ.span_beats,

@@ -12,6 +12,7 @@ import csv
 import io
 import re
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,12 +295,15 @@ _PCM_ZERO_AND_SCALE = {
 
 def load_wav(path) -> tuple[np.ndarray, int]:
     """Read a RIFF WAVE file as float64 mono in [-1, 1]; channels are averaged. A file that
-    scipy cannot read as a WAV is a `FormatError` naming the path."""
+    scipy cannot read as a WAV, or whose data ends before its header says, is a `FormatError`
+    naming the path."""
     from scipy.io import wavfile
 
     try:
-        sample_rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as exc:  # struct.error: a header cut short
+        with warnings.catch_warnings():  # scipy only warns of a file cut short
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            sample_rate, data = wavfile.read(path)
+    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:  # struct: a header cut short
         raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
     data = np.asarray(data)
     if data.dtype in _PCM_ZERO_AND_SCALE:

@@ -53,6 +53,7 @@ from .patterns import (
     occurrence_contours,
     occurrence_vibrato,
     parse_token,
+    place_occurrences,
     tokenize,
 )
 from .pitch_track import (
@@ -513,17 +514,18 @@ def mine_index(events_by_id: dict, settings: dict) -> PatternIndex:
 
 
 def pattern_artifacts(index: PatternIndex, pattern_text: str, grids: dict, tracks: dict,
-                      settings: dict) -> tuple[int, dict]:
+                      settings: dict, placements: dict | None = None) -> tuple[int, dict]:
     """One pattern's contour stage, shared by `run` and `patterns contours|vibrato`.
 
-    Places the pattern's occurrences (`occurrence_contours`, with `samples_per_contour` and the
-    tuned `reference_hz` of `settings`) and returns `(placed count, {"contours.csv",
+    Takes its contours (`occurrence_contours` of `placements`, with `samples_per_contour` and
+    the tuned `reference_hz` of `settings`) and returns `(placed count, {"contours.csv",
     "overlay.svg", "vibrato.json": render() -> str})`. Nothing is rendered until its function
     is called, so a caller pays only for the artifacts it writes or prints."""
     pattern = NGramPattern.from_text(pattern_text)
     contours = occurrence_contours(
         index, pattern, grids, tracks,
         samples_per_contour=settings["samples_per_contour"], reference_hz=reference_hz(settings),
+        placements=placements,
     )
     return len(contours), {
         "contours.csv": partial(contours_csv, pattern, contours),
@@ -585,19 +587,21 @@ def _staging_dir(out_root: Path):
 # Occurrences that each process of the output stages must be given for its fork to repay
 # itself, the stages' jobs being weighed in occurrences of the contour stage. Measured on a
 # 2-vCPU host (README "Performance"): a fork and join costs the parent about 10 ms (3 ms for
-# the fork, pipe and wait alone, the rest in copy-on-write faults), and splitting a stage two
-# ways saves about 0.18 ms per placed occurrence, of the 0.5-0.6 ms an occurrence costs
-# serially. That breaks even at about 30 occurrences a share; the minimum is twice that.
+# the fork, pipe and wait alone, the rest in copy-on-write faults). Splitting a stage two ways
+# saved about 0.18 ms per occurrence when an occurrence cost 0.5-0.6 ms serially. It costs
+# about 3/4 of that now that occurrences are placed before the fan-out, so a split breaks
+# even at about 40 occurrences a share, and the minimum is half again as much.
 MIN_SHARE_OCCURRENCES = 60
 
 # What one daemok's histogram job (both histograms, their affinities, the JSON and SVG and
 # their sidecars) weighs in occurrences. Timed serially on that host (README "Performance"),
-# it cost as much as 4.3-4.5 occurrences on csv_corpus, and more on longer tracks.
+# it cost as much as 5.0-5.1 occurrences on csv_corpus, and more on longer tracks. At 5, only
+# one csv_corpus job of 103 would change share, so it stays 4.
 HISTOGRAM_WEIGHT = 4
 
-# `patterns.json` occurrence rows that cost as much to write as one occurrence to place,
-# timed the same way: 340-370 on both csv_corpus and pattern_dense.
-ROWS_PER_OCCURRENCE = 350
+# `patterns.json` occurrence rows that cost as much to write as one occurrence's contour
+# artifacts, timed the same way: 260 on csv_corpus and 290-300 on pattern_dense.
+ROWS_PER_OCCURRENCE = 280
 
 def _can_fork() -> bool:
     """Whether a fork can pay: the process may use more than one CPU, and `os.fork` exists and
@@ -742,14 +746,16 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     directory's files, the summary's `outputs`, are moved into `out_dir` once every stage has
     passed: a failed run leaves no partial outputs behind.
 
-    `load_corpus` reads the inputs and mines the n-gram index. `patterns.json`, the histograms
-    and each pattern's contour artifacts are then the jobs of one fan-out (`_fan_out` over
-    `_shares` of their weights), in that order and under stages `patterns`, `histogram` (of its
-    daemok) and `contours`, so errors and warnings come in stage order.
+    `load_corpus` reads the inputs and mines the n-gram index, and `place_occurrences` places
+    every contour pattern that the index holds, in one pass per daemok that raises nothing.
+    `patterns.json`, the histograms and each pattern's contour artifacts are then the jobs of
+    one fan-out (`_fan_out` over `_shares` of their weights), in that order and under stages
+    `patterns`, `histogram` (of its daemok) and `contours`, so errors and warnings, the
+    past-grid ones included, come in stage order.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
-    names only. Each pattern's contours are freed before the next pattern's are placed.
+    names only. Each pattern's contours are freed before the next pattern's are built.
     """
     entries, settings = load_manifest(manifest_path)
     hashes = {}  # daemok id -> {"<id>:<entry key>": hash}
@@ -764,6 +770,9 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
 
     events_by_id, grids, tracks, index = load_corpus(entries, settings)
     patterns = settings["contour_patterns"]
+    # Placed here, so the forked contour jobs inherit every placement and nothing is pickled.
+    placements = place_occurrences(index, map(NGramPattern.from_text, patterns), grids, tracks,
+                                   reference)
     out_root = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
 
     with _staging_dir(out_root) as staging:
@@ -787,7 +796,8 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
         def contour_job(pi: int) -> int:
             """Write pattern `pi`'s artifacts and sidecars; return its placed count. Its
             contours are freed on return, before the process places its next pattern."""
-            count, artifacts = pattern_artifacts(index, patterns[pi], grids, tracks, settings)
+            count, artifacts = pattern_artifacts(index, patterns[pi], grids, tracks, settings,
+                                                 placements)
             for suffix, render in artifacts.items():
                 emit(f"pattern-{pi:02d}.{suffix}", render())
             return count

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatGrid, load_beats, slice_track
+from sorimir.beat_grid import BeatGrid, first_frames, load_beats, slice_track
 from sorimir.errors import BeatRangeError, BeatValidationError, FormatError, OrderingError
 from sorimir.pitch_track import F0Track, track_cents
 
@@ -458,6 +458,20 @@ def track_grid_interval(draw):
         a, b = draw(st.floats(0.0, n_beats - 1)), draw(st.floats(0.0, n_beats - 1))
     track = F0Track(np.arange(n) + 100.0, np.linspace(0, 1, n), hop)
     return track, tiny_grid(times), float(min(a, b)), float(max(a, b))
+
+
+@pytest.mark.parametrize("hop", [0.1, 0.0116, 0.01, 256 / 22050, 1 / 3, 0.009315119473282858])
+def test_first_frames_is_the_first_frame_at_or_after_each_time(hop):
+    """Times on and a few ulps around frame times, where t / hop rounds onto an integer below
+    the frame that follows t (0.1 * 2429 < 242.90000000000003, whose t / hop is 2429.0)."""
+    n = 5000
+    frame_times = np.arange(n) * hop
+    times = frame_times[:, None].repeat(7, axis=1)
+    for j, ulps in enumerate(range(-3, 4)):
+        for _ in range(abs(ulps)):
+            times[:, j] = np.nextafter(times[:, j], np.sign(ulps) * np.inf)
+    times = np.concatenate([times.ravel(), [-1.0, 0.0, n * hop, n * hop + 1.0]])
+    assert np.array_equal(first_frames(times, hop, n), np.searchsorted(frame_times, times, "left"))
 
 
 class TestSliceTrackMatchesMask:

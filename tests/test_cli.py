@@ -4,6 +4,7 @@ import io
 import json
 import random
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -33,6 +34,7 @@ _BAD_AUDIO = {
     "one_inf_sample": ("DomainError", "sample 30000 is inf: YIN needs finite samples"),
     "not_riff": ("FormatError", "cannot read WAV file {path}: File format b'not ' not understood"),
     "cut_header": ("FormatError", "cannot read WAV file {path}: "),
+    "cut_data": ("FormatError", "cannot read WAV file {path}: Reached EOF prematurely; "),
 }
 
 
@@ -52,6 +54,9 @@ def _bad_audio(tmp_path: Path, kind: str) -> tuple[Path, str, str]:
         path.write_bytes(b"not a wave file")
     elif kind == "cut_header":
         path.write_bytes(path.read_bytes()[:20])
+    elif kind == "cut_data":  # the header still gives the whole length
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) * 6 // 10])
     error_type, message = _BAD_AUDIO[kind]
     return path, error_type, message.format(path=path)
 
@@ -180,6 +185,21 @@ class TestF0Commands:
         error = json.loads(line)["error"]  # with no "warnings"
         assert json.loads(line) == {"error": error} and error["type"] == error_type
         assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("chunk_id", [b"LIST", b"abcd"])
+    def test_a_wav_with_an_extra_non_data_chunk_still_loads(self, capsys, tmp_path, chunk_id):
+        """A chunk after the data is skipped (scipy warns of an unknown id), and the whole
+        data is read: only a file cut short is an error."""
+        wav = _tone_wav(tmp_path / "tone.wav")
+        code, whole, _ = run_cli(capsys, "f0", "extract", "--in", str(wav))
+        data = wav.read_bytes() + chunk_id + struct.pack("<I", 4) + b"meta"
+        wav.write_bytes(data[:4] + struct.pack("<I", len(data) - 8) + data[8:])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, "f0", "extract", "--in", str(wav))
+        assert code == 0 and out == whole
+        assert [str(w.message) for w in caught] == (
+            [] if chunk_id == b"LIST" else ["Chunk (non-data) not understood, skipping it."])
 
     def test_bad_csv_reports_format_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

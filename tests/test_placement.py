@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import random
 import warnings
 from bisect import bisect_left, bisect_right
@@ -13,12 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorimir.beat_grid import BeatGrid, ScoreGrid, load_beats
+from sorimir import patterns as patterns_module
+from sorimir.beat_grid import BeatGrid, ScoreGrid, load_beats, slice_track
 from sorimir.errors import BeatValidationError, PipelineError
-from sorimir.patterns import NGramPattern, mine_ngrams, occurrence_contours, parse_token, tokenize
-from sorimir.pitch_track import import_f0_csv
+from sorimir.patterns import (
+    NGramPattern, make_token, mine_ngrams, occurrence_contours, parse_token, place_occurrences,
+    tokenize,
+)
+from sorimir.pitch_track import F0Track, import_f0_csv, track_cents
 from sorimir.report import load_corpus, load_manifest, reference_hz, run_pipeline
-from sorimir.score import Measure, NoteEvent, Score, TimeSignature, note_sequence, parse_musicxml
+from sorimir.score import (
+    Measure, NoteEvent, Pitch, Score, TimeSignature, note_sequence, parse_musicxml,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
@@ -213,3 +220,222 @@ def test_contours_of_a_rendered_score_sit_on_the_written_pitch(rendered):
                 assert abs(median - written) < 5.0, (pattern.text, c.label)
                 checked += 1
     assert checked > 0
+
+
+def _bitwise(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _positions(score):
+    """Every event onset and every event end of `score`."""
+    events = [e for m in score.measures for e in m.events]
+    return [e.onset_beats for e in events] + [e.onset_beats + e.duration_beats for e in events]
+
+
+def _check_beats(placed, positions):
+    for end in (False, True):
+        want = [float(placed.beat(p, end)) for p in positions]
+        assert _bitwise(placed.beats(positions, end)) == _bitwise(want), end
+
+
+@st.composite
+def measure_scores(draw, pitched=False):
+    """A score whose measures each take their own length and divisions: a pickup or not, any
+    later measure full, short or empty, each event a whole number of 1/divisions quarter beats."""
+    measures, onset = [], Fraction(0)
+    for m in range(draw(st.integers(1, 5))):
+        capacity = Fraction(draw(st.integers(1, 12)) * 4, draw(st.sampled_from([2, 4, 8, 16])))
+        divisions = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+        ticks = math.floor(capacity * divisions)
+        content = ticks if draw(st.booleans()) else draw(st.integers(0, ticks))
+        events = []
+        while content > 0:
+            length = draw(st.integers(1, content))
+            rest = not pitched or draw(st.booleans())
+            pitch = None if rest else Pitch(draw(st.sampled_from("ACDEG")), 0, 4)
+            events.append(NoteEvent(onset, Fraction(length, divisions), pitch, m))
+            onset, content = onset + Fraction(length, divisions), content - length
+        pickup = m == 0 and 0 < sum(e.duration_beats for e in events) < capacity
+        measures.append(Measure(m, tuple(events), capacity, is_pickup=pickup))
+    return Score("s", TimeSignature(4, 4), tuple(measures), 1)
+
+
+class TestScoreGridBeats:
+    """`ScoreGrid.beats` gives `float(ScoreGrid.beat(p, end))` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "manifest", ["manifest.json", *(f"{n}.manifest.json" for n in make_fixtures.METERS)])
+    def test_every_event_of_the_fixture_scores(self, manifest):
+        entries, settings = load_manifest(FIXTURES / manifest)
+        for entry in entries:
+            score = parse_musicxml(Path(entry["score"]).read_bytes())
+            placed = ScoreGrid(score, load_beats(Path(entry["beats"]).read_text(),
+                                                 settings["beats_per_measure"]))
+            positions = _positions(score)
+            assert len(positions) > 10
+            _check_beats(placed, positions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(score=measure_scores(), bpm=st.integers(1, 12),
+           extra=st.lists(st.fractions(-3, 40, max_denominator=48), max_size=10))
+    def test_generated_scores(self, score, bpm, extra):
+        placed = ScoreGrid(score, grid(len(score.measures), bpm))
+        _check_beats(placed, _positions(score) + extra)
+
+    def test_no_positions(self):
+        placed = ScoreGrid(measures_score([12] * 2, [12] * 2), grid(2, 12))
+        assert placed.beats([]).shape == (0,)
+
+    def test_a_numerator_past_2_53_falls_back_to_beat(self, monkeypatch):
+        placed = ScoreGrid(measures_score([12] * 3, [3, 12, 12], pickup=True), grid(3, 12))
+        fine, huge = Fraction(7, 2), Fraction(2**60 + 1, 2**40)  # huge * 2^40 passes 2^53
+        beat, calls = ScoreGrid.beat, []
+
+        def counted(self, position, end=False):
+            calls.append(position)
+            return beat(self, position, end)
+
+        monkeypatch.setattr(ScoreGrid, "beat", counted)
+        for end in (False, True):
+            got = placed.beats([fine, huge, fine], end)
+            assert calls == [huge]
+            want = [float(beat(placed, p, end)) for p in (fine, huge, fine)]
+            assert _bitwise(got) == _bitwise(want)
+            calls.clear()
+
+    def test_a_common_denominator_past_2_53_falls_back_for_every_position(self, monkeypatch):
+        placed = ScoreGrid(measures_score([12] * 2, [12] * 2), grid(2, 12))
+        positions = [Fraction(1, 3**20), Fraction(1, 5**20), Fraction(5)]
+        calls = []
+        beat = ScoreGrid.beat
+        monkeypatch.setattr(ScoreGrid, "beat",
+                            lambda s, p, end=False: calls.append(p) or beat(s, p, end))
+        got = placed.beats(positions)
+        assert calls == positions
+        assert _bitwise(got) == _bitwise([float(beat(placed, p)) for p in positions])
+
+
+def _placed_one_by_one(index, patterns, grids, tracks, reference):
+    """The per-occurrence placement that `place_occurrences` replaced: two `ScoreGrid.beat`
+    calls, one `slice_track` and one `track_cents` for each occurrence, in index order."""
+    out = {}
+    for pattern in patterns:
+        out[pattern] = []
+        for occ in index.occurrences[pattern]:
+            placed, track = grids[occ.daemok_id], tracks[occ.daemok_id]
+            start = float(placed.beat(occ.onset_beats))
+            end = float(placed.beat(occ.onset_beats + occ.span_beats, end=True))
+            if start < 0 or end > placed.grid.last_beat:
+                out[pattern].append(f"occurrence at {occ.daemok_id} beat {start} runs past the "
+                                    "annotated grid; skipped")
+                continue
+            segment = slice_track(track, placed.grid, start, end)
+            lo = (segment.f0_hz.ctypes.data - track.f0_hz.ctypes.data) // 8  # a view's offset
+            out[pattern].append((lo, len(segment), segment.beats, track_cents(segment, reference)))
+    return out
+
+
+def _check_placements(index, grids, tracks, reference):
+    """`place_occurrences` against `_placed_one_by_one`; returns the (placed, skipped) counts."""
+    patterns = list(index.patterns)
+    want = _placed_one_by_one(index, patterns, grids, tracks, reference)
+    sliced = []
+
+    def counted(track, *args):
+        sliced.append(track)
+        return slice_track(track, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(patterns_module, "slice_track", counted)
+        got = place_occurrences(index, patterns, grids, tracks, reference)
+    assert list(got) == patterns
+    by_daemok, skipped = {}, 0
+    for pattern in patterns:
+        assert len(got[pattern]) == len(want[pattern])
+        for occ, place, expected in zip(index.occurrences[pattern], got[pattern], want[pattern]):
+            if isinstance(expected, str):
+                assert place == expected
+                skipped += 1
+                continue
+            lo, length, beats, cents = expected
+            assert place.hi - place.lo == length and (length == 0 or place.lo == lo)
+            assert place.beats.tobytes() == beats.tobytes()
+            assert place.cents.tobytes() == cents.tobytes()
+            assert place.hop_s == tracks[occ.daemok_id].hop_s
+            by_daemok.setdefault(occ.daemok_id, []).append(place)
+    # One slice per daemok with a placed occurrence, from its first placed frame to its last.
+    assert sorted(map(id, sliced)) == sorted(id(tracks[d]) for d in by_daemok)
+    for places in by_daemok.values():
+        first, last = min(p.lo for p in places), max(p.hi for p in places)
+        for p in places:
+            assert p.beats.base is places[0].beats.base and p.cents.base is places[0].cents.base
+            assert p.beats.base.shape == p.cents.base.shape == (last - first,)
+    return sum(map(len, by_daemok.values())), skipped
+
+
+@st.composite
+def placement_corpora(draw):
+    """One to three daemok, each a generated score (`measure_scores`) on a grid whose beats may
+    start before frame 0 or sit exactly on frame times, and a track of an awkward hop that may
+    end before the grid does, with unvoiced gaps."""
+    sequences, grids, tracks = {}, {}, {}
+    for k in range(draw(st.integers(1, 3))):
+        score = draw(measure_scores(pitched=True))
+        bpm = draw(st.integers(1, 6))
+        hop = draw(st.one_of(st.sampled_from([0.01, 0.0116, 256 / 22050, 1 / 3]),
+                             st.floats(0.003, 0.05)))
+        n_beats = len(score.measures) * bpm
+        if draw(st.booleans()):  # beats on frame times k * hop
+            frames = draw(st.lists(st.integers(0, 40 * n_beats), min_size=n_beats, max_size=n_beats,
+                                   unique=True))
+            times = [f * hop for f in sorted(frames)]
+        else:
+            steps = draw(st.lists(st.floats(0.02, 0.6), min_size=n_beats, max_size=n_beats))
+            times = list(draw(st.floats(-0.4, 0.3)) + np.cumsum(steps))
+        n = draw(st.integers(0, max(0, int(times[-1] / hop)) + 30))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        f0 = np.where(rng.random(n) < 0.8, rng.uniform(200.0, 900.0, n), 0.0)
+        events = [e for m in score.measures for e in m.events]
+        sequences[f"d{k}"] = tokenize(events)
+        grids[f"d{k}"] = ScoreGrid(score, BeatGrid(times, bpm))
+        tracks[f"d{k}"] = F0Track(f0, np.where(f0 > 0, 0.9, 0.0), hop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a corpus too short for 3-grams
+        index = mine_ngrams(sequences, n_values=(2, 3), min_support=1)
+    return index, grids, tracks, draw(st.floats(400.0, 460.0))
+
+
+class TestPlacementPass:
+    """`place_occurrences` gives what placing each occurrence on its own gave, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=placement_corpora())
+    def test_same_placements_as_one_by_one(self, corpus):
+        _check_placements(*corpus)
+
+    def test_spans_on_the_last_beat_and_before_the_first_frame(self):
+        """Beat 0 at -0.25 s, before frame 0. The grid's last beat is where measure 1's fourth
+        quarter starts, so the pair that ends there is placed and the one after it is not."""
+        token = make_token(Pitch("A", 0, 4), Fraction(1))
+        score = measures_score([4, 4], [4, 4])
+        grids = {"d": ScoreGrid(score, BeatGrid(np.arange(8) * 0.5 - 0.25, 4))}
+        tracks = {"d": F0Track(np.full(400, 440.0), np.full(400, 0.9), 256 / 22050)}
+        index = mine_ngrams({"d": [token] * 8}, n_values=(2,), min_support=1)
+        placed, skipped = _check_placements(index, grids, tracks, 440.0)
+        assert (placed, skipped) == (6, 1)
+        (places,) = place_occurrences(index, index.patterns, grids, tracks).values()
+        assert places[0].lo == 0 and places[5].hi > places[5].lo
+        assert grids["d"].beats([Fraction(7)], end=True)[0] == grids["d"].grid.last_beat
+
+    def test_patterns_the_index_lacks_or_daemok_without_inputs_are_not_placed(self):
+        token = make_token(Pitch("A", 0, 4), Fraction(1))
+        index = mine_ngrams({"d": [token] * 4, "e": [token] * 4}, n_values=(2,), min_support=1)
+        score = measures_score([4], [4])
+        grids = {"d": ScoreGrid(score, grid(1, 4))}
+        track = F0Track(np.full(300, 440.0), np.full(300, 0.9), 0.01)
+        tracks = {"d": track, "e": track}
+        other = NGramPattern((token, make_token(None, Fraction(1))))
+        got = place_occurrences(index, [other, *index.patterns, *index.patterns], grids, tracks)
+        assert list(got) == list(index.patterns)
+        kinds = [type(p).__name__ for p in got[index.patterns[0]]]
+        assert kinds == ["Placement"] * 2 + ["str"] + ["NoneType"] * 3  # "e" has no grid

@@ -809,22 +809,29 @@ def test_every_traced_span_on_the_csv_path_is_called(manifest_path, tmp_path, mo
     assert expected - {span["name"] for span in tracer.spans} == set()
 
 
-def test_each_placed_occurrence_is_sliced_once(manifest_path, tmp_path, monkeypatch):
+def test_each_daemok_with_a_placed_occurrence_is_sliced_once(fixtures_dir, tmp_path, monkeypatch):
+    """One `slice_track` per daemok serves all of its occurrences of every contour pattern, so
+    that no frame is sliced twice."""
     from sorimir import patterns
 
     slice_track = patterns.slice_track
-    calls = 0
+    sliced = []
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return slice_track(*args, **kwargs)
+    def counted(track, *args, **kwargs):
+        sliced.append(track)
+        return slice_track(track, *args, **kwargs)
 
+    manifest = json.loads((fixtures_dir / "pickup-12-4.manifest.json").read_text())
+    (entry,) = manifest["daemok"]
+    for key in ("score", "f0_csv", "beats"):
+        entry[key] = str(fixtures_dir / entry[key])
+    manifest["daemok"] = [{**entry, "id": "a"}, {**entry, "id": "b"}]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
     monkeypatch.setattr(patterns, "slice_track", counted)
-    summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
-    placed = sum(summary["contour_sets"].values())
-    assert placed == 2
-    assert calls == placed
+    summary = run_pipeline(path, out_dir=tmp_path / "out")
+    assert len(summary["contour_sets"]) == 2 and sum(summary["contour_sets"].values()) > 4
+    assert len(sliced) == 2 and sliced[0] is not sliced[1]
 
 
 def test_no_contour_outlives_its_pattern(fixtures_dir, tmp_path, monkeypatch):
