@@ -7,12 +7,14 @@ recording the hashes of the inputs it was built from, the settings and the versi
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import os
 import pickle
 import signal
+import struct
 import sys
 import tempfile
 import threading
@@ -20,7 +22,7 @@ import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from functools import partial
-from itertools import repeat, takewhile
+from itertools import chain, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -468,11 +470,12 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
 
     These are the jobs of one fan-out (`_fan_out`): 2i loads entry i's score and beats (stage
     `score`, its beats under `beats`), 2i + 1 its F0 track (stage `f0`), and the last job mines.
-    Wherever a fork can pay (`_can_fork`) and some entry has an F0 CSV, the CSVs' jobs are the
-    share of one forked child, the F0 reader, while this process runs every other job. The
-    error raised is the first in serial order (entry by entry; score, beats, then F0 within
-    one; mining last), after the warnings that came before it, and a reader that dies fails at
-    `f0` of the daemok it was reading."""
+    The F0 CSVs' jobs are claimed, in job order, by as many processes as the CPUs, but never
+    more than one plus the CSV count: on two CPUs, this process and one forked F0 reader. This
+    process first runs every other job, in job order, then claims CSVs too. The error raised
+    is the first in serial order (entry by entry; score, beats, then F0 within one; mining
+    last), after the warnings that came before it, and a reader that dies fails at `f0` of the
+    daemok it was reading."""
     config = FilterConfig(**settings["filter"])
     events_by_id = {}
 
@@ -482,8 +485,8 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
         with _stage("beats", entry["id"]):
             beats = load_beats(Path(entry["beats"]).read_text(), settings["beats_per_measure"])
             grid = ScoreGrid(score, beats)
-        # Every score job and mining are in this process's share, run in job order, so mining
-        # sees every entry's events.
+        # Score jobs and mining run only in this process, in job order, so mining sees every
+        # entry's events.
         events_by_id[entry["id"]] = events
         return grid
 
@@ -498,9 +501,8 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
     jobs = [job for entry in entries for job in (("score", entry["id"], partial(score_job, entry)),
                                                   ("f0", entry["id"], partial(f0_job, entry)))]
     jobs.append(("patterns", "*", lambda: mine_index(events_by_id, settings)))
-    reader = [2 * i + 1 for i, e in enumerate(entries) if "f0_csv" in e] if _can_fork() else []
-    own = sorted(set(range(len(jobs))) - set(reader))
-    *loaded, index = _fan_out(jobs, [own, reader] if reader else [own])
+    csvs = [2 * i + 1 for i, entry in enumerate(entries) if "f0_csv" in entry]
+    *loaded, index = _fan_out(jobs, csvs, 1 + len(csvs))
     ids = [entry["id"] for entry in entries]
     return events_by_id, dict(zip(ids, loaded[::2])), dict(zip(ids, loaded[1::2])), index
 
@@ -590,18 +592,24 @@ def _staging_dir(out_root: Path):
 # the fork, pipe and wait alone, the rest in copy-on-write faults). Splitting a stage two ways
 # saved about 0.18 ms per occurrence when an occurrence cost 0.5-0.6 ms serially. It costs
 # about 3/4 of that now that occurrences are placed before the fan-out, so a split breaks
-# even at about 40 occurrences a share, and the minimum is half again as much.
+# even at about 40 occurrences a process, and the minimum is half again as much.
 MIN_SHARE_OCCURRENCES = 60
 
 # What one daemok's histogram job (both histograms, their affinities, the JSON and SVG and
 # their sidecars) weighs in occurrences. Timed serially on that host (README "Performance"),
-# it cost as much as 5.0-5.1 occurrences on csv_corpus, and more on longer tracks. At 5, only
-# one csv_corpus job of 103 would change share, so it stays 4.
+# it cost as much as 5.0-5.1 occurrences on csv_corpus, and more on longer tracks. A weight
+# only orders the claims and counts toward the process count. Every histogram job weighs the
+# same, less than any contour or `patterns.json` job of csv_corpus or pattern_dense, so 4 and
+# 5 give the same claim order there, and it stays 4.
 HISTOGRAM_WEIGHT = 4
 
 # `patterns.json` occurrence rows that cost as much to write as one occurrence's contour
 # artifacts, timed the same way: 260 on csv_corpus and 290-300 on pattern_dense.
 ROWS_PER_OCCURRENCE = 280
+
+# A claims file slot: the pid of the process that claimed the job of `order` at that position.
+_CLAIM = struct.Struct("=i")
+
 
 def _can_fork() -> bool:
     """Whether a fork can pay: the process may use more than one CPU, and `os.fork` exists and
@@ -609,33 +617,53 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1 and _kernels._cpu_count() > 1
 
 
-def _shares(weights: list[int]) -> list[list[int]]:
-    """Job indices split into one share per process of the fan-out, each in job order.
-
-    There are as many shares as the CPUs the process may use, but never more than there are
-    jobs, nor more than the jobs' summed weight repays at `MIN_SHARE_OCCURRENCES` a share, and
-    one where `_can_fork` says no. Jobs go in descending weight (ties in job order) to the
-    least-loaded share (ties to the first), so the split depends only on the weights and the
-    CPU count."""
-    count = max(1, min(_kernels._cpu_count(), len(weights))) if _can_fork() else 1
-    while count > 1 and sum(weights) < count * MIN_SHARE_OCCURRENCES:
+def _claims(weights: list[int]) -> tuple[list[int], int]:
+    """The output fan-out's claim order, its job indices in descending weight (ties in job
+    order), and how many processes may claim them: no more than there are jobs, nor more than
+    the jobs' summed weight repays at `MIN_SHARE_OCCURRENCES` a process (`_fan_out` caps the
+    count at the CPUs the process may use)."""
+    total, count = sum(weights), max(1, len(weights))
+    while count > 1 and total < count * MIN_SHARE_OCCURRENCES:
         count -= 1
-    shares, loads = [[] for _ in range(count)], [0] * count
-    for job in sorted(range(len(weights)), key=lambda j: -weights[j]):
-        least = loads.index(min(loads))
-        shares[least].append(job)
-        loads[least] += weights[job]
-    return [sorted(share) for share in shares]
+    return sorted(range(len(weights)), key=lambda j: -weights[j]), count
 
 
-def _run_share(jobs: list[tuple], share: list[int]):
-    """Run each job of `share` in order under its stage (`_stage`), yielding `(index, result,
-    caught warnings, None)` as each ends, up to and including the first job that raises, which
-    yields `(index, None, caught, error)`.
+def _claim(claims, order: list[int]):
+    """Yield, one at a time, the jobs of `order` that this process claims: each claim takes the
+    next job of `order` that no process has claimed, when this process asks for its next job.
+
+    `claims` is a file shared by every process of the fan-out. It holds one `_CLAIM` slot, the
+    claimer's pid, per claimed job of `order`, so its length is the claim counter. It is read
+    and grown under a POSIX `lockf` record lock, which the kernel drops when its holder dies, so
+    a process that dies hangs no other."""
+    import fcntl  # POSIX only, as is `os.fork`
+
+    fd, pid = claims.fileno(), _CLAIM.pack(os.getpid())
+    while True:
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            slot = os.fstat(fd).st_size // _CLAIM.size
+            if slot < len(order):
+                os.pwrite(fd, pid, slot * _CLAIM.size)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        if slot == len(order):
+            return
+        yield order[slot]
+
+
+def _run_jobs(jobs: list[tuple], indices):
+    """Run each job of `indices` under its stage (`_stage`), yielding `(index, result, caught
+    warnings, None)` as each ends, or `(index, None, caught, error)` for one that raises. Once a
+    job has failed, only jobs of a lower index run: the error raised is the lowest-index one,
+    and the others are passed over.
 
     Every warning is caught, unfiltered, as `(text, category, filename, lineno)`: the parent
     warns them again in job order (`_warn_again`), through the filters they would have met."""
-    for i in share:
+    failed = len(jobs)  # the lowest index of a job that failed
+    for i in indices:
+        if i > failed:
+            continue
         stage, daemok_id, run = jobs[i]
         result = error = None
         with warnings.catch_warnings(record=True) as caught:
@@ -644,10 +672,8 @@ def _run_share(jobs: list[tuple], share: list[int]):
                 with _stage(stage, daemok_id):
                     result = run()
             except Exception as exc:  # the lowest failing job's error is raised, in job order
-                error = exc
+                error, failed = exc, i
         yield i, result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught], error
-        if error is not None:
-            return
 
 
 def _warn_again(caught: list[tuple]) -> None:
@@ -662,55 +688,73 @@ def _warn_again(caught: list[tuple]) -> None:
                                env.setdefault("__warningregistry__", {}), env or None)
 
 
-def _fan_out(jobs: list[tuple], shares: list[list[int]]) -> list:
-    """The result of each of `jobs`, `(stage, daemok id, run)` with `run()` the job's work, with
-    the job indices split into `shares` (each in job order; `run_pipeline` passes
-    `_shares(weights)`). This is the one place that guards forked work: each job runs under its
-    own stage (`_stage`), wherever it runs.
+def _fan_out(jobs: list[tuple], order: list[int], processes: int) -> list:
+    """The result of each of `jobs`, `(stage, daemok id, run)` with `run()` the job's work, run
+    by at most `processes` processes, of which the jobs of `order` are claimed on demand. This
+    is the one place that guards forked work: each job runs under its own stage (`_stage`),
+    wherever it runs.
 
-    The parent runs the first share and forks one child for each other (`_run_child`), whose
-    results and errors must pickle. A child writes each job's outcome as soon as the job ends.
-    The parent reaps and reads every child, even after a job of its own failed; a child that
-    died fails at the first job of its share that it never reported, under that job's stage
-    and daemok, and a fork that fails at its share's first job. Only such a fork, or a parent
-    stopped by an error that is not an `Exception`, kills the children, and reaps them. Then,
-    in job order, each job's warnings are warned again and its result kept, until the first
-    job that failed raises its error: the caller sees what a serial loop would give it."""
-    children = []  # (pid, its share, the file it writes its results to)
-    try:
-        for share in shares[1:]:
-            results_file = tempfile.TemporaryFile()
+    With one process (`processes` is capped at the CPUs the process may use, and is 1 where
+    `_can_fork` says no) this process runs every job in job order. Otherwise it forks a child
+    for each other process (`_run_child`), whose results and errors must pickle; a fork that
+    fails leaves one process fewer. This process first runs, in job order, the jobs that only
+    it can run, those not in `order`. Then every process, this one included, takes the next job
+    of `order` whenever it is free (`_claim`), until none is left. After its first failing
+    job, a process runs only claimed jobs of a lower index.
+
+    A child writes each job's outcome as soon as the job ends. The parent reaps and reads every
+    child, even after a job of its own failed; a child that died fails at the job it claimed
+    and never reported, under that job's stage and daemok, with its own exit code. Only a
+    parent stopped by an error that is not an `Exception` kills the children, and reaps them.
+    The GC is frozen from the first fork until every child is reaped, so that no collection,
+    in the parent or a child, walks and so copies the heap they share. Then, in job order, each
+    job's warnings are warned again and its result kept, until the first job that failed
+    raises its error: the caller sees what a serial loop would give it."""
+    processes = min(processes, _kernels._cpu_count()) if _can_fork() else 1
+    if processes == 1:
+        done = list(_run_jobs(jobs, range(len(jobs))))
+    else:
+        children = []  # (pid, the file it writes its results to), until reaped
+        with tempfile.TemporaryFile() as claims:
+            gc.freeze()
             try:
-                pid = os.fork()
-            except OSError as exc:  # no worker for the share: its first job cannot run
-                results_file.close()
-                raise PipelineError(*jobs[share[0]][:2], exc) from exc
-            if pid == 0:
-                _run_child(jobs, share, results_file)
-            children.append((pid, share, results_file))
-        done = list(_run_share(jobs, shares[0]))
-        while children:
-            pid, share, results_file = children[0]
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            sent = []
-            with results_file:
-                results_file.seek(0)
-                with suppress(EOFError, pickle.UnpicklingError):  # its end, or a cut-off pickle
-                    while True:  # unpickled as it is read: never held as bytes as well
-                        sent.append(pickle.load(results_file))
-            if len(sent) < len(share) and (not sent or sent[-1][3] is None):  # it died
-                i = share[len(sent)]
-                sent.append((i, None, [], PipelineError(*jobs[i][:2], ChildProcessError(
-                    f"a worker process ended with exit code {os.waitstatus_to_exitcode(status)} "
-                    "before it returned its results"))))
-            done += sent
-    finally:
-        for pid, _, results_file in children:  # left only if the parent was stopped
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            results_file.close()
-            os.waitpid(pid, 0)
+                for _ in range(processes - 1):
+                    results_file = tempfile.TemporaryFile()
+                    try:
+                        pid = os.fork()
+                    except OSError:  # no such process: the others claim its jobs
+                        results_file.close()
+                        continue
+                    if pid == 0:
+                        _run_child(jobs, _claim(claims, order), results_file)
+                    children.append((pid, results_file))
+                own = sorted(set(range(len(jobs))).difference(order))
+                done = list(_run_jobs(jobs, chain(own, _claim(claims, order))))
+                codes = {}  # pid of each reaped child -> its exit code
+                while children:
+                    pid, results_file = children[0]
+                    codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    children.pop(0)
+                    with results_file, suppress(EOFError, pickle.UnpicklingError):
+                        results_file.seek(0)
+                        while True:  # to its end or a cut-off pickle, never held as bytes too
+                            done.append(pickle.load(results_file))
+                reported = {d[0] for d in done}
+                claimers = os.pread(claims.fileno(), _CLAIM.size * len(order), 0)
+                for i, (pid,) in zip(order, _CLAIM.iter_unpack(claimers)):
+                    # A child's claim it never reported: the job it died in, or one it passed
+                    # over after a failure of its own, whose lower index then raises first.
+                    if pid in codes and i not in reported:
+                        done.append((i, None, [], PipelineError(*jobs[i][:2], ChildProcessError(
+                            f"a worker process ended with exit code {codes[pid]} "
+                            "before it returned its results"))))
+            finally:
+                for pid, results_file in children:  # left only if the parent was stopped
+                    with suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+                    results_file.close()
+                    os.waitpid(pid, 0)
+                gc.unfreeze()
     results = []
     for _, result, caught, error in sorted(done, key=lambda d: d[0]):
         _warn_again(caught)
@@ -720,19 +764,20 @@ def _fan_out(jobs: list[tuple], shares: list[list[int]]) -> list:
     return results
 
 
-def _run_child(jobs: list[tuple], share: list[int], results_file):
-    """A forked child's whole life: run `share`, write each tuple `_run_share` yields to
-    `results_file` as soon as it comes, and exit. It never returns into the parent's stack, so
-    no `finally`, `atexit` handler or buffered output of the parent runs twice. Protocol 5
-    pickles a read-only array as bytes, so it is unpickled read-only, without a copy.
+def _run_child(jobs: list[tuple], claimed, results_file):
+    """A forked child's whole life: run the jobs it claims (`claimed`), write each tuple
+    `_run_jobs` yields to `results_file` as soon as it comes, and exit. It never returns into
+    the parent's stack, so no `finally`, `atexit` handler or buffered output of the parent runs
+    twice. Protocol 5 pickles a read-only array as bytes, so it is unpickled read-only, without
+    a copy.
 
     A file, unlike a pipe, never blocks the child until the parent reads: the parent reads
-    only once its own share is done, and a pipe would leave the child idle until then."""
+    only once its own jobs are done, and a pipe would leave the child idle until then."""
     code = 1
     try:
-        for done in _run_share(jobs, share):
+        for done in _run_jobs(jobs, claimed):
             pickle.dump(done, results_file, protocol=5)
-            results_file.flush()  # reported before the next job starts, should that one kill it
+            results_file.flush()  # reported before the next claim, should the next job kill it
         code = 0
     finally:
         os._exit(code)
@@ -749,9 +794,9 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     `load_corpus` reads the inputs and mines the n-gram index, and `place_occurrences` places
     every contour pattern that the index holds, in one pass per daemok that raises nothing.
     `patterns.json`, the histograms and each pattern's contour artifacts are then the jobs of
-    one fan-out (`_fan_out` over `_shares` of their weights), in that order and under stages
-    `patterns`, `histogram` (of its daemok) and `contours`, so errors and warnings, the
-    past-grid ones included, come in stage order.
+    one fan-out (`_fan_out`, in the claim order and process count `_claims` gives their
+    weights), in that order and under stages `patterns`, `histogram` (of its daemok) and
+    `contours`, so errors and warnings, the past-grid ones included, come in stage order.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
@@ -810,7 +855,7 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 + [("contours", "*", partial(contour_job, pi)) for pi in range(len(patterns))])
         weights = ([rows // ROWS_PER_OCCURRENCE] + [HISTOGRAM_WEIGHT] * len(events_by_id)
                    + [index.support(NGramPattern.from_text(text)) for text in patterns])
-        results = _fan_out(jobs, _shares(weights))
+        results = _fan_out(jobs, *_claims(weights))
         placed = dict(zip(patterns, results[len(events_by_id) + 1:]))
 
         outputs = sorted(os.listdir(staging))  # a new directory: only `emit` wrote into it

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import threading
@@ -19,6 +20,17 @@ def no_child_process_left():
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"the test left a child process behind ({f'pid {pid}' if pid else 'still running'})")
+
+
+@pytest.fixture(autouse=True)
+def no_gc_left_frozen():
+    """Fail a test after which the GC still holds frozen objects (`gc.freeze` with no
+    `gc.unfreeze`), and unfreeze them for the tests after it."""
+    yield
+    frozen = gc.get_freeze_count()
+    if frozen:
+        gc.unfreeze()
+        pytest.fail(f"the test left {frozen} objects frozen from the GC")
 
 
 @pytest.fixture(scope="session")

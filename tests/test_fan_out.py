@@ -1,9 +1,12 @@
-"""`run`'s forked work, the F0 reader beside the score parse and the output stages split over
-processes: the same outputs and errors on any CPU count."""
+"""`run`'s forked work, the F0 readers beside the score parse and the output stages claimed by
+every process: the same outputs and errors on any CPU count."""
 
 import ast
+import gc
 import json
 import os
+import random
+import select
 import subprocess
 import sys
 import threading
@@ -19,7 +22,6 @@ import sorimir
 from sorimir import _kernels, report
 from sorimir.cli import main
 from sorimir.errors import IncompatibleHistogramError, PipelineError
-from sorimir.patterns import NGramPattern
 
 # Patterns of the meter-12-8 fixture (min_support 1) and what `run` makes of each.
 PAIR = "A4:1/1 C5:1/1"  # 2 occurrences, both placed
@@ -34,30 +36,19 @@ UNMINED = "B4:1/1 B4:1/1"
 PATTERNS = [PAIR, PAST_20, THREE, PAST_25, PAST_20, PAST_22]
 
 
-def _manifest(fixtures_dir, tmp_path, patterns, **settings) -> Path:
+def _manifest(fixtures_dir, tmp_path, patterns, copies=1, **settings) -> Path:
+    """The meter-12-8 fixture manifest with `patterns` and `settings`; with `copies` > 1 its
+    daemok is repeated as meter-12-8-1, meter-12-8-2 and so on."""
     manifest = json.loads((fixtures_dir / "meter-12-8.manifest.json").read_text())
     entry = manifest["daemok"][0]
     for key in ("score", "f0_csv", "beats"):
         entry[key] = str(fixtures_dir / entry[key])
+    if copies > 1:
+        manifest["daemok"] = [{**entry, "id": f"{entry['id']}-{i}"} for i in range(1, copies + 1)]
     manifest["settings"].update(settings, contour_patterns=patterns)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return path
-
-
-# The output fan-out of a one-daemok manifest: the `patterns.json` job, its histogram job, then
-# one job per contour pattern from this index on.
-FIRST_PATTERN = 2
-
-
-def _weights(manifest) -> list[int]:
-    """The weight of each job of `run`'s output fan-out, as `run` weighs them: the
-    `patterns.json` job, one histogram job per daemok, then each contour pattern's support."""
-    entries, settings = report.load_manifest(manifest)
-    index = report.load_corpus(entries, settings)[3]
-    rows = sum(map(len, index.occurrences.values()))
-    return ([rows // report.ROWS_PER_OCCURRENCE] + [report.HISTOGRAM_WEIGHT] * len(entries)
-            + [index.support(NGramPattern.from_text(p)) for p in settings["contour_patterns"]])
 
 
 @pytest.fixture
@@ -75,51 +66,111 @@ def forks(monkeypatch) -> list:
     return forked
 
 
-class TestShares:
-    def test_pattern_dense_splits_in_halves(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
-        weights = [121, 85, 60, 43, 30, 21] * 2
-        shares = report._shares(weights)
-        assert shares == [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]
-        assert [sum(weights[i] for i in s) for s in shares] == [360, 360]
+@pytest.fixture
+def handoff():
+    """`(give, take)`, which work across a fork: each `take()` returns once `give()` has been
+    called once more, in this process or in any child, and fails after 30 s."""
+    read_end, write_end = os.pipe()
 
-    def test_descending_weight_to_the_least_loaded_share(self, cpus):
-        cpus(3)
-        # 9 -> 0; 5 -> 1; 4 -> 2; 3 -> 2 (4 < 5); 2 -> 1 (5 < 7); 1 -> 1 (9, 7, 7: the first 7)
-        assert report._shares([1, 2, 3, 4, 5, 9]) == [[5], [0, 1, 4], [2, 3]]
+    def take():
+        assert select.select([read_end], [], [], 30)[0], "nothing was given within 30 s"
+        os.read(read_end, 1)
 
-    @pytest.mark.parametrize("count, weights, shares", [
-        (4, [60, 60, 60], 3),  # no more shares than jobs
-        (2, [60, 59], 1),  # 119 occurrences do not repay two shares of 60
-        (2, [60, 60], 2),
-        (3, [100, 50, 29], 2),  # 179 repay two shares, not three
-        (2, [4, 4, 0, 3, 3], 1),  # wav_long: 2 histograms, patterns.json, 6 occurrences
-        (1, [500, 500], 1),
-        (2, [], 1),
+    yield partial(os.write, write_end, b"x"), take
+    os.close(read_end)
+    os.close(write_end)
+
+
+def _gate(monkeypatch, stage: str, until) -> None:
+    """Give each fan-out of a job of `stage` one more job, last in job order and run by the
+    parent alone, before it claims any: `until()`. A job that must run in a child gives
+    `until` its go, so the parent cannot claim it. The gate's result is dropped."""
+    fan_out = report._fan_out
+
+    def gated(jobs, order, processes):
+        if not any(job[0] == stage for job in jobs):
+            return fan_out(jobs, order, processes)
+        return fan_out([*jobs, ("gate", "*", until)], order, processes)[:-1]
+
+    monkeypatch.setattr(report, "_fan_out", gated)
+
+
+class TestClaims:
+    def test_descending_weight_ties_in_job_order(self):
+        assert report._claims([1, 2, 3, 3, 0, 9])[0] == [5, 2, 3, 1, 0, 4]
+
+    def test_pattern_dense_alternates_its_two_halves(self):
+        order, _ = report._claims([121, 85, 60, 43, 30, 21] * 2)
+        assert order == [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
+
+    @pytest.mark.parametrize("weights, processes", [
+        ([60, 60, 60], 3),
+        ([60, 59], 1),  # 119 occurrences do not repay two processes of 60
+        ([60, 60], 2),
+        ([100, 50, 29], 2),  # 179 repay two processes, not three
+        ([4, 4, 0, 3, 3], 1),  # wav_long: 2 histograms, patterns.json, 6 occurrences
+        ([], 1),
     ])
-    def test_share_count(self, monkeypatch, count, weights, shares):
-        monkeypatch.setattr(_kernels, "_cpu_count", lambda: count)
-        assert len(report._shares(weights)) == shares
+    def test_process_count(self, weights, processes):
+        assert report._claims(weights)[1] == processes
 
-    def test_one_share_while_another_thread_runs(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    @pytest.mark.parametrize("count, processes, forked", [(2, 5, 1), (3, 5, 2), (3, 2, 1),
+                                                          (1, 5, 0), (4, 1, 0)])
+    def test_no_more_processes_than_cpus(self, cpus, forks, count, processes, forked):
+        cpus(count)
+        assert report._fan_out(_jobs(lambda i: -i, 6), list(range(6)), processes) == [
+            0, -1, -2, -3, -4, -5]
+        assert len(forks) == forked
+
+    def test_one_process_while_another_thread_runs(self, cpus, forks):
+        cpus(2)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert len(report._shares([500, 500])) == 1
+            assert report._fan_out(_jobs(lambda i: i, 2), [0, 1], 2) == [0, 1]
+            assert not forks
         finally:
             stop.set()
             thread.join(10)
         assert not thread.is_alive()
-        assert len(report._shares([500, 500])) == 2
+        assert report._fan_out(_jobs(lambda i: i, 2), [0, 1], 2) == [0, 1]
+        assert len(forks) == 1
 
-    def test_every_job_in_exactly_one_share(self, cpus):
-        cpus(3)
-        weights = [7, 0, 3, 3, 12, 1, 0, 5]
-        shares = report._shares(weights)
-        assert sorted(i for s in shares for i in s) == list(range(len(weights)))
-        assert all(s == sorted(s) for s in shares)
+    @pytest.mark.parametrize("count, forked", [(1, 0), (2, 1), (3, 2), (8, 3)])
+    def test_the_load_phase_forks_a_reader_per_cpu_but_one_up_to_the_csv_count(
+        self, cpus, forks, fixtures_dir, tmp_path, count, forked
+    ):
+        entries, settings = report.load_manifest(_mixed(fixtures_dir, tmp_path))  # 3 CSVs
+        cpus(count)
+        report.load_corpus(entries, settings)
+        assert len(forks) == forked
+
+    def test_the_parent_runs_its_own_jobs_first_and_claims_the_rest_in_order(
+        self, cpus, handoff, tmp_path
+    ):
+        # Jobs 1 and 4 are the parent's own. Job 1 waits until the child has started every
+        # claimed job, so the child runs them all, one after another in claim order.
+        give, take = handoff
+        parent, log = os.getpid(), tmp_path / "log"
+        order = [5, 0, 3, 2]
+
+        def job(i):
+            with open(log, "a") as fh:
+                fh.write(f"{'parent' if os.getpid() == parent else 'child'} {i}\n")
+            if os.getpid() != parent:
+                give()
+            elif i == 1:
+                for _ in order:
+                    take()
+            return i
+
+        cpus(2)
+        assert report._fan_out(_jobs(job, 6), order, 2) == list(range(6))
+        lines = log.read_text().splitlines()
+        assert [line for line in lines if line.startswith("parent")] == ["parent 1", "parent 4"]
+        assert [line for line in lines if line.startswith("child")] == [
+            f"child {i}" for i in order]
 
 
 _RUN_PINNED = """
@@ -140,14 +191,15 @@ sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-def _run_pinned(manifest, cwd: Path, count: int, lowered: bool = True) -> tuple:
-    """`sorimir run` in a fresh interpreter whose process may use `count` CPUs, writing `out`
-    in `cwd`: its exit code, stdout, stderr, `{name: bytes}` of `out`, and how many children it
-    forked. If `lowered`, every job repays a fork."""
+def _run_pinned(manifest, cwd: Path, count: int, lowered: bool = True, flags=()) -> tuple:
+    """`sorimir run` in a fresh interpreter, started with the options `flags`, whose process may
+    use `count` CPUs, writing `out` in `cwd`: its exit code, stdout, stderr, `{name: bytes}` of
+    `out`, and how many children it forked. If `lowered`, every job repays a fork."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(sorimir.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", _RUN_PINNED, str(count), "lowered" if lowered else "measured",
+        [sys.executable, *flags, "-c", _RUN_PINNED, str(count),
+         "lowered" if lowered else "measured",
          "run", "--manifest", str(manifest), "--out-dir", "out"],
         cwd=cwd, env=env, capture_output=True, timeout=120,
     )
@@ -189,18 +241,28 @@ def _error_of(capsys, argv: list[str]) -> dict:
     (UNMINED, {}, f"stage 'contours' failed for daemok '*': pattern '{UNMINED}' is not in the index"),
 ])
 def test_a_job_failing_in_a_child_gives_the_serial_json_line(
-    capsys, cpus, fixtures_dir, tmp_path, failing, settings, message
+    capsys, cpus, handoff, fixtures_dir, tmp_path, monkeypatch, failing, settings, message
 ):
     # PAST_25 warns and places nothing, so it renders no contour and passes even at 10**15
     # samples; the failing job comes next. PAIR, the heaviest, fails too under 10**15, later.
     patterns = [PAST_25, failing, PAIR, THREE, "G4:1/1 E4:3/2"]
     manifest = _manifest(fixtures_dir, tmp_path, patterns, **settings)
-    lines = []
-    for count in (1, 2, 3):
+    cpus(1)
+    lines = [_json_line(capsys, manifest, tmp_path / "out1")]
+    # The parent claims nothing until a child has started the failing job, which it claims
+    # after the warning job: both run in children, not in the parent.
+    give, take = handoff
+    parent, artifacts = os.getpid(), report.pattern_artifacts
+
+    def signalling(index, pattern_text, *args):
+        if pattern_text == failing and os.getpid() != parent:
+            give()
+        return artifacts(index, pattern_text, *args)
+
+    monkeypatch.setattr(report, "pattern_artifacts", signalling)
+    _gate(monkeypatch, "contours", take)
+    for count in (2, 3):
         cpus(count)
-        if count > 1:  # the warning and the failing job run in children, not in the parent
-            shares = report._shares(_weights(manifest))
-            assert {FIRST_PATTERN, FIRST_PATTERN + 1}.isdisjoint(shares[0])
         lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
         assert not (tmp_path / f"out{count}").exists()
     assert lines[0] == lines[1] == lines[2]
@@ -210,9 +272,9 @@ def test_a_job_failing_in_a_child_gives_the_serial_json_line(
     ]
 
 
-def test_a_failure_in_the_parents_share_waits_for_the_children(capsys, cpus, fixtures_dir,
-                                                               tmp_path, monkeypatch):
-    # The histogram job, the heaviest, runs in the parent and fails first; the children's
+def test_the_first_failing_job_drops_the_later_warnings_and_errors(capsys, cpus, fixtures_dir,
+                                                                   tmp_path, monkeypatch):
+    # The histogram job, the heaviest and the first claimed, fails first in job order; the
     # later warnings and errors (PAIR and THREE fail at 10**15 samples) are dropped.
     def failing(f0_hist, score_hist):
         raise IncompatibleHistogramError("boom")
@@ -223,8 +285,6 @@ def test_a_failure_in_the_parents_share_waits_for_the_children(capsys, cpus, fix
     lines = []
     for count in (1, 2, 3):
         cpus(count)
-        shares = report._shares(_weights(manifest))
-        assert len(shares) == count and 1 in shares[0]
         lines.append(_json_line(capsys, manifest, tmp_path / f"out{count}"))
         assert not (tmp_path / f"out{count}").exists()
     assert lines[0] == lines[1] == lines[2]
@@ -232,44 +292,49 @@ def test_a_failure_in_the_parents_share_waits_for_the_children(capsys, cpus, fix
     assert lines[0]["message"] == "stage 'histogram' failed for daemok 'meter-12-8': boom"
 
 
-def test_a_child_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path, monkeypatch):
+def test_a_child_that_dies_is_one_json_line(capsys, cpus, handoff, fixtures_dir, tmp_path,
+                                            monkeypatch):
     cpus(2)
+    give, take = handoff
     parent, artifacts = os.getpid(), report.pattern_artifacts
 
     def dying(*args):
         if os.getpid() != parent:
+            give()
             os._exit(9)
         return artifacts(*args)
 
     monkeypatch.setattr(report, "pattern_artifacts", dying)
+    _gate(monkeypatch, "contours", take)
     manifest = _manifest(fixtures_dir, tmp_path, PATTERNS)
     assert _json_line(capsys, manifest, tmp_path / "out") == {
         "type": "PipelineError",
         "message": "stage 'contours' failed for daemok '*': a worker process ended with exit "
                    "code 9 before it returned its results",
-    }  # at the child's first contour job: no warning comes before it
+    }  # at the child's first contour job, PAIR, the heaviest: no warning comes before it
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("count", [2, 3])
-def test_a_worker_that_dies_is_named_at_the_job_it_was_running(capsys, cpus, fixtures_dir,
-                                                                 tmp_path, monkeypatch, count):
-    # d4's histogram job runs in a child after an earlier histogram job of its share reported.
+def test_a_worker_that_dies_is_named_at_the_job_it_was_running(capsys, cpus, handoff,
+                                                                 fixtures_dir, tmp_path,
+                                                                 monkeypatch, count):
+    # The parent claims nothing until a child has started d4's histogram job, the last claimed
+    # but `patterns.json`; on two CPUs the one child has reported every job claimed before it.
+    give, take = handoff
     parent, record = os.getpid(), report.histogram_record
 
     def dying(daemok_id, *args):
         warnings.warn(f"histogram of {daemok_id}")
         if daemok_id == "d4" and os.getpid() != parent:
+            give()
             os._exit(9)
         return record(daemok_id, *args)
 
     monkeypatch.setattr(report, "histogram_record", dying)
+    _gate(monkeypatch, "histogram", take)
     manifest = _mixed(fixtures_dir, tmp_path)
     cpus(count)
-    job = 1 + 3  # the jobs are `patterns.json`, then the histograms of d1 to d4
-    shares = report._shares(_weights(manifest))
-    (share,) = [share for share in shares if job in share]
-    assert share is not shares[0] and share.index(job) > 0
     assert _json_line(capsys, manifest, tmp_path / "out") == {
         "type": "PipelineError",
         "warnings": ["histogram of d1", "histogram of d2", "histogram of d3"],
@@ -284,45 +349,165 @@ def _jobs(job, count: int) -> list[tuple]:
     return [("job", f"d{i}", partial(job, i)) for i in range(count)]
 
 
-def test_an_error_of_the_parents_own_kills_and_reaps_every_child():
-    parent = os.getpid()
+def test_an_error_of_the_parents_own_kills_and_reaps_every_child(cpus, handoff):
+    # Job 0, the parent's own, raises once both children run a claimed job, which never ends.
+    give, take = handoff
+    parent, never = os.getpid(), os.pipe()
 
     def job(i):
-        if os.getpid() != parent:
-            time.sleep(60)  # killed long before
-        raise KeyboardInterrupt
+        if os.getpid() == parent:
+            take()
+            take()
+            raise KeyboardInterrupt
+        give()
+        select.select([never[0]], [], [], 60)  # killed long before
 
+    cpus(3)
     start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        report._fan_out(_jobs(job, 3), [[0], [1], [2]])
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            report._fan_out(_jobs(job, 3), [1, 2], 3)
+    finally:
+        os.close(never[0])
+        os.close(never[1])
     assert time.monotonic() - start < 30  # the no_child_process_left fixture checks the reaping
 
 
-def test_a_fork_that_fails_is_named_at_its_shares_first_job(monkeypatch):
-    fork, forked = os.fork, []
+@pytest.mark.parametrize("failing", [{2}, {1, 2}])
+def test_a_fork_that_fails_leaves_one_process_fewer(cpus, monkeypatch, failing):
+    fork, calls, forked = os.fork, [], []
 
-    def failing():
-        if forked:
+    def flaky():
+        calls.append(None)
+        if len(calls) in failing:
             raise BlockingIOError(11, "Resource temporarily unavailable")
         forked.append(None)
         return fork()
 
-    monkeypatch.setattr(os, "fork", failing)
-    with pytest.raises(PipelineError, match=r"^stage 'job' failed for daemok 'd2': \[Errno 11\]"):
-        report._fan_out(_jobs(lambda i: i, 4), [[0], [1], [2, 3]])
-    assert len(forked) == 1  # the first child, killed and reaped on the way out
+    monkeypatch.setattr(os, "fork", flaky)
+    cpus(3)
+    assert report._fan_out(_jobs(lambda i: i * i, 6), [5, 4, 3, 2, 1], 3) == [
+        0, 1, 4, 9, 16, 25]
+    assert len(calls) == 2 and len(forked) == 2 - len(failing)
 
 
-def test_results_and_warnings_come_back_in_job_order(recwarn):
+def test_results_and_warnings_come_back_in_job_order(cpus, handoff, recwarn):
+    # Job 0, the parent's own, waits until the child has run a claimed job.
+    give, take = handoff
+
     def job(i):
         warnings.warn(f"job {i} from {'parent' if os.getpid() == parent else 'child'}")
+        if os.getpid() != parent:
+            give()
+        elif i == 0:
+            take()
         return i * i
 
     parent = os.getpid()
-    assert report._fan_out(_jobs(job, 5), [[0], [1, 4], [2, 3]]) == [0, 1, 4, 9, 16]
+    cpus(2)
+    assert report._fan_out(_jobs(job, 5), [4, 3, 2, 1], 2) == [0, 1, 4, 9, 16]
     texts = [str(w.message) for w in recwarn]
     assert [t.split(" from ")[0] for t in texts] == [f"job {i}" for i in range(5)]
-    assert {t.split(" from ")[1] for t in texts} == {"parent", "child"}
+    assert texts[0] == "job 0 from parent" and "job 4 from child" in texts
+
+
+def test_each_job_runs_once_whoever_claims_it(cpus, tmp_path, recwarn):
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def job(i):
+        os.write(log, f"{i}\n".encode())  # one write, appended whole
+        warnings.warn(f"job {i}")
+        return i * i
+
+    cpus(3)
+    try:
+        results = report._fan_out(_jobs(job, 500), list(range(500)), 3)
+    finally:
+        os.close(log)
+    assert results == [i * i for i in range(500)]
+    assert sorted(map(int, (tmp_path / "log").read_text().split())) == list(range(500))
+    assert [str(w.message) for w in recwarn] == [f"job {i}" for i in range(500)]
+
+
+def test_a_child_that_dies_holding_the_claim_lock_hangs_nobody(cpus, handoff, monkeypatch):
+    # Each child dies on its first claim, with the lock held: the kernel drops the lock, and
+    # the parent, once its own job 0 is done, claims and runs every job.
+    import fcntl
+
+    give, take = handoff
+    parent, lockf = os.getpid(), fcntl.lockf
+
+    def dying(fd, cmd, *args):
+        lockf(fd, cmd, *args)
+        if cmd == fcntl.LOCK_EX and os.getpid() != parent:
+            give()
+            os._exit(7)
+
+    def job(i):
+        if i == 0:
+            take()
+            take()
+        return -i
+
+    monkeypatch.setattr(fcntl, "lockf", dying)
+    cpus(3)
+    start = time.monotonic()
+    assert report._fan_out(_jobs(job, 5), [4, 3, 2, 1], 3) == [0, -1, -2, -3, -4]
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("ending", ["error", "interrupt", "death", "none"])
+def test_the_gc_is_frozen_only_while_children_run(cpus, handoff, ending):
+    give, take = handoff
+    parent, frozen = os.getpid(), []
+
+    def job(i):
+        if os.getpid() != parent:
+            give()
+            if ending == "death":
+                os._exit(5)
+            return i
+        frozen.append(gc.get_freeze_count())
+        if i == 0:
+            take()  # the child has claimed job 1
+            if ending == "error":
+                raise ValueError("own")
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+        return i
+
+    cpus(2)
+    raised = {"error": PipelineError, "interrupt": KeyboardInterrupt, "death": PipelineError}
+    if ending in raised:
+        with pytest.raises(raised[ending]):
+            report._fan_out(_jobs(job, 3), [1, 2], 2)
+    else:
+        assert report._fan_out(_jobs(job, 3), [1, 2], 2) == [0, 1, 2]
+    assert frozen[0] > 0 and gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("serial", ["one cpu", "another thread"])
+def test_the_serial_path_runs_the_jobs_in_job_order_and_nothing_else(cpus, forks, monkeypatch,
+                                                                     serial):
+    def untouched(*args, **kwargs):
+        raise AssertionError("the serial path opened a claims file or froze the GC")
+
+    for module, name in ((report.tempfile, "TemporaryFile"), (gc, "freeze"), (gc, "unfreeze")):
+        monkeypatch.setattr(module, name, untouched)
+    ran = []
+    cpus(1 if serial == "one cpu" else 3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if serial == "another thread":
+        thread.start()
+    try:
+        assert report._fan_out(_jobs(lambda i: ran.append(i) or i, 5), [4, 3, 2, 1, 0], 3) == [
+            0, 1, 2, 3, 4]
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(10)
+    assert ran == [0, 1, 2, 3, 4] and not forks
 
 
 # Inputs that fail to load, each at the stage of its entry key.
@@ -425,25 +610,51 @@ def test_the_reader_gives_the_serial_corpus(cpus, forks, fixtures_dir, tmp_path)
             assert not sent.flags.writeable  # read-only, as a track built in this process
 
 
-def test_a_score_error_waits_for_a_slow_reader(capsys, cpus, forks, fixtures_dir, tmp_path,
-                                               monkeypatch):
+def test_a_score_error_waits_for_the_reader(capsys, cpus, forks, fixtures_dir, tmp_path,
+                                           monkeypatch):
+    # Every CSV import warns, and d2's score fails: the line holds the warning of d1's CSV.
     manifest = _mixed(fixtures_dir, tmp_path, [("d2", "score")])
-    cpus(1)
-    serial = _json_line(capsys, manifest, tmp_path / "out1")
-    cpus(2)
-    parent, import_csv = os.getpid(), report.import_f0_csv
+    parent, import_csv, parse = os.getpid(), report.import_f0_csv, report.parse_musicxml
 
-    def slow(text):
-        if os.getpid() != parent:
-            time.sleep(0.2)  # three CSVs: the parent fails long before the reader is done
+    def warning(text):
+        warnings.warn("read a csv")
         return import_csv(text)
 
-    monkeypatch.setattr(report, "import_f0_csv", slow)
-    start = time.monotonic()
-    assert _json_line(capsys, manifest, tmp_path / "out2") == serial
-    assert time.monotonic() - start >= 0.5  # the no_child_process_left fixture checks the reaping
-    assert len(forks) == 1
+    monkeypatch.setattr(report, "import_f0_csv", warning)
+    cpus(1)
+    serial = _json_line(capsys, manifest, tmp_path / "out1")
+    assert serial["warnings"] == ["read a csv"]
     assert serial["message"].startswith("stage 'score' failed for daemok 'd2'")
+
+    # The reader starts d1's CSV, the first claimed, before the parent parses d1's score, and
+    # reads it only once the parent has failed at d2's score.
+    reading, failed, parsed = os.pipe(), os.pipe(), []
+
+    def waiting(text):
+        if os.getpid() != parent:
+            os.write(reading[1], b"x")
+            assert select.select([failed[0]], [], [], 30)[0]
+        return warning(text)
+
+    def parsing(data):
+        if not parsed:  # d1's score
+            assert select.select([reading[0]], [], [], 30)[0]
+        parsed.append(None)
+        try:
+            return parse(data)
+        except Exception:
+            os.write(failed[1], b"x")
+            raise
+
+    monkeypatch.setattr(report, "import_f0_csv", waiting)
+    monkeypatch.setattr(report, "parse_musicxml", parsing)
+    cpus(2)
+    try:
+        assert _json_line(capsys, manifest, tmp_path / "out2") == serial
+    finally:
+        for fd in (*reading, *failed):
+            os.close(fd)
+    assert len(forks) == 1 and len(parsed) == 2
 
 
 def test_a_reader_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_path, monkeypatch):
@@ -466,25 +677,35 @@ def test_a_reader_that_dies_is_one_json_line(capsys, cpus, fixtures_dir, tmp_pat
 
 
 @pytest.mark.parametrize("count", [2, 3])
-def test_a_reader_that_dies_is_named_at_the_csv_it_was_reading(capsys, cpus, forks, fixtures_dir,
-                                                                tmp_path, monkeypatch, count):
-    parent, import_csv, read = os.getpid(), report.import_f0_csv, []
+def test_a_reader_that_dies_is_named_at_the_csv_it_was_reading(capsys, cpus, forks, handoff,
+                                                                fixtures_dir, tmp_path,
+                                                                monkeypatch, count):
+    # d4 reads the first 1,000 lines of the fixture CSV, so its import is told apart. The
+    # parent claims no CSV until a reader has started d4's, after d1's and d2's.
+    manifest = _mixed(fixtures_dir, tmp_path)
+    data = json.loads(manifest.read_text())
+    lines = (fixtures_dir / "sample.f0.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "d4.f0.csv").write_text("".join(lines[:1000]))
+    data["daemok"][3]["f0_csv"] = str(tmp_path / "d4.f0.csv")
+    manifest.write_text(json.dumps(data))
+    give, take = handoff
+    parent, import_csv = os.getpid(), report.import_f0_csv
 
     def dying(text):
-        if os.getpid() != parent:
-            read.append(None)
-            if len(read) == 3:  # d4's, after d1's and d2's (d3 reads a WAV)
-                os._exit(3)
+        if os.getpid() != parent and len(text.splitlines()) == 1000:
+            give()
+            os._exit(3)
         return import_csv(text)
 
     monkeypatch.setattr(report, "import_f0_csv", dying)
+    _gate(monkeypatch, "f0", take)
     cpus(count)
-    assert _json_line(capsys, _mixed(fixtures_dir, tmp_path), tmp_path / "out") == {
+    assert _json_line(capsys, manifest, tmp_path / "out") == {
         "type": "PipelineError",
         "message": "stage 'f0' failed for daemok 'd4': a worker process ended with exit code 3 "
                    "before it returned its results",
     }
-    assert len(forks) == 1 and not (tmp_path / "out").exists()
+    assert len(forks) == count - 1 and not (tmp_path / "out").exists()
 
 
 def test_an_unreadable_csv_fails_at_f0_through_the_reader(capsys, cpus, forks, fixtures_dir,
@@ -517,12 +738,14 @@ def test_one_daemok_forks_one_reader_and_is_byte_identical(fixtures_dir, manifes
 def test_a_corpus_that_splits_every_stage_is_byte_identical_on_one_two_and_three_cpus(
     capsys, cpus, fixtures_dir, tmp_path, monkeypatch
 ):
-    # 40 copies of the fixture daemok: 1.3 MB of F0 CSV, enough for the reader, and output
-    # jobs that split three ways at the measured thresholds (160 in histograms, 80 occurrences).
+    # 40 copies of the fixture daemok: 40 F0 CSVs, read by one reader a CPU but one, and output
+    # jobs that one process a CPU claims at the measured thresholds (160 in histograms, 80
+    # occurrences).
     manifest = _manifest_of_copies(fixtures_dir, tmp_path, [f"copy-{i:02d}" for i in range(40)])
     runs = {count: _run_pinned(manifest, tmp_path / f"cpus{count}", count, lowered=False)
             for count in (1, 2, 3)}
-    assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 2, 3: 3}  # reader + shares
+    # Each fan-out forks a child a CPU but one: the readers, then the output stages' children.
+    assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 2, 3: 4}
     assert runs[1][:4] == runs[2][:4] == runs[3][:4]
     code, stdout, _, files, _ = runs[1]
     assert code == 0 and len(files) == 2 * (2 * 40 + 1 + 3)
@@ -548,6 +771,52 @@ def _manifest_of_copies(fixtures_dir, tmp_path, ids) -> Path:
     path = tmp_path / "copies.json"
     path.write_text(json.dumps(manifest))
     return path
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_jobs_of_random_lengths_give_the_serial_bytes(capsys, cpus, fixtures_dir, tmp_path,
+                                                      monkeypatch, seed):
+    # Every job of both fan-outs first sleeps 0-5 ms, drawn from `seed`: claims then fall to
+    # other processes, in other orders, from one seed to the next.
+    manifest = _manifest(fixtures_dir, tmp_path, PATTERNS, copies=3)
+    fan_out = report._fan_out
+
+    def jittered(jobs, order, processes):
+        rng = random.Random(f"{seed}-{len(jobs)}")
+        return fan_out([(stage, daemok_id, partial(_after, rng.uniform(0, 0.005), run))
+                        for stage, daemok_id, run in jobs], order, processes)
+
+    monkeypatch.setattr(report, "_fan_out", jittered)
+    runs = []
+    for count in (1, 2, 3):
+        cpus(count)
+        monkeypatch.chdir((tmp_path / f"cpus{count}").mkdir() or tmp_path / f"cpus{count}")
+        with warnings.catch_warnings(record=True) as caught:  # what stderr would show
+            warnings.simplefilter("default")
+            code = main(["run", "--manifest", str(manifest), "--out-dir", "out"])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err, [str(w.message) for w in caught],
+                     {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}))
+    assert runs[0] == runs[1] == runs[2]
+    code, _, stderr, warned, files = runs[0]
+    assert code == 0 and stderr == "" and len(files) == 2 * (3 * 2 + 1 + 3 * len(PATTERNS))
+    # Each daemok's past-grid texts once, daemok by daemok within each pattern, in pattern order.
+    assert [w.removeprefix("occurrence at ").split(" runs")[0] for w in warned] == [
+        f"meter-12-8-{i} beat {beat}" for beat in ("20.0", "25.0", "22.0") for i in (1, 2, 3)]
+
+
+def _after(delay: float, run):
+    time.sleep(delay)
+    return run()
+
+
+def test_a_forked_run_closes_every_file_it_opens(manifest_path, tmp_path):
+    # Under -X dev, an unclosed claims or results file is a ResourceWarning, here an error that
+    # is printed to stderr.
+    code, stdout, stderr, files, forked = _run_pinned(
+        manifest_path, tmp_path / "dev", 2, flags=("-X", "dev", "-W", "error::ResourceWarning"))
+    assert (code, stderr, forked) == (0, b"", 2)  # the F0 reader, and an output stages' child
+    assert json.loads(stdout)["ok"] and len(files) == 2 * (2 + 1 + 3)
 
 
 def test_the_fan_out_is_the_only_place_that_forks():
