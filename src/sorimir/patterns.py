@@ -192,10 +192,11 @@ class Contour:
     """One occurrence's F0 in cents on a normalized beat axis (NaN = unvoiced).
 
     The first field is the `values` array, or a function that returns it:
-    `occurrence_contours` gives the resampling, which then runs on the first
-    read of `values` and is kept, so a contour whose values are never read
-    is never resampled. `vibrato` holds the metrics of the same slice, or
-    None when it has too little voiced data.
+    `occurrence_contours` gives its contour's row of one read-only array for
+    the whole pattern, resampled on the first read of any contour's `values`
+    and kept, so a pattern whose values are never read is never resampled.
+    `vibrato` holds the metrics of the same slice, or None when it has too
+    little voiced data.
     """
 
     _values: np.ndarray | Callable[[], np.ndarray]
@@ -215,30 +216,69 @@ class Contour:
         return f"{self.daemok_id} @ {fraction_str(self.onset_beats)}"
 
 
-def _resample_to_normalized(beats: np.ndarray, cents: np.ndarray, samples: int) -> np.ndarray:
-    """Linear resampling onto `samples` uniform points over the sampled range.
+# Samples in a block of contour rows, which the resampling and the contour writers work on at
+# once: a block's temporaries stay within some ten float64 arrays of this size (2.6 MB),
+# however many occurrences a pattern has.
+BLOCK_SAMPLES = 1 << 15
 
-    A target falling between two voiced frames is interpolated; a target
-    next to any unvoiced frame stays NaN so gaps are never bridged.
+
+def _resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], samples: int) -> np.ndarray:
+    """Each `(beats, cents)` of `rows` resampled linearly onto `samples` uniform points over
+    its sampled beat range: one read-only row each.
+
+    A target between two voiced frames is interpolated; a target next to any unvoiced frame
+    stays NaN, so gaps are never bridged. A row of one frame, or whose first and last beats
+    are equal, is its first cents value throughout, and a row of no frames is all NaN. The
+    rows are resampled in blocks of at most `BLOCK_SAMPLES` targets, each row by the same
+    operations as on its own, so a row does not depend on the rows beside it.
     """
-    out = np.full(samples, np.nan)
-    n = beats.shape[0]
-    if n == 0:
-        return out
-    if n == 1 or beats[-1] == beats[0]:
-        out[:] = cents[0]
-        return out
-    targets = beats[0] + (beats[-1] - beats[0]) * np.linspace(0.0, 1.0, samples)
-    left = np.clip(np.searchsorted(beats, targets, side="right") - 1, 0, n - 2)
-    right = left + 1
-    y0 = cents[left]
-    y1 = cents[right]
-    both = ~np.isnan(y0) & ~np.isnan(y1)
-    width = beats[right] - beats[left]
-    frac = np.where(width > 0, (targets - beats[left]) / np.where(width > 0, width, 1.0), 0.0)
-    vals = y0 + (y1 - y0) * np.clip(frac, 0.0, 1.0)
-    out[both] = vals[both]
+    out = np.full((len(rows), samples), np.nan)
+    unit = np.linspace(0.0, 1.0, samples)
+    step = max(1, BLOCK_SAMPLES // samples)
+    for first in range(0, len(rows), step):
+        at, beats, cents = [], [], []  # the block's rows that have a beat range to resample
+        for i, (b, c) in enumerate(rows[first : first + step], first):
+            if b.shape[0] > 1 and b[-1] != b[0]:
+                at.append(i)
+                beats.append(b)
+                cents.append(c)
+            elif b.shape[0]:
+                out[i] = c[0]
+        if not at:
+            continue
+        lengths = np.array([b.shape[0] for b in beats])
+        offsets = np.cumsum(lengths) - lengths  # each row's first frame in the joined arrays
+        flat_beats, flat_cents = np.concatenate(beats), np.concatenate(cents)
+        b0, b1 = flat_beats[offsets], flat_beats[offsets + lengths - 1]
+        targets = b0[:, None] + (b1 - b0)[:, None] * unit
+        left = np.empty(targets.shape, dtype=np.intp)
+        for k, b in enumerate(beats):
+            left[k] = np.searchsorted(b, targets[k], side="right")
+        left = np.clip(left - 1, 0, (lengths - 2)[:, None]) + offsets[:, None]
+        right = left + 1
+        y0 = flat_cents[left]
+        y1 = flat_cents[right]
+        both = ~np.isnan(y0) & ~np.isnan(y1)
+        width = flat_beats[right] - flat_beats[left]
+        frac = np.where(width > 0, (targets - flat_beats[left]) / np.where(width > 0, width, 1.0),
+                        0.0)
+        vals = y0 + (y1 - y0) * np.clip(frac, 0.0, 1.0)
+        out[at] = np.where(both, vals, np.nan)
+    out.flags.writeable = False
     return out
+
+
+class _Resampling:
+    """The rows of `_resample_rows(rows, samples)`, all resampled on the first read of any."""
+
+    def __init__(self, rows: list[tuple[np.ndarray, np.ndarray]], samples: int):
+        self._rows: list | np.ndarray = rows
+        self._samples = samples
+
+    def row(self, i: int) -> np.ndarray:
+        if isinstance(self._rows, list):
+            self._rows = _resample_rows(self._rows, self._samples)
+        return self._rows[i]
 
 
 class Placement(NamedTuple):
@@ -314,10 +354,11 @@ def occurrence_contours(
 
     The occurrences are read from `placements`, `place_occurrences` of some patterns that
     include this one with the same grids, tracks and `reference_hz`, or placed here when it
-    is None. The vibrato is measured here; the contour is resampled to
-    `samples_per_contour` points when its `values` are first read. Occurrences whose span
-    runs past the annotated beat grid are skipped with a warning (the grid cannot place them
-    in time). Fully unvoiced slices yield all-missing contours and are kept.
+    is None. The vibrato is measured here. The contours are resampled to `samples_per_contour`
+    points, all in one `_resample_rows` pass, when the first of them has its `values` read.
+    Occurrences whose span runs past the annotated beat grid are skipped with a warning (the
+    grid cannot place them in time). Fully unvoiced slices yield all-missing contours and
+    are kept.
     """
     check_pattern_settings(samples_per_contour=samples_per_contour)
     if pattern not in index.occurrences:
@@ -326,6 +367,8 @@ def occurrence_contours(
         placements = place_occurrences(index, [pattern], grids, tracks, reference_hz)
 
     contours: list[Contour] = []
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    resampling = _Resampling(rows, samples_per_contour)
     for occ, place in zip(index.occurrences[pattern], placements[pattern]):
         if occ.daemok_id not in grids:
             raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
@@ -340,13 +383,14 @@ def occurrence_contours(
             vibrato = None
         contours.append(
             Contour(
-                partial(_resample_to_normalized, place.beats, place.cents, samples_per_contour),
+                partial(resampling.row, len(rows)),
                 daemok_id=occ.daemok_id,
                 onset_beats=occ.onset_beats,
                 span_beats=occ.span_beats,
                 vibrato=vibrato,
             )
         )
+        rows.append((place.beats, place.cents))
     return contours
 
 

@@ -44,6 +44,7 @@ from .histogram import (
     score_duration_histogram,
 )
 from .patterns import (
+    BLOCK_SAMPLES,
     DEFAULT_MIN_SUPPORT,
     DEFAULT_N_VALUES,
     DEFAULT_SAMPLES_PER_CONTOUR,
@@ -115,16 +116,15 @@ class _Svg:
             f'text-anchor="{anchor}" fill="{fill}"{transform}>{_escape(content)}</text>'
         )
 
-    def polyline(self, xs, ys, stroke, width=1.5):  # xs, ys: coordinates formatted by _fmt
-        pts = " ".join(map(",".join, zip(xs, ys)))
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
-        )
+    def polylines(self, runs, stroke, width=1.5):  # runs: each line's "x,y x,y ..." by _fmt's rule
+        tail = f'" fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+        self.parts.extend(f'<polyline points="{points}{tail}' for points in runs)
 
     def document(self) -> str:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
                 f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">')
-        return "\n".join([head, *(f"  {p}" for p in self.parts), "</svg>\n"])  # parts: axes at least
+        # One join, which copies no part but the last (parts: the axes at least).
+        return "\n  ".join([head, *self.parts[:-1], self.parts[-1] + "\n</svg>\n"])
 
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 24, 56
@@ -195,6 +195,14 @@ def _contour_length(contours: list[Contour]) -> int:
     return lengths.pop() if lengths else 0
 
 
+def _value_blocks(contours: list[Contour], n: int):
+    """`(first, values)` for each block of rows of `contours`, which share `n` samples: `values`
+    stacks the `values` of `contours[first:]`, `BLOCK_SAMPLES` samples at most (a row at least)."""
+    step = max(1, BLOCK_SAMPLES // max(n, 1))
+    for first in range(0, len(contours), step):
+        yield first, np.stack([c.values for c in contours[first : first + step]])
+
+
 def render_contour_overlay(contours: list[Contour]) -> str:
     """Overlay of occurrence contours on the normalized beat axis.
 
@@ -213,33 +221,46 @@ def render_contour_overlay(contours: list[Contour]) -> str:
     svg.text(x0 + plot_w / 2, _HEIGHT - 12, "normalized beat position", size=11)
     svg.text(16, _MARGIN_T + plot_h / 2, "cents", size=11, rotate=-90.0)
 
-    finite = np.concatenate([c.values[np.isfinite(c.values)] for c in contours] or [[]])
-    if finite.size == 0:
+    lo, hi = math.inf, -math.inf  # of the finite values
+    for _, values in _value_blocks(contours, n):
+        finite = np.isfinite(values)
+        lo = min(lo, values.min(initial=math.inf, where=finite))
+        hi = max(hi, values.max(initial=-math.inf, where=finite))
+    if lo > hi:
         svg.text(x0 + plot_w / 2, _MARGIN_T + plot_h / 2, "no data", size=14)
         return svg.document()
 
-    lo, hi = finite.min(), finite.max()
     if hi - lo < 1.0:
         mid = (hi + lo) / 2.0
         lo, hi = mid - 0.5, mid + 0.5
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    xs = _fmt(x0 + plot_w * (np.arange(n) / max(n - 1, 1)))
+    # One "x,%.2f" per sample: a finite run's points are one %-format of the run's templates,
+    # joined, with its y coordinates. y follows _fmt's rule, |y| < 0.005 written as 0.00.
+    points = [f"{x},%.2f" for x in _fmt(x0 + plot_w * (np.arange(n) / max(n - 1, 1)))]
     rows = (plot_h - 6) // 14 + 1  # legend rows whose circle ends above the x axis
     named = len(contours) if len(contours) <= rows else rows - 1
-    for ci, contour in enumerate(contours):
-        color = _PALETTE[ci % len(_PALETTE)]
-        ys = _fmt(y0 - plot_h * (contour.values - lo) / (hi - lo))
-        # Finite runs [start, stop): where the padded finite mask flips.
-        edges = np.diff(np.concatenate(([False], np.isfinite(contour.values), [False])))
-        for start, stop in np.flatnonzero(edges).reshape(-1, 2).tolist():
-            if stop - start > 1:
-                svg.polyline(xs[start:stop], ys[start:stop], color)
-        if ci < named:
-            ly = _MARGIN_T + 2 + 14 * ci
-            svg.circle(x0 + plot_w - 150, ly, 4, color)
-            svg.text(x0 + plot_w - 142, ly + 4, contour.label, size=10, anchor="start")
+    for first, values in _value_blocks(contours, n):
+        ys = y0 - plot_h * (values - lo) / (hi - lo)
+        ys[np.abs(ys) < 0.005] = 0.0
+        # Finite runs [start, stop) of every row: where the row's finite mask, padded with False
+        # at both ends, flips. Only runs of two or more samples are drawn.
+        padded = np.zeros((values.shape[0], n + 2), dtype=bool)
+        padded[:, 1:-1] = np.isfinite(values)
+        edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1]).reshape(-1, 2)
+        owner, start = np.divmod(edges[:, 0], n + 1)
+        stop = edges[:, 1] - owner * (n + 1)
+        drawn = stop - start > 1
+        runs = list(zip(start[drawn].tolist(), stop[drawn].tolist()))
+        firsts = np.searchsorted(owner[drawn], np.arange(values.shape[0] + 1)).tolist()
+        for ci, y, a, b in zip(range(first, len(contours)), ys.tolist(), firsts, firsts[1:]):
+            color = _PALETTE[ci % len(_PALETTE)]
+            svg.polylines((" ".join(points[i:j]) % tuple(y[i:j]) for i, j in runs[a:b]), color)
+            if ci < named:
+                ly = _MARGIN_T + 2 + 14 * ci
+                svg.circle(x0 + plot_w - 150, ly, 4, color)
+                svg.text(x0 + plot_w - 142, ly + 4, contours[ci].label, size=10, anchor="start")
     if named < len(contours):
         svg.text(x0 + plot_w - 142, _MARGIN_T + 6 + 14 * named,
                  f"+{len(contours) - named} more", size=10, anchor="start")
@@ -255,15 +276,18 @@ def render_contour_overlay(contours: list[Contour]) -> str:
 
 def contours_csv(pattern: NGramPattern, contours: list[Contour]) -> str:
     """Long-format CSV dump of contour samples (empty cell = unvoiced)."""
-    lines = ["pattern,daemok,onset_beats,sample_index,normalized_position,cents"]
     n = _contour_length(contours)
-    positions = [f"{k},{k / (n - 1) if n > 1 else 0.0:.6f}," for k in range(n)]
-    for c in contours:
-        head = f"{pattern.text},{c.daemok_id},{fraction_str(c.onset_beats)},"
-        lines.extend(
-            f"{head}{pos}{format(v, '.6f') if math.isfinite(v) else ''}"
-            for pos, v in zip(positions, c.values.tolist())
-        )
+    # One line "k,position,%.6f" per sample: a contour's lines are one %-format of its row, with
+    # each cell that is not finite written as nan and then blanked (nothing else in the body
+    # can read "nan"), before the row's head goes in front of each line.
+    body = "".join(f"{k},{k / (n - 1) if n > 1 else 0.0:.6f},%.6f\n" for k in range(n))
+    lines = ["pattern,daemok,onset_beats,sample_index,normalized_position,cents"]
+    for first, values in _value_blocks(contours, n) if n else ():  # no samples, no lines
+        cells = np.where(np.isfinite(values), values, np.nan).tolist()
+        for c, row in zip(contours[first : first + len(cells)], cells):
+            head = f"{pattern.text},{c.daemok_id},{fraction_str(c.onset_beats)},"
+            text = (body % tuple(row)).replace("nan\n", "\n")
+            lines.append(head + text[:-1].replace("\n", "\n" + head))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -563,7 +587,9 @@ def vibrato_record(pattern: NGramPattern, vib) -> dict:
             {
                 "daemok": occ.daemok_id,
                 "onset_beats": fraction_str(occ.onset_beats),
-                "metrics": None if m is None else asdict(m),
+                "metrics": None if m is None else {"rate_hz": m.rate_hz,
+                                                    "depth_cents": m.depth_cents,
+                                                    "voiced_fraction": m.voiced_fraction},
             }
             for occ, m in vib
         ],

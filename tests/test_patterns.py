@@ -1,13 +1,17 @@
 import json
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sorimir import patterns as patterns_module
+from sorimir import report
 from sorimir.beat_grid import BeatGrid, ScoreGrid, slice_track
 from sorimir.errors import ConfigurationError, DependencyError, NotEnoughDataError
 from sorimir.patterns import (
@@ -17,7 +21,7 @@ from sorimir.patterns import (
     PatternOccurrence,
     VibratoMetrics,
     _moving_average,
-    _resample_to_normalized,
+    _resample_rows,
     find_post_rest_long_notes,
     make_token,
     mine_ngrams,
@@ -29,7 +33,7 @@ from sorimir.patterns import (
     vibrato_metrics,
 )
 from sorimir.pitch_track import F0Track, track_cents
-from sorimir.report import pattern_index_record
+from sorimir.report import contours_csv, pattern_index_record, render_contour_overlay
 from sorimir.score import Measure, NoteEvent, Pitch, Score, TimeSignature, note_sequence
 
 HOP = 0.01
@@ -547,6 +551,29 @@ class TestOccurrenceVibrato:
         assert result[1] is None
 
 
+def _resample_to_normalized(beats: np.ndarray, cents: np.ndarray, samples: int) -> np.ndarray:
+    """The per-contour resampling `_resample_rows` replaced: linear resampling onto `samples`
+    uniform points over the sampled range, NaN next to any unvoiced frame."""
+    out = np.full(samples, np.nan)
+    n = beats.shape[0]
+    if n == 0:
+        return out
+    if n == 1 or beats[-1] == beats[0]:
+        out[:] = cents[0]
+        return out
+    targets = beats[0] + (beats[-1] - beats[0]) * np.linspace(0.0, 1.0, samples)
+    left = np.clip(np.searchsorted(beats, targets, side="right") - 1, 0, n - 2)
+    right = left + 1
+    y0 = cents[left]
+    y1 = cents[right]
+    both = ~np.isnan(y0) & ~np.isnan(y1)
+    width = beats[right] - beats[left]
+    frac = np.where(width > 0, (targets - beats[left]) / np.where(width > 0, width, 1.0), 0.0)
+    vals = y0 + (y1 - y0) * np.clip(frac, 0.0, 1.0)
+    out[both] = vals[both]
+    return out
+
+
 def _placed_segments_oracle(index, pattern, grids, tracks):
     """The two-pass placement: each occurrence with its F0 slice, or None past the grid."""
     if pattern not in index.occurrences:
@@ -664,3 +691,113 @@ class TestOnePassMatchesTwoPassOracle:
     def test_random_corpora(self, seed):
         seen = self.check(*_random_corpus(seed))
         assert seen["skipped"] > 0
+
+
+@st.composite
+def resample_rows(draw):
+    """One `(beats, cents)` row as a placement gives it: 0 to 17 frames, beats in order that
+    may repeat or all be equal, and NaN runs at either edge or inside."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 17]))
+    if draw(st.booleans()):
+        beats = [draw(st.floats(-4.0, 64.0))] * n
+    else:
+        beat = st.one_of(st.floats(-4.0, 64.0), st.sampled_from([0.0, 0.5, 1.0]))
+        beats = sorted(draw(st.lists(beat, min_size=n, max_size=n)))
+    cents = draw(st.lists(st.floats(-2400.0, 2400.0), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n))
+        stop = draw(st.integers(start, n))
+        cents[start:stop] = [np.nan] * (stop - start)
+    return np.array(beats, dtype=float), np.array(cents, dtype=float)
+
+
+def _repeated_note(occurrences):
+    """One daemok whose pattern of two equal one-beat notes occurs `occurrences` times, each
+    over 20 frames of vibrato that is unvoiced at one frame in 13."""
+    token = make_token(Pitch("A", 0, 4), Fraction(1))
+    index = mine_ngrams({"d": [token] * (occurrences + 1)}, n_values=(2,), min_support=1)
+    frames = np.arange((occurrences + 3) * 10)
+    voiced = frames % 13 != 0
+    f0 = np.where(voiced, 440.0 * 2 ** (30 * np.sin(0.7 * frames) / 1200), 0.0)
+    grid = beats_grid(list(np.arange(occurrences + 3) * 0.1))
+    return index, NGramPattern((token, token)), {"d": grid}, {"d": F0Track(f0, voiced * 0.9, HOP)}
+
+
+class TestBatchedResampling:
+    """`occurrence_contours` resamples a pattern's contours into one read-only array."""
+
+    @given(st.lists(resample_rows(), max_size=12), st.sampled_from([2, 300]),
+           st.sampled_from([1, 2, 5, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_the_per_contour_resampling_bit_for_bit(self, rows, samples, block_rows):
+        block = patterns_module.BLOCK_SAMPLES if block_rows is None else block_rows * samples
+        with mock.patch.object(patterns_module, "BLOCK_SAMPLES", block):
+            out = _resample_rows(rows, samples)
+        assert out.shape == (len(rows), samples)
+        for got, (beats, cents) in zip(out, rows):
+            assert got.tobytes() == _resample_to_normalized(beats, cents, samples).tobytes()
+
+    def test_the_first_read_resamples_every_contour_once(self):
+        index, pattern, grids, tracks = _repeated_note(5)
+        passes, resample = [], _resample_rows
+        with mock.patch.object(patterns_module, "_resample_rows",
+                               lambda rows, samples: passes.append(len(rows)) or resample(rows, samples)):
+            contours = occurrence_contours(index, pattern, grids, tracks, samples_per_contour=7)
+            assert passes == []
+            third = contours[2].values
+            assert passes == [5]
+            assert all(c.values.base is third.base for c in contours) and passes == [5]
+        assert third.base.shape == (5, 7)
+
+    def test_a_contour_cannot_write_over_its_neighbours(self):
+        index, pattern, grids, tracks = _repeated_note(3)
+        contours = occurrence_contours(index, pattern, grids, tracks, samples_per_contour=9)
+        before = [c.values.copy() for c in contours]
+        with pytest.raises(ValueError, match="read-only"):
+            contours[1].values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            contours[1].values.base[2] = 0.0
+        for c, values in zip(contours, before):
+            assert c.values.tobytes() == values.tobytes()
+
+
+def _stage_peaks(occurrences, samples):
+    """Traced peaks of resampling `occurrences` contours of `samples` each and reading every
+    contour's values, and then of each writer on its own above what was held before it, with
+    the length of the writer's text."""
+    index, pattern, grids, tracks = _repeated_note(occurrences)
+    contours = occurrence_contours(index, pattern, grids, tracks, samples_per_contour=samples)
+    assert len(contours) == occurrences
+    tracemalloc.start()
+    try:
+        for c in contours:
+            c.values
+        peaks, lengths = [tracemalloc.get_traced_memory()[1]], []
+        for render in (lambda: contours_csv(pattern, contours),
+                       lambda: render_contour_overlay(contours)):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            text = render()
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            lengths.append(len(text))
+            del text
+    finally:
+        tracemalloc.stop()
+    return peaks, lengths
+
+
+def test_contour_temporaries_do_not_grow_with_occurrences(monkeypatch):
+    # Blocks of 64 rows of 16 samples, so that 256 occurrences already fill four blocks, and
+    # the texts of 4,096 stay a few MB.
+    for module in (patterns_module, report):
+        monkeypatch.setattr(module, "BLOCK_SAMPLES", 16 * 64)
+    short, short_lengths = _stage_peaks(256, 16)
+    long, long_lengths = _stage_peaks(4096, 16)
+    # The resampled array, float64, and each contour's view of its row.
+    extra_values = (4096 - 256) * (16 * 8 + 256)
+    assert long[0] - short[0] <= extra_values + 2**18
+    # A writer holds its text at most twice, its lines and their join.
+    for peak_short, peak_long, length_short, length_long in zip(
+        short[1:], long[1:], short_lengths, long_lengths
+    ):
+        assert peak_long - peak_short <= 2 * (length_long - length_short) + 2**20

@@ -151,6 +151,21 @@ class TestContoursCsv:
         assert lines[2].endswith(",")  # NaN -> empty cell
         assert lines[3].endswith("3.500000")
 
+    @pytest.mark.parametrize("daemok", ["nan", "inf", "-nan", "d-inf", "nan\ninf", "-"])
+    def test_only_a_cell_that_is_not_finite_is_blank(self, daemok):
+        """Cells of inf, -inf and NaN are blank, -0.0 keeps its sign, and a head that reads
+        nan, inf or - is written as it is, whatever it is next to."""
+        pattern = NGramPattern(("A4:1/1", "C5:1/1"))
+        values = [float("inf"), float("-inf"), -0.0, float("nan"), 1.5, -float("nan")]
+        contours = [contour(values, daemok=daemok), contour(values[::-1], daemok=daemok, onset=1)]
+        text = contours_csv(pattern, contours)
+        assert text == _contours_csv_oracle(pattern, contours)
+        head = f"A4:1/1 C5:1/1,{daemok},0/1,"
+        assert text.split("\n", 1)[1].startswith(
+            f"{head}0,0.000000,\n{head}1,0.200000,\n{head}2,0.400000,-0.000000\n"
+            f"{head}3,0.600000,\n{head}4,0.800000,1.500000\n{head}5,1.000000,\n"
+        )
+
     def test_mismatched_lengths_rejected(self):
         """Sample k sits at k / (n - 1) of one n shared with the overlay, so contours of 3 and
         5 samples are refused instead of placing the longer one's samples past position 1."""
@@ -472,12 +487,21 @@ class TestManifest:
 
 class TestPipeline:
     def test_each_placed_contour_is_resampled_once(self, manifest_path, tmp_path, monkeypatch):
-        """The contour CSV and the overlay share one resampling of each contour."""
-        calls, resample = [], sorimir.patterns._resample_to_normalized
-        monkeypatch.setattr(sorimir.patterns, "_resample_to_normalized",
-                            lambda *args: calls.append(None) or resample(*args))
+        """The contour CSV and the overlay share one resampling pass per pattern with placed
+        contours, which resamples each of them once; the vibrato record resamples nothing."""
+        passes, resample = [], sorimir.patterns._resample_rows
+        monkeypatch.setattr(sorimir.patterns, "_resample_rows",
+                            lambda rows, samples: passes.append(len(rows)) or resample(rows, samples))
         summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
-        assert len(calls) == sum(summary["contour_sets"].values()) == 2
+        assert passes == [n for n in summary["contour_sets"].values() if n] == [2]
+
+        passes.clear()
+        entries, settings = load_manifest(manifest_path)
+        _, grids, tracks, index = report.load_corpus(entries, settings)
+        (text,) = summary["contour_sets"]
+        placed, artifacts = report.pattern_artifacts(index, text, grids, tracks, settings)
+        assert placed == 2 and json.loads(artifacts["vibrato.json"]())["occurrences"]
+        assert passes == []
 
     def test_fixture_run(self, manifest_path, tmp_path):
         out = tmp_path / "out"
