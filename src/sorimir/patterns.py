@@ -196,7 +196,8 @@ class Contour:
     the whole pattern, resampled on the first read of any contour's `values`
     and kept, so a pattern whose values are never read is never resampled.
     `vibrato` holds the metrics of the same slice, or None when it has too
-    little voiced data.
+    little voiced data: `occurrence_contours` measures them for all of the
+    pattern's occurrences at once, in one `_vibrato_rows` pass per track hop.
     """
 
     _values: np.ndarray | Callable[[], np.ndarray]
@@ -217,8 +218,9 @@ class Contour:
 
 
 # Samples in a block of contour rows, which the resampling and the contour writers work on at
-# once: a block's temporaries stay within some ten float64 arrays of this size (2.6 MB),
-# however many occurrences a pattern has.
+# once, and frames in a block of rows of the vibrato pass: a block's temporaries stay within
+# some ten to twenty 8-byte arrays of this size (2.6 to 5.2 MB), however many occurrences a
+# pattern has.
 BLOCK_SAMPLES = 1 << 15
 
 
@@ -354,8 +356,10 @@ def occurrence_contours(
 
     The occurrences are read from `placements`, `place_occurrences` of some patterns that
     include this one with the same grids, tracks and `reference_hz`, or placed here when it
-    is None. The vibrato is measured here. The contours are resampled to `samples_per_contour`
-    points, all in one `_resample_rows` pass, when the first of them has its `values` read.
+    is None. The vibrato of every placed occurrence is measured here, in one `_vibrato_rows`
+    pass over those on tracks of each hop (CSV and WAV daemok can differ). The contours are
+    resampled to `samples_per_contour` points, all in one `_resample_rows` pass, when the
+    first of them has its `values` read.
     Occurrences whose span runs past the annotated beat grid are skipped with a warning (the
     grid cannot place them in time). Fully unvoiced slices yield all-missing contours and
     are kept.
@@ -366,9 +370,7 @@ def occurrence_contours(
     if placements is None:
         placements = place_occurrences(index, [pattern], grids, tracks, reference_hz)
 
-    contours: list[Contour] = []
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    resampling = _Resampling(rows, samples_per_contour)
+    placed: list[tuple[PatternOccurrence, Placement]] = []
     for occ, place in zip(index.occurrences[pattern], placements[pattern]):
         if occ.daemok_id not in grids:
             raise DependencyError(f"no beat grid for daemok '{occ.daemok_id}'")
@@ -377,21 +379,23 @@ def occurrence_contours(
         if isinstance(place, str):
             warnings.warn(place, stacklevel=2)
             continue
-        try:
-            vibrato = vibrato_metrics(place.cents, place.hop_s)
-        except NotEnoughDataError:
-            vibrato = None
-        contours.append(
-            Contour(
-                partial(resampling.row, len(rows)),
-                daemok_id=occ.daemok_id,
-                onset_beats=occ.onset_beats,
-                span_beats=occ.span_beats,
-                vibrato=vibrato,
-            )
-        )
-        rows.append((place.beats, place.cents))
-    return contours
+        placed.append((occ, place))
+
+    by_hop: dict[float, list[int]] = {}  # hop -> the placed occurrences on tracks of that hop
+    for i, (_, place) in enumerate(placed):
+        by_hop.setdefault(place.hop_s, []).append(i)
+    vibrato: list[VibratoMetrics | None] = [None] * len(placed)
+    for hop_s, at in by_hop.items():
+        for i, metrics in zip(at, _vibrato_rows([placed[i][1].cents for i in at], hop_s)):
+            vibrato[i] = metrics
+
+    resampling = _Resampling([(place.beats, place.cents) for _, place in placed],
+                             samples_per_contour)
+    return [
+        Contour(partial(resampling.row, i), daemok_id=occ.daemok_id,
+                onset_beats=occ.onset_beats, span_beats=occ.span_beats, vibrato=metrics)
+        for i, ((occ, _), metrics) in enumerate(zip(placed, vibrato))
+    ]
 
 
 def occurrence_vibrato(
@@ -412,11 +416,134 @@ def occurrence_vibrato(
     ]
 
 
-def _moving_average(values: np.ndarray, voiced: np.ndarray, window: int) -> np.ndarray:
-    kernel = np.ones(window)
-    sums = np.convolve(np.where(voiced, values, 0.0), kernel, mode="same")
-    counts = np.convolve(voiced.astype(float), kernel, mode="same")
-    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+def _check_seconds(**seconds: float) -> None:
+    """`ConfigurationError` unless every one of `seconds` is a finite positive number."""
+    for name, value in seconds.items():
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be a finite positive number, got {value}")
+
+
+def _series(cents) -> np.ndarray:
+    """`cents` as a float64 array; `ConfigurationError` unless it is 1-d."""
+    cents = np.asarray(cents, dtype=np.float64)
+    if cents.ndim != 1:
+        raise ConfigurationError(f"cents must be a 1-d series, got shape {cents.shape}")
+    return cents
+
+
+def _vibrato_rows(
+    rows: Sequence[np.ndarray],
+    hop_s: float,
+    detrend_window_s: float = 0.25,
+    min_voiced_s: float = 0.3,
+) -> list[VibratoMetrics | None]:
+    """`vibrato_metrics` of each cents series of `rows`, all sampled every `hop_s`, measured
+    in one pass: None for a row with less than `min_voiced_s` of voiced data.
+
+    The rows are measured in blocks of at most `BLOCK_SAMPLES` frames (a longer row is a
+    block of its own). Each row's trend sums are one `np.convolve` of that row alone and
+    every other step is an elementwise operation, a reduction over the row's own frames or a
+    mean over a row of its own cycles, so a row's metrics do not depend on the rows beside it.
+    A detrending window longer than a row averages, at each frame, the frames of the window
+    that fall inside the row.
+    """
+    _check_seconds(hop_s=hop_s, detrend_window_s=detrend_window_s, min_voiced_s=min_voiced_s)
+    rows = [_series(r) for r in rows]
+    # An even window grows to the next odd one, 2 * half + 1 frames; capped so int() cannot
+    # overflow, since a half window as long as a row already covers all of it.
+    half = max(1, int(round(min(detrend_window_s / hop_s, 2.0**53)))) // 2
+    out: list[VibratoMetrics | None] = []
+    while len(out) < len(rows):
+        stop, total = len(out) + 1, rows[len(out)].shape[0]
+        while stop < len(rows) and total + rows[stop].shape[0] <= BLOCK_SAMPLES:
+            total += rows[stop].shape[0]
+            stop += 1
+        out += _vibrato_block(rows[len(out) : stop], hop_s, half, min_voiced_s)
+    return out
+
+
+def _vibrato_block(rows: list[np.ndarray], hop_s: float, half: int,
+                   min_voiced_s: float) -> list[VibratoMetrics | None]:
+    """`_vibrato_rows` of one block of rows, detrended over windows of 2 * `half` + 1 frames."""
+    lengths = np.array([r.shape[0] for r in rows])
+    flat = np.concatenate(rows)
+    voiced = np.isfinite(flat)
+    voiced_before = np.concatenate([[0], np.cumsum(voiced)])  # voiced frames before each frame
+    ends = np.cumsum(lengths)
+    n_voiced = voiced_before[ends] - voiced_before[ends - lengths]
+    durations = n_voiced * hop_s
+    enough = durations >= min_voiced_s
+    measured = np.flatnonzero(enough)
+    out: list[VibratoMetrics | None] = [None] * len(rows)
+    if not measured.size:
+        return out
+
+    # The voiced frames of the measured rows, `raw`, and their rows (numbered 0.. among them).
+    at = np.flatnonzero(voiced & np.repeat(enough, lengths))
+    starts = (ends - lengths)[measured]
+    lengths, n_voiced, durations = lengths[measured], n_voiced[measured], durations[measured]
+    row_of = np.repeat(np.arange(measured.size), n_voiced)
+    raw = flat[at]
+
+    # A row's trend sums are its "full" convolution with a window of 2 * h + 1 ones, whose
+    # entry i + h is the sum centred on frame i: the row's "same" convolution when the window
+    # fits in the row. A half window h of n frames already spans a whole row of n.
+    row_half = np.minimum(half, lengths)
+    filled = np.where(voiced, flat, 0.0)
+    kernel = np.ones(2 * int(row_half.max()) + 1)
+    sums = np.concatenate([
+        np.convolve(filled[start : start + n], kernel[: 2 * h + 1], mode="full")
+        for start, n, h in zip(starts.tolist(), lengths.tolist(), row_half.tolist())
+    ])
+    full_start = np.cumsum(lengths + 2 * row_half) - (lengths + 2 * row_half)
+    # A centred window's voiced count: the voiced frames before its clamped end minus those
+    # before its clamped start, exactly what a convolution of the voiced mask counts.
+    row_start, row_end = starts[row_of], (starts + lengths)[row_of]
+    counts = (voiced_before[np.minimum(at + half + 1, row_end)]
+              - voiced_before[np.maximum(at - half, row_start)])
+    comp = raw - sums[at + (full_start + row_half - starts)[row_of]] / counts
+
+    # Zero crossings: sign changes between consecutive nonzero signs of the same row.
+    signs = np.sign(comp)
+    nonzero = np.flatnonzero(signs != 0)
+    sign_seq, sign_row = signs[nonzero], row_of[nonzero]
+    changes = (sign_seq[1:] != sign_seq[:-1]) & (sign_row[1:] == sign_row[:-1])
+    crossings, crossing_row = nonzero[1:][changes], sign_row[1:][changes]
+    n_crossings = np.bincount(crossing_row, minlength=measured.size)
+
+    rate = n_crossings / (2.0 * durations)
+    depth = np.zeros(measured.size)
+    few = np.flatnonzero((n_crossings > 0) & (n_crossings < 3))
+    if few.size:
+        voiced_start = np.cumsum(n_voiced) - n_voiced
+        row_hi = np.maximum.reduceat(raw, voiced_start)[few]
+        row_lo = np.minimum.reduceat(raw, voiced_start)[few]
+        depth[few] = (row_hi - row_lo) / 2.0
+    if crossings.size >= 3:
+        # Cycle i, raw[crossings[i] : crossings[i + 2] + 1], is segments i and i + 1 plus one
+        # sample; it is a cycle of its row when crossing i + 2 is in the same row.
+        seg_hi = np.maximum.reduceat(raw, crossings)
+        seg_lo = np.minimum.reduceat(raw, crossings)
+        cycle_ends = raw[crossings[2:]]
+        hi = np.maximum(np.maximum(seg_hi[:-2], seg_hi[1:-1]), cycle_ends)
+        lo = np.minimum(np.minimum(seg_lo[:-2], seg_lo[1:-1]), cycle_ends)
+        halves = ((hi - lo) / 2.0)[crossing_row[:-2] == crossing_row[2:]]
+        cycles = np.maximum(n_crossings - 2, 0)
+        cycle_start = np.cumsum(cycles) - cycles
+        # Rows of equal cycle count are averaged together, a row each, by the sum and division
+        # of `np.mean` of a row's cycles alone (a reduceat over all rows sums in another order).
+        by_count = np.argsort(cycles)
+        sizes, first = np.unique(cycles[by_count], return_index=True)
+        for m, begin, stop in zip(sizes.tolist(), first.tolist(),
+                                  [*first[1:].tolist(), len(cycles)]):
+            if m:
+                same = by_count[begin:stop]
+                depth[same] = np.add.reduce(halves[cycle_start[same, None] + np.arange(m)],
+                                            axis=1) / m
+    fraction = n_voiced / lengths
+    for i, r, d, f in zip(measured.tolist(), rate.tolist(), depth.tolist(), fraction.tolist()):
+        out[i] = VibratoMetrics(rate_hz=r, depth_cents=d, voiced_fraction=f)
+    return out
 
 
 def vibrato_metrics(
@@ -430,51 +557,16 @@ def vibrato_metrics(
     The series is detrended by a centered moving average; the detrended
     zero crossings set the rate and delimit cycles, and depth is the mean
     per-cycle half peak-to-peak excursion of the raw series (measuring on
-    the raw series avoids the detrender's passband ripple).
+    the raw series avoids the detrender's passband ripple). It is the
+    one-row case of `_vibrato_rows`.
     """
-    cents = np.asarray(cents, dtype=np.float64)
-    voiced = np.isfinite(cents)
-    n_voiced = int(np.count_nonzero(voiced))
-    voiced_duration = n_voiced * hop_s
-    if voiced_duration < min_voiced_s:
+    (metrics,) = _vibrato_rows([cents], hop_s, detrend_window_s, min_voiced_s)
+    if metrics is None:
+        voiced_duration = np.count_nonzero(np.isfinite(cents)) * hop_s
         raise NotEnoughDataError(
             f"{voiced_duration:.3f}s of voiced data < {min_voiced_s}s minimum"
         )
-
-    window = max(1, int(round(detrend_window_s / hop_s)))
-    if window % 2 == 0:
-        window += 1
-    trend = _moving_average(cents, voiced, window)
-    detrended = np.where(voiced, cents - trend, np.nan)
-
-    comp = detrended[voiced]
-    raw = cents[voiced]
-    signs = np.sign(comp)
-    nonzero = signs != 0
-    sign_seq = signs[nonzero]
-    sign_pos = np.nonzero(nonzero)[0]
-    changes = sign_seq[1:] != sign_seq[:-1]
-    crossings = sign_pos[1:][changes]
-    n_crossings = int(np.count_nonzero(changes))
-
-    rate = n_crossings / (2.0 * voiced_duration)
-    if n_crossings == 0:
-        depth = 0.0
-    elif n_crossings < 3:
-        depth = float(raw.max() - raw.min()) / 2.0
-    else:
-        # Cycle i, raw[crossings[i] : crossings[i + 2] + 1], is segments i and i + 1 plus one sample.
-        seg_hi = np.maximum.reduceat(raw, crossings)[:-1]
-        seg_lo = np.minimum.reduceat(raw, crossings)[:-1]
-        ends = raw[crossings[2:]]
-        hi = np.maximum(np.maximum(seg_hi[:-1], seg_hi[1:]), ends)
-        lo = np.minimum(np.minimum(seg_lo[:-1], seg_lo[1:]), ends)
-        depth = float(np.mean((hi - lo) / 2.0))
-    return VibratoMetrics(
-        rate_hz=rate,
-        depth_cents=depth,
-        voiced_fraction=n_voiced / cents.shape[0] if cents.shape[0] else 0.0,
-    )
+    return metrics
 
 
 def onset_glide(cents: np.ndarray, hop_s: float, window_s: float = 0.3) -> float:
@@ -483,7 +575,8 @@ def onset_glide(cents: np.ndarray, hop_s: float, window_s: float = 0.3) -> float
     Computed as the median of pairwise slopes (robust to vibrato wiggle)
     scaled by the window length; positive means ascending.
     """
-    cents = np.asarray(cents, dtype=np.float64)
+    _check_seconds(hop_s=hop_s, window_s=window_s)
+    cents = _series(cents)
     voiced = np.isfinite(cents)
     idx = np.nonzero(voiced)[0]
     if idx.size == 0:

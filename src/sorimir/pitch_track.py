@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import struct
 import warnings
@@ -42,8 +43,8 @@ class F0Track:
         conf = np.array(self.confidence, dtype=np.float64)
         if f0.ndim != 1 or conf.shape != f0.shape:
             raise ValueError("f0_hz and confidence must be 1-d arrays of equal length")
-        if self.hop_s <= 0:
-            raise ValueError(f"hop_s must be positive, got {self.hop_s}")
+        if not 0 < self.hop_s < math.inf:
+            raise ValueError(f"hop_s must be a finite positive number, got {self.hop_s}")
         if np.any(~np.isfinite(f0)) or np.any(f0 < 0):
             raise ValueError("f0 values must be finite and >= 0 (0 marks unvoiced)")
         if np.any((conf < 0) | (conf > 1)):

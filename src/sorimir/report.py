@@ -556,9 +556,7 @@ def pattern_artifacts(index: PatternIndex, pattern_text: str, grids: dict, track
     return len(contours), {
         "contours.csv": partial(contours_csv, pattern, contours),
         "overlay.svg": partial(render_contour_overlay, contours),
-        "vibrato.json": lambda: dump_json(
-            vibrato_record(pattern, occurrence_vibrato(index, pattern, contours))
-        ),
+        "vibrato.json": lambda: vibrato_json(pattern, occurrence_vibrato(index, pattern, contours)),
     }
 
 
@@ -579,21 +577,31 @@ def histogram_record(daemok_id: str, f0_hist, score_hist, modes) -> dict:
     }
 
 
-def vibrato_record(pattern: NGramPattern, vib) -> dict:
-    """JSON-ready `occurrence_vibrato` result (metrics None where unmeasurable)."""
-    return {
-        "pattern": pattern.text,
-        "occurrences": [
-            {
-                "daemok": occ.daemok_id,
-                "onset_beats": fraction_str(occ.onset_beats),
-                "metrics": None if m is None else {"rate_hz": m.rate_hz,
-                                                    "depth_cents": m.depth_cents,
-                                                    "voiced_fraction": m.voiced_fraction},
-            }
-            for occ, m in vib
-        ],
-    }
+def vibrato_json(pattern: NGramPattern, vib) -> str:
+    """`vibrato.json` of an `occurrence_vibrato` result: the `dump_json` text of
+    `{"occurrences": [{"daemok", "metrics", "onset_beats"}, ...], "pattern"}`, metrics None
+    where unmeasurable.
+
+    Each occurrence row is formatted directly, never built as a dict nor run through
+    `dump_json`; its metrics object alone goes through `_encode_leaf`, which writes floats,
+    NaN and infinities as `dump_json` does."""
+    quoted: dict[str, str] = {}  # daemok id -> its JSON string
+    rows = []
+    for occ, m in vib:
+        if occ.daemok_id not in quoted:
+            quoted[occ.daemok_id] = json.encoder.encode_basestring_ascii(occ.daemok_id)
+        # A Fraction's text holds only digits, "-" and "/", so it needs no escaping.
+        daemok, onset = quoted[occ.daemok_id], fraction_str(occ.onset_beats)
+        if m is None:
+            rows.append(f'{{"daemok": {daemok}, "metrics": null, "onset_beats": "{onset}"}}')
+        else:
+            metrics = "".join(_encode_leaf({"depth_cents": m.depth_cents, "rate_hz": m.rate_hz,
+                                            "voiced_fraction": m.voiced_fraction}, 0))
+            rows.append(f'{{\n      "daemok": {daemok},\n      "metrics": {metrics},'
+                        f'\n      "onset_beats": "{onset}"\n    }}')
+    occurrences = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return (f'{{\n  "occurrences": {occurrences},'
+            f'\n  "pattern": {json.encoder.encode_basestring_ascii(pattern.text)}\n}}\n')
 
 
 @contextmanager

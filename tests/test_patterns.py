@@ -20,8 +20,8 @@ from sorimir.patterns import (
     PatternIndex,
     PatternOccurrence,
     VibratoMetrics,
-    _moving_average,
     _resample_rows,
+    _vibrato_rows,
     find_post_rest_long_notes,
     make_token,
     mine_ngrams,
@@ -427,8 +427,16 @@ class TestVibrato:
         assert m.voiced_fraction == pytest.approx(66 / 100)
 
 
+def _moving_average(values, voiced, window):
+    kernel = np.ones(window)
+    sums = np.convolve(np.where(voiced, values, 0.0), kernel, mode="same")
+    counts = np.convolve(voiced.astype(float), kernel, mode="same")
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
 def _vibrato_oracle(cents, hop_s, detrend_window_s=0.25, min_voiced_s=0.3):
-    """`vibrato_metrics` as it was, with one array slice per cycle for the depth."""
+    """`vibrato_metrics` as it was, one series at a time, with one array slice per cycle for
+    the depth."""
     cents = np.asarray(cents, dtype=np.float64)
     voiced = np.isfinite(cents)
     n_voiced = int(np.count_nonzero(voiced))
@@ -482,6 +490,178 @@ class TestVibratoMatchesPerCycleSlices:
                 vibrato_metrics(cents, HOP)
             return
         assert vibrato_metrics(cents, HOP) == expected
+
+
+def _oracle_outcome(cents, hop_s):
+    try:
+        return _vibrato_oracle(cents, hop_s)
+    except NotEnoughDataError:
+        return None
+
+
+def _same_bits(got, want):
+    """Equal VibratoMetrics field by field down to the bit (so -0.0 is not 0.0), or both None."""
+    if got is None or want is None:
+        return got is want
+    return all(np.float64(getattr(got, f)).tobytes() == np.float64(getattr(want, f)).tobytes()
+               for f in ("rate_hz", "depth_cents", "voiced_fraction"))
+
+
+@st.composite
+def vibrato_row(draw):
+    """One occurrence's cents: 0 to 400 frames of vibrato, steps, a flat tone, arbitrary values
+    or silence, with NaN runs at either edge or inside."""
+    n = draw(st.integers(0, 400))
+    kind = draw(st.sampled_from(["vibrato", "steps", "flat", "arbitrary", "unvoiced"]))
+    t = np.arange(n) * HOP
+    if kind == "vibrato":
+        cents = (draw(st.floats(-1200.0, 1200.0))
+                 + draw(st.floats(0.0, 80.0)) * np.sin(2 * np.pi * draw(st.floats(0.2, 12.0)) * t
+                                                       + draw(st.floats(0.0, 6.3))))
+    elif kind == "steps":
+        cents = np.full(n, draw(st.floats(-1200.0, 1200.0)))
+        for _ in range(draw(st.integers(1, 4))):
+            cents[draw(st.integers(0, n)):] += draw(st.floats(-300.0, 300.0))
+    elif kind == "flat":
+        cents = np.full(n, draw(st.sampled_from([0.0, -0.0, 0.1, 700.0, -2400.0])))
+    elif kind == "arbitrary":
+        cents = np.array(draw(st.lists(st.floats(-2400.0, 2400.0), min_size=n, max_size=n)))
+    else:
+        cents = np.full(n, np.nan)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n))
+        stop = draw(st.sampled_from([n, draw(st.integers(start, n))]))
+        cents[draw(st.sampled_from([0, start])) : stop] = np.nan
+    return cents
+
+
+def _cycled_row(crossings):
+    """A voiced row that crosses its trend `crossings` times: steps of 200 cents, 20 frames
+    apart, alternating up and down, after a flat lead-in."""
+    steps = np.repeat(np.arange(crossings + 1) % 2 * 200.0, 20)
+    return np.concatenate([np.full(40, 0.0), steps[20:]]) if crossings else np.full(60, 700.0)
+
+
+class TestVibratoRows:
+    """`_vibrato_rows` measures many rows in one pass, each bit for bit as `_vibrato_oracle`."""
+
+    @given(st.lists(vibrato_row(), max_size=10), st.sampled_from([HOP, 256 / 44100, 0.0232]),
+           st.sampled_from([None, 1, 64, 300]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_the_oracle_bit_for_bit(self, rows, hop_s, block):
+        block = patterns_module.BLOCK_SAMPLES if block is None else block
+        with mock.patch.object(patterns_module, "BLOCK_SAMPLES", block):
+            got = _vibrato_rows(rows, hop_s)
+        assert len(got) == len(rows)
+        for metrics, cents in zip(got, rows):
+            assert _same_bits(metrics, _oracle_outcome(cents, hop_s))
+
+    @pytest.mark.parametrize("block", [None, 50, 500])
+    def test_cycle_counts_around_the_pairwise_sum(self, block):
+        """0, 1 and 2 crossings take the no-cycle and whole-row depths; 3 crossings make one
+        cycle, 10 and 11 the 8 and 9 around numpy's 8-way unrolled sum, 140 more than its
+        128-term pairwise block."""
+        counts = [0, 1, 2, 3, 4, 10, 11, 12, 140]
+        rows = [_cycled_row(c) for c in counts]
+        rows += [np.concatenate([np.full(3, np.nan), r, np.full(5, np.nan)]) for r in rows]
+        block = patterns_module.BLOCK_SAMPLES if block is None else block
+        with mock.patch.object(patterns_module, "BLOCK_SAMPLES", block):
+            got = _vibrato_rows(rows, HOP)
+        for metrics, cents, crossings in zip(got, rows, counts * 2):
+            assert round(metrics.rate_hz * 2 * np.count_nonzero(~np.isnan(cents)) * HOP) == crossings
+            assert _same_bits(metrics, _vibrato_oracle(cents, HOP))
+
+    def test_unmeasurable_rows_are_none(self):
+        short, silent = np.zeros(29), np.full(400, np.nan)
+        sparse = np.where(np.arange(100) % 4 == 0, 5.0, np.nan)  # 25 voiced frames, 0.25 s
+        got = _vibrato_rows([np.zeros(0), short, silent, sparse, np.zeros(30)], HOP)
+        assert got[:4] == [None] * 4 and got[4] == VibratoMetrics(0.0, 0.0, 1.0)
+        assert _vibrato_rows([], HOP) == []
+
+    def test_a_window_longer_than_the_row_averages_the_whole_row(self):
+        """At a 0.15 s hop the 0.25 s window is 3 frames, so a 2-frame row (0.3 s voiced) is
+        measured about its mean (the per-row code failed to broadcast here)."""
+        (metrics,) = _vibrato_rows([np.array([0.0, 10.0])], 0.15)
+        assert metrics == VibratoMetrics(1 / (2.0 * 0.3), 5.0, 1.0)
+        assert vibrato_metrics(np.array([0.0, 10.0]), 0.15) == metrics
+        # Once its half spans the row, a window covers all of it from every frame.
+        cents = 40.0 * np.sin(np.arange(50))
+        assert (vibrato_metrics(cents, HOP, detrend_window_s=1e300)
+                == vibrato_metrics(cents, HOP, detrend_window_s=1.0))
+
+    @pytest.mark.parametrize("value", [0.0, -0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["hop_s", "detrend_window_s", "min_voiced_s"])
+    def test_bad_settings_are_configuration_errors(self, name, value):
+        settings = {"hop_s": HOP, "detrend_window_s": 0.25, "min_voiced_s": 0.3, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            vibrato_metrics(np.zeros(100), **settings)
+        with pytest.raises(ConfigurationError, match=name):
+            _vibrato_rows([np.zeros(100)], **settings)
+
+    @pytest.mark.parametrize("cents", [np.zeros((2, 50)), np.float64(1.0)])
+    def test_a_series_must_be_one_dimensional(self, cents):
+        with pytest.raises(ConfigurationError, match="1-d"):
+            vibrato_metrics(cents, HOP)
+        with pytest.raises(ConfigurationError, match="1-d"):
+            _vibrato_rows([np.zeros(50), cents], HOP)
+        with pytest.raises(ConfigurationError, match="1-d"):
+            onset_glide(cents, HOP)
+
+    @pytest.mark.parametrize("value", [0.0, -0.3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["hop_s", "window_s"])
+    def test_bad_glide_settings_are_configuration_errors(self, name, value):
+        settings = {"hop_s": HOP, "window_s": 0.3, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            onset_glide(np.zeros(100), **settings)
+
+    def test_a_pattern_is_measured_once_per_hop(self):
+        index, grids, tracks = _random_corpus(0)
+        hops = {d: t.hop_s for d, t in tracks.items()}
+        assert len(set(hops.values())) == 2
+        calls, measure = [], _vibrato_rows
+        with mock.patch.object(patterns_module, "_vibrato_rows",
+                               lambda rows, hop_s: calls.append((len(rows), hop_s))
+                               or measure(rows, hop_s)):
+            for pattern in index.patterns:
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    contours = occurrence_contours(index, pattern, grids, tracks)
+                per_hop = {}
+                for c in contours:
+                    per_hop[hops[c.daemok_id]] = per_hop.get(hops[c.daemok_id], 0) + 1
+                assert sorted(calls) == sorted((n, hop) for hop, n in per_hop.items())
+
+
+def _vibrato_pass_peak(occurrences):
+    """Traced peak of measuring `occurrences` rows of 40 frames, above the rows themselves."""
+    rng = np.random.default_rng(occurrences)
+    rows = [700.0 + 30.0 * np.sin(0.6 * np.arange(40) + rng.uniform(0, 6)) for _ in
+            range(occurrences)]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        metrics = _vibrato_rows(rows, HOP)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert all(m is not None for m in metrics)
+    return peak
+
+
+def test_vibrato_temporaries_do_not_grow_with_occurrences(monkeypatch):
+    # Blocks of 25 rows of 40 frames, so that 256 occurrences already fill ten blocks.
+    monkeypatch.setattr(patterns_module, "BLOCK_SAMPLES", 1000)
+    short, long = _vibrato_pass_peak(256), _vibrato_pass_peak(4096)
+    # What grows is the result, a VibratoMetrics of three floats in a list, and the list of
+    # the checked rows: each block's temporaries are freed before the next block's are made.
+    tracemalloc.start()
+    try:
+        kept = [VibratoMetrics(i + 0.5, i + 1.5, i + 0.25) for i in range(1000)]
+        per_row = tracemalloc.get_traced_memory()[0] / len(kept) + 8
+    finally:
+        tracemalloc.stop()
+    assert long - short <= (4096 - 256) * per_row + 2**17
 
 
 class TestOnsetGlide:
@@ -615,7 +795,7 @@ def _vibrato_pairs_oracle(index, pattern, grids, tracks, reference_hz=440.0):
         metrics = None
         if segment is not None:
             try:
-                metrics = vibrato_metrics(track_cents(segment, reference_hz), segment.hop_s)
+                metrics = _vibrato_oracle(track_cents(segment, reference_hz), segment.hop_s)
             except NotEnoughDataError:
                 pass
         results.append((occ, metrics))
@@ -623,7 +803,8 @@ def _vibrato_pairs_oracle(index, pattern, grids, tracks, reference_hz=440.0):
 
 
 def _random_corpus(seed):
-    """Two or three daemok whose grids end before their scores and whose F0 has long gaps."""
+    """Two or three daemok whose grids end before their scores and whose F0 has long gaps,
+    tracked at two hops in turn."""
     rng = random.Random(seed)
     tokens = [make_token(Pitch(step, 0, 4), Fraction(d)) for step in "AC" for d in ("1/2", "1")]
     sequences, grids, tracks = {}, {}, {}
@@ -634,8 +815,9 @@ def _random_corpus(seed):
         n_beats = max(3, int(total_beats * rng.uniform(0.5, 0.9)))
         beat_s = rng.uniform(0.3, 0.6)
         times = [i * beat_s for i in range(n_beats)]
-        n_frames = int(times[-1] / HOP) + 20
-        t = np.arange(n_frames) * HOP
+        hop = (HOP, 256 / 44100)[k % 2]
+        n_frames = int(times[-1] / hop) + 20
+        t = np.arange(n_frames) * hop
         f0 = 440.0 * 2 ** (rng.uniform(20, 60) * np.sin(2 * np.pi * rng.uniform(4, 7) * t) / 1200)
         voiced = np.ones(n_frames, dtype=bool)
         for _ in range(rng.randint(1, 4)):
@@ -644,7 +826,7 @@ def _random_corpus(seed):
         f0 = np.where(voiced, f0, 0.0)
         sequences[daemok_id] = seq
         grids[daemok_id] = beats_grid(times)
-        tracks[daemok_id] = F0Track(f0, np.where(voiced, 0.9, 0.0), HOP)
+        tracks[daemok_id] = F0Track(f0, np.where(voiced, 0.9, 0.0), hop)
     return mine_ngrams(sequences, n_values=(2, 3), min_support=1), grids, tracks
 
 

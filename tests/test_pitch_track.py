@@ -407,6 +407,12 @@ class TestCents:
         assert cents[0] == 0.0 and np.isnan(cents[1])
 
 
+@pytest.mark.parametrize("hop_s", [0.0, -0.01, float("nan"), float("inf"), float("-inf")])
+def test_a_track_hop_must_be_finite_and_positive(hop_s):
+    with pytest.raises(ValueError, match="hop_s must be a finite positive number"):
+        F0Track(np.array([440.0]), np.array([0.9]), hop_s)
+
+
 def _wav_bytes(sample_rate, channels, sampwidth, frames):
     """Minimal RIFF/WAVE PCM writer for test input: each value's low `sampwidth` bytes."""
     values = np.asarray(frames, dtype="<i4").reshape(-1, channels)

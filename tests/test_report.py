@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 from unittest import mock
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from sorimir.errors import (
     PipelineError,
 )
 from sorimir.histogram import BIN_MIDI, BIN_PITCH_CLASS, PitchHistogram
-from sorimir.patterns import Contour, NGramPattern, mine_ngrams, parse_token
+from sorimir.patterns import (
+    Contour,
+    NGramPattern,
+    PatternOccurrence,
+    VibratoMetrics,
+    mine_ngrams,
+    parse_token,
+)
 from sorimir.report import (
     contours_csv,
     dump_json,
@@ -34,6 +42,7 @@ from sorimir.report import (
     render_contour_overlay,
     render_histogram_figure,
     run_pipeline,
+    vibrato_json,
     write_json,
 )
 
@@ -464,6 +473,63 @@ class TestPatternIndexWriter:
         assert peak < written / 4
 
 
+def _vibrato_record_oracle(pattern, vib) -> dict:
+    """The `vibrato.json` record as a dict, one per occurrence, for `dump_json`."""
+    return {
+        "pattern": pattern.text,
+        "occurrences": [
+            {
+                "daemok": occ.daemok_id,
+                "onset_beats": report.fraction_str(occ.onset_beats),
+                "metrics": None if m is None else {"rate_hz": m.rate_hz,
+                                                    "depth_cents": m.depth_cents,
+                                                    "voiced_fraction": m.voiced_fraction},
+            }
+            for occ, m in vib
+        ],
+    }
+
+
+_METRIC_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]))
+
+
+class TestVibratoWriter:
+    """`vibrato_json` gives the bytes of `dump_json` of the record built occurrence by occurrence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pattern_text=st.text(max_size=6),
+        vib=st.lists(st.tuples(
+            _DAEMOK_IDS,
+            st.fractions(min_value=-8, max_value=64, max_denominator=12),
+            st.one_of(st.none(), st.builds(VibratoMetrics, _METRIC_VALUES, _METRIC_VALUES,
+                                           _METRIC_VALUES)),
+        ), max_size=6),
+    )
+    def test_text_is_dump_json_of_the_record(self, pattern_text, vib):
+        # Any object with a `text` stands in for the pattern, so its text can need escapes.
+        pattern = SimpleNamespace(text=pattern_text)
+        pairs = [(PatternOccurrence(d, 0, onset, Fraction(1)), m) for d, onset, m in vib]
+        assert vibrato_json(pattern, pairs) == dump_json(_vibrato_record_oracle(pattern, pairs))
+
+    def test_edge_values(self):
+        pattern = SimpleNamespace(text='A4:1/1 "\u00e9\n')
+        occ = PatternOccurrence('d"\\ \ud55c', 0, Fraction(-3, 2), Fraction(1))
+        pairs = [(occ, None), (occ, VibratoMetrics(-0.0, float("nan"), float("inf"))),
+                 (occ, VibratoMetrics(5.5, -float("inf"), 1e-300))]
+        text = vibrato_json(pattern, pairs)
+        assert text == dump_json(_vibrato_record_oracle(pattern, pairs))
+        assert '"metrics": {"depth_cents": NaN, "rate_hz": -0.0, "voiced_fraction": Infinity}' in text
+        assert '"pattern": "A4:1/1 \\"\\u00e9\\n"' in text
+
+    def test_no_occurrence_writes_an_empty_list(self):
+        pattern = NGramPattern(("A4:1/1", "C5:1/2"))
+        text = vibrato_json(pattern, [])
+        assert text == '{\n  "occurrences": [],\n  "pattern": "A4:1/1 C5:1/2"\n}\n'
+        assert text == dump_json(_vibrato_record_oracle(pattern, []))
+
+
 class TestManifest:
     def test_load_fixture_manifest(self, manifest_path):
         entries, settings = load_manifest(manifest_path)
@@ -502,6 +568,16 @@ class TestPipeline:
         placed, artifacts = report.pattern_artifacts(index, text, grids, tracks, settings)
         assert placed == 2 and json.loads(artifacts["vibrato.json"]())["occurrences"]
         assert passes == []
+
+    def test_each_pattern_with_a_placed_contour_is_measured_once(self, manifest_path, tmp_path,
+                                                                 monkeypatch):
+        """The vibrato of all of a pattern's placed occurrences (on tracks of one hop) is one
+        `_vibrato_rows` pass, made once for all three of the pattern's artifacts."""
+        passes, measure = [], sorimir.patterns._vibrato_rows
+        monkeypatch.setattr(sorimir.patterns, "_vibrato_rows",
+                            lambda rows, hop_s: passes.append(len(rows)) or measure(rows, hop_s))
+        summary = run_pipeline(manifest_path, out_dir=tmp_path / "out")
+        assert passes == [n for n in summary["contour_sets"].values() if n] == [2]
 
     def test_fixture_run(self, manifest_path, tmp_path):
         out = tmp_path / "out"
