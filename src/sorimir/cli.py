@@ -66,6 +66,16 @@ def _filter_args(parser: argparse.ArgumentParser):
                         help="upper register gate (default %(default)s)")
 
 
+def _n_values(text: str) -> list[int]:
+    """`--n`'s comma-separated n-gram lengths; an item that is not an integer, an empty one
+    too, is a usage error that names the flag."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and through `parser_class` its subparsers, that raises UsageError."""
 
@@ -138,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     pat_sub = p_pat.add_subparsers(dest="patterns_command", required=True)
     p_mine = pat_sub.add_parser("mine", help="mine n-grams across a directory of scores")
     p_mine.add_argument("--scores", required=True, help="directory of .musicxml/.xml files")
-    p_mine.add_argument("--n", default=",".join(str(n) for n in DEFAULT_N_VALUES),
+    p_mine.add_argument("--n", type=_n_values, default=",".join(map(str, DEFAULT_N_VALUES)),
                         help="comma-separated n-gram lengths (default 2,3,4,6)")
     p_mine.add_argument("--min-support", type=int, default=DEFAULT_MIN_SUPPORT)
     p_mine.add_argument("--skip-rests", action="store_true")
@@ -250,8 +260,7 @@ def _collect_score_events(directory: str) -> dict[str, list]:
 
 def _cmd_patterns(args) -> int:
     if args.patterns_command == "mine":
-        n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
-        settings = {"n_values": n_values, "min_support": args.min_support, "skip_rests": args.skip_rests}
+        settings = {"n_values": args.n, "min_support": args.min_support, "skip_rests": args.skip_rests}
         index = report.mine_index(_collect_score_events(args.scores), settings)
         chunks: list[str] = []
         report.pattern_index_record(index, chunks.append)

@@ -526,7 +526,7 @@ def load_corpus(entries: list[dict], settings: dict) -> tuple[dict, dict, dict, 
                                                   ("f0", entry["id"], partial(f0_job, entry)))]
     jobs.append(("patterns", "*", lambda: mine_index(events_by_id, settings)))
     csvs = [2 * i + 1 for i, entry in enumerate(entries) if "f0_csv" in entry]
-    *loaded, index = _fan_out(jobs, csvs, 1 + len(csvs))
+    *loaded, index = _fan_out(jobs, csvs)
     ids = [entry["id"] for entry in entries]
     return events_by_id, dict(zip(ids, loaded[::2])), dict(zip(ids, loaded[1::2])), index
 
@@ -620,27 +620,6 @@ def _staging_dir(out_root: Path):
         raise
 
 
-# Occurrences that each process of the output stages must be given for its fork to repay
-# itself, the stages' jobs being weighed in occurrences of the contour stage. Measured on a
-# 2-vCPU host (README "Performance"): a fork and join costs the parent about 10 ms (3 ms for
-# the fork, pipe and wait alone, the rest in copy-on-write faults). Splitting a stage two ways
-# saved about 0.18 ms per occurrence when an occurrence cost 0.5-0.6 ms serially. It costs
-# about 3/4 of that now that occurrences are placed before the fan-out, so a split breaks
-# even at about 40 occurrences a process, and the minimum is half again as much.
-MIN_SHARE_OCCURRENCES = 60
-
-# What one daemok's histogram job (both histograms, their affinities, the JSON and SVG and
-# their sidecars) weighs in occurrences. Timed serially on that host (README "Performance"),
-# it cost as much as 5.0-5.1 occurrences on csv_corpus, and more on longer tracks. A weight
-# only orders the claims and counts toward the process count. Every histogram job weighs the
-# same, less than any contour or `patterns.json` job of csv_corpus or pattern_dense, so 4 and
-# 5 give the same claim order there, and it stays 4.
-HISTOGRAM_WEIGHT = 4
-
-# `patterns.json` occurrence rows that cost as much to write as one occurrence's contour
-# artifacts, timed the same way: 260 on csv_corpus and 290-300 on pattern_dense.
-ROWS_PER_OCCURRENCE = 280
-
 # A claims file slot: the pid of the process that claimed the job of `order` at that position.
 _CLAIM = struct.Struct("=i")
 
@@ -649,17 +628,6 @@ def _can_fork() -> bool:
     """Whether a fork can pay: the process may use more than one CPU, and `os.fork` exists and
     is safe, as no other thread runs (a child would inherit any lock that thread holds)."""
     return hasattr(os, "fork") and threading.active_count() == 1 and _kernels._cpu_count() > 1
-
-
-def _claims(weights: list[int]) -> tuple[list[int], int]:
-    """The output fan-out's claim order, its job indices in descending weight (ties in job
-    order), and how many processes may claim them: no more than there are jobs, nor more than
-    the jobs' summed weight repays at `MIN_SHARE_OCCURRENCES` a process (`_fan_out` caps the
-    count at the CPUs the process may use)."""
-    total, count = sum(weights), max(1, len(weights))
-    while count > 1 and total < count * MIN_SHARE_OCCURRENCES:
-        count -= 1
-    return sorted(range(len(weights)), key=lambda j: -weights[j]), count
 
 
 def _claim(claims, order: list[int]):
@@ -722,19 +690,19 @@ def _warn_again(caught: list[tuple]) -> None:
                                env.setdefault("__warningregistry__", {}), env or None)
 
 
-def _fan_out(jobs: list[tuple], order: list[int], processes: int) -> list:
-    """The result of each of `jobs`, `(stage, daemok id, run)` with `run()` the job's work, run
-    by at most `processes` processes, of which the jobs of `order` are claimed on demand. This
-    is the one place that guards forked work: each job runs under its own stage (`_stage`),
-    wherever it runs.
+def _fan_out(jobs: list[tuple], order: list[int]) -> list:
+    """The result of each of `jobs`, `(stage, daemok id, run)` with `run()` the job's work,
+    where the jobs of `order` are claimed on demand, in that order. This is the one place that
+    guards forked work: each job runs under its own stage (`_stage`), wherever it runs.
 
-    With one process (`processes` is capped at the CPUs the process may use, and is 1 where
-    `_can_fork` says no) this process runs every job in job order. Otherwise it forks a child
-    for each other process (`_run_child`), whose results and errors must pickle; a fork that
-    fails leaves one process fewer. This process first runs, in job order, the jobs that only
-    it can run, those not in `order`. Then every process, this one included, takes the next job
-    of `order` whenever it is free (`_claim`), until none is left. After its first failing
-    job, a process runs only claimed jobs of a lower index.
+    The jobs run in one process per job of `order`, plus this one if some job is not in
+    `order`, but in no more processes than the CPUs the process may use, and in one where
+    `_can_fork` says no. With one process, it runs every job in job order. Otherwise it forks
+    a child for each other process (`_run_child`), whose results and errors must pickle; a
+    fork that fails leaves one process fewer. This process first runs, in job order, the jobs
+    that only it can run, those not in `order`. Then every process, this one included, takes
+    the next job of `order` whenever it is free (`_claim`), until none is left. After its
+    first failing job, a process runs only claimed jobs of a lower index.
 
     A child writes each job's outcome as soon as the job ends. The parent reaps and reads every
     child, even after a job of its own failed; a child that died fails at the job it claimed
@@ -744,8 +712,9 @@ def _fan_out(jobs: list[tuple], order: list[int], processes: int) -> list:
     in the parent or a child, walks and so copies the heap they share. Then, in job order, each
     job's warnings are warned again and its result kept, until the first job that failed
     raises its error: the caller sees what a serial loop would give it."""
-    processes = min(processes, _kernels._cpu_count()) if _can_fork() else 1
-    if processes == 1:
+    own = sorted(set(range(len(jobs))).difference(order))
+    processes = min(_kernels._cpu_count(), len(order) + bool(own)) if _can_fork() else 1
+    if processes <= 1:
         done = list(_run_jobs(jobs, range(len(jobs))))
     else:
         children = []  # (pid, the file it writes its results to), until reaped
@@ -762,7 +731,6 @@ def _fan_out(jobs: list[tuple], order: list[int], processes: int) -> list:
                     if pid == 0:
                         _run_child(jobs, _claim(claims, order), results_file)
                     children.append((pid, results_file))
-                own = sorted(set(range(len(jobs))).difference(order))
                 done = list(_run_jobs(jobs, chain(own, _claim(claims, order))))
                 codes = {}  # pid of each reaped child -> its exit code
                 while children:
@@ -828,9 +796,10 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
     `load_corpus` reads the inputs and mines the n-gram index, and `place_occurrences` places
     every contour pattern that the index holds, in one pass per daemok that raises nothing.
     `patterns.json`, the histograms and each pattern's contour artifacts are then the jobs of
-    one fan-out (`_fan_out`, in the claim order and process count `_claims` gives their
-    weights), in that order and under stages `patterns`, `histogram` (of its daemok) and
-    `contours`, so errors and warnings, the past-grid ones included, come in stage order.
+    one fan-out (`_fan_out`), in that order and under stages `patterns`, `histogram` (of its
+    daemok) and `contours`, so errors and warnings, the past-grid ones included, come in stage
+    order. As many processes as there are jobs, up to the CPUs, claim the contour jobs first,
+    in descending pattern support (ties in job order), then the others in job order.
 
     Returns the run's summary: `{"daemok": [ids], "patterns": mined pattern count,
     "contour_sets": {pattern text: placed occurrence count}, "outputs": [paths]}`: counts and
@@ -881,16 +850,15 @@ def run_pipeline(manifest_path, out_dir=None) -> dict:
                 emit(f"pattern-{pi:02d}.{suffix}", render())
             return count
 
-        # Jobs are weighed in placed occurrences: `patterns.json` rows, histograms, then supports.
-        rows = sum(map(len, index.occurrences.values()))
         jobs = ([("patterns", "*", partial(emit, "patterns.json",
                                            partial(pattern_index_record, index)))]
                 + [("histogram", d, partial(histogram_job, d)) for d in events_by_id]
                 + [("contours", "*", partial(contour_job, pi)) for pi in range(len(patterns))])
-        weights = ([rows // ROWS_PER_OCCURRENCE] + [HISTOGRAM_WEIGHT] * len(events_by_id)
-                   + [index.support(NGramPattern.from_text(text)) for text in patterns])
-        results = _fan_out(jobs, *_claims(weights))
-        placed = dict(zip(patterns, results[len(events_by_id) + 1:]))
+        first = len(events_by_id) + 1  # the first contour job
+        supports = [index.support(NGramPattern.from_text(text)) for text in patterns]
+        contours = sorted(range(len(patterns)), key=lambda pi: -supports[pi])
+        results = _fan_out(jobs, [first + pi for pi in contours] + list(range(first)))
+        placed = dict(zip(patterns, results[first:]))
 
         outputs = sorted(os.listdir(staging))  # a new directory: only `emit` wrote into it
         for name in outputs:

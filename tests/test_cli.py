@@ -323,6 +323,16 @@ class TestPatternsCommands:
         assert top["support"] >= 2
         assert set(top["per_daemok"]) == {"one", "two"}
 
+    @pytest.mark.parametrize("n", ["a", "2,,3", "2,3,", ""])
+    def test_mine_names_n_for_a_bad_length(self, capsys, tmp_path, n):
+        code, out, err = run_cli(capsys, "patterns", "mine", "--scores", str(tmp_path), "--n", n)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"] == ("sorimir patterns mine: argument --n: expected "
+                                    f"comma-separated integers, got {n!r}")
+
     def test_mine_prints_exactly_the_patterns_json_of_run(self, capsys, fixtures_dir, tmp_path):
         scores = tmp_path / "scores"
         scores.mkdir()

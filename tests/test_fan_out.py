@@ -53,8 +53,7 @@ def _manifest(fixtures_dir, tmp_path, patterns, copies=1, **settings) -> Path:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """`pin(n)`: the process may use n CPUs, and every job repays a fork."""
-    monkeypatch.setattr(report, "MIN_SHARE_OCCURRENCES", 0)
+    """`pin(n)`: the process may use n CPUs."""
     return lambda n: monkeypatch.setattr(_kernels, "_cpu_count", lambda: n)
 
 
@@ -87,39 +86,45 @@ def _gate(monkeypatch, stage: str, until) -> None:
     `until` its go, so the parent cannot claim it. The gate's result is dropped."""
     fan_out = report._fan_out
 
-    def gated(jobs, order, processes):
+    def gated(jobs, order):
         if not any(job[0] == stage for job in jobs):
-            return fan_out(jobs, order, processes)
-        return fan_out([*jobs, ("gate", "*", until)], order, processes)[:-1]
+            return fan_out(jobs, order)
+        return fan_out([*jobs, ("gate", "*", until)], order)[:-1]
 
     monkeypatch.setattr(report, "_fan_out", gated)
 
 
 class TestClaims:
-    def test_descending_weight_ties_in_job_order(self):
-        assert report._claims([1, 2, 3, 3, 0, 9])[0] == [5, 2, 3, 1, 0, 4]
+    def test_contours_by_descending_support_then_the_rest_in_job_order(
+        self, cpus, forks, fixtures_dir, tmp_path, monkeypatch
+    ):
+        # Two daemok, so PAIR has support 4 and each other pattern 2. The output jobs are
+        # `patterns.json`, the two histograms, then the four contour jobs.
+        fan_out, orders = report._fan_out, []
+        monkeypatch.setattr(report, "_fan_out",
+                            lambda jobs, order: orders.append(order) or fan_out(jobs, order))
+        cpus(8)
+        manifest = _manifest(fixtures_dir, tmp_path, [THREE, PAIR, TWO, "G4:1/1 E4:3/2"],
+                             copies=2)
+        report.run_pipeline(manifest, tmp_path / "out")
+        assert orders == [[1, 3], [4, 3, 5, 6, 0, 1, 2]]  # the F0 CSVs, then the output stage
+        # A process a claimed job, and the parent for its own jobs: 2 + 1 to load, then 7.
+        assert len(forks) == 2 + 6
 
-    def test_pattern_dense_alternates_its_two_halves(self):
-        order, _ = report._claims([121, 85, 60, 43, 30, 21] * 2)
-        assert order == [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
-
-    @pytest.mark.parametrize("weights, processes", [
-        ([60, 60, 60], 3),
-        ([60, 59], 1),  # 119 occurrences do not repay two processes of 60
-        ([60, 60], 2),
-        ([100, 50, 29], 2),  # 179 repay two processes, not three
-        ([4, 4, 0, 3, 3], 1),  # wav_long: 2 histograms, patterns.json, 6 occurrences
-        ([], 1),
+    @pytest.mark.parametrize("count, order, forked", [
+        (2, list(range(6)), 1),  # capped by the CPUs
+        (3, list(range(6)), 2),
+        (1, list(range(6)), 0),
+        (4, list(range(6)), 3),
+        (8, list(range(6)), 5),
+        (8, [4, 5], 2),  # two claimed jobs and the parent's own: three processes
+        (8, [5], 1),
+        (8, [], 0),  # the parent runs every job: nothing to claim, nothing forked
+        (8, [3, 4, 5], 3),
     ])
-    def test_process_count(self, weights, processes):
-        assert report._claims(weights)[1] == processes
-
-    @pytest.mark.parametrize("count, processes, forked", [(2, 5, 1), (3, 5, 2), (3, 2, 1),
-                                                          (1, 5, 0), (4, 1, 0)])
-    def test_no_more_processes_than_cpus(self, cpus, forks, count, processes, forked):
+    def test_no_more_processes_than_cpus(self, cpus, forks, count, order, forked):
         cpus(count)
-        assert report._fan_out(_jobs(lambda i: -i, 6), list(range(6)), processes) == [
-            0, -1, -2, -3, -4, -5]
+        assert report._fan_out(_jobs(lambda i: -i, 6), order) == [0, -1, -2, -3, -4, -5]
         assert len(forks) == forked
 
     def test_one_process_while_another_thread_runs(self, cpus, forks):
@@ -128,13 +133,13 @@ class TestClaims:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert report._fan_out(_jobs(lambda i: i, 2), [0, 1], 2) == [0, 1]
+            assert report._fan_out(_jobs(lambda i: i, 2), [0, 1]) == [0, 1]
             assert not forks
         finally:
             stop.set()
             thread.join(10)
         assert not thread.is_alive()
-        assert report._fan_out(_jobs(lambda i: i, 2), [0, 1], 2) == [0, 1]
+        assert report._fan_out(_jobs(lambda i: i, 2), [0, 1]) == [0, 1]
         assert len(forks) == 1
 
     @pytest.mark.parametrize("count, forked", [(1, 0), (2, 1), (3, 2), (8, 3)])
@@ -166,7 +171,7 @@ class TestClaims:
             return i
 
         cpus(2)
-        assert report._fan_out(_jobs(job, 6), order, 2) == list(range(6))
+        assert report._fan_out(_jobs(job, 6), order) == list(range(6))
         lines = log.read_text().splitlines()
         assert [line for line in lines if line.startswith("parent")] == ["parent 1", "parent 4"]
         assert [line for line in lines if line.startswith("child")] == [
@@ -175,10 +180,8 @@ class TestClaims:
 
 _RUN_PINNED = """
 import os, sys
-from sorimir import _kernels, cli, report
+from sorimir import _kernels, cli
 _kernels._cpu_count = lambda: int(sys.argv[1])
-if sys.argv[2] == "lowered":  # every job repays a fork
-    report.MIN_SHARE_OCCURRENCES = 0
 fork = os.fork
 def counted():  # the parent adds a line to `forks` for each child it forks
     pid = fork()
@@ -187,19 +190,18 @@ def counted():  # the parent adds a line to `forks` for each child it forks
             fh.write("fork\\n")
     return pid
 os.fork = counted
-sys.exit(cli.main(sys.argv[3:]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def _run_pinned(manifest, cwd: Path, count: int, lowered: bool = True, flags=()) -> tuple:
+def _run_pinned(manifest, cwd: Path, count: int, flags=()) -> tuple:
     """`sorimir run` in a fresh interpreter, started with the options `flags`, whose process may
     use `count` CPUs, writing `out` in `cwd`: its exit code, stdout, stderr, `{name: bytes}` of
-    `out`, and how many children it forked. If `lowered`, every job repays a fork."""
+    `out`, and how many children it forked."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(sorimir.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, *flags, "-c", _RUN_PINNED, str(count),
-         "lowered" if lowered else "measured",
          "run", "--manifest", str(manifest), "--out-dir", "out"],
         cwd=cwd, env=env, capture_output=True, timeout=120,
     )
@@ -244,7 +246,8 @@ def test_a_job_failing_in_a_child_gives_the_serial_json_line(
     capsys, cpus, handoff, fixtures_dir, tmp_path, monkeypatch, failing, settings, message
 ):
     # PAST_25 warns and places nothing, so it renders no contour and passes even at 10**15
-    # samples; the failing job comes next. PAIR, the heaviest, fails too under 10**15, later.
+    # samples; the failing job comes next. PAIR, the most supported and so the first claimed,
+    # fails too under 10**15, later in job order.
     patterns = [PAST_25, failing, PAIR, THREE, "G4:1/1 E4:3/2"]
     manifest = _manifest(fixtures_dir, tmp_path, patterns, **settings)
     cpus(1)
@@ -274,8 +277,8 @@ def test_a_job_failing_in_a_child_gives_the_serial_json_line(
 
 def test_the_first_failing_job_drops_the_later_warnings_and_errors(capsys, cpus, fixtures_dir,
                                                                    tmp_path, monkeypatch):
-    # The histogram job, the heaviest and the first claimed, fails first in job order; the
-    # later warnings and errors (PAIR and THREE fail at 10**15 samples) are dropped.
+    # The histogram job, claimed after every contour job, fails first in job order; the later
+    # warnings and errors (PAIR and THREE fail at 10**15 samples) are dropped.
     def failing(f0_hist, score_hist):
         raise IncompatibleHistogramError("boom")
 
@@ -311,7 +314,7 @@ def test_a_child_that_dies_is_one_json_line(capsys, cpus, handoff, fixtures_dir,
         "type": "PipelineError",
         "message": "stage 'contours' failed for daemok '*': a worker process ended with exit "
                    "code 9 before it returned its results",
-    }  # at the child's first contour job, PAIR, the heaviest: no warning comes before it
+    }  # at the child's first claim, PAIR, the most supported: no warning comes before it
     assert not (tmp_path / "out").exists()
 
 
@@ -319,8 +322,8 @@ def test_a_child_that_dies_is_one_json_line(capsys, cpus, handoff, fixtures_dir,
 def test_a_worker_that_dies_is_named_at_the_job_it_was_running(capsys, cpus, handoff,
                                                                  fixtures_dir, tmp_path,
                                                                  monkeypatch, count):
-    # The parent claims nothing until a child has started d4's histogram job, the last claimed
-    # but `patterns.json`; on two CPUs the one child has reported every job claimed before it.
+    # The parent claims nothing until a child has started d4's histogram job, the last claimed;
+    # on two CPUs the one child has reported every job claimed before it.
     give, take = handoff
     parent, record = os.getpid(), report.histogram_record
 
@@ -366,7 +369,7 @@ def test_an_error_of_the_parents_own_kills_and_reaps_every_child(cpus, handoff):
     start = time.monotonic()
     try:
         with pytest.raises(KeyboardInterrupt):
-            report._fan_out(_jobs(job, 3), [1, 2], 3)
+            report._fan_out(_jobs(job, 3), [1, 2])
     finally:
         os.close(never[0])
         os.close(never[1])
@@ -386,7 +389,7 @@ def test_a_fork_that_fails_leaves_one_process_fewer(cpus, monkeypatch, failing):
 
     monkeypatch.setattr(os, "fork", flaky)
     cpus(3)
-    assert report._fan_out(_jobs(lambda i: i * i, 6), [5, 4, 3, 2, 1], 3) == [
+    assert report._fan_out(_jobs(lambda i: i * i, 6), [5, 4, 3, 2, 1]) == [
         0, 1, 4, 9, 16, 25]
     assert len(calls) == 2 and len(forked) == 2 - len(failing)
 
@@ -405,7 +408,7 @@ def test_results_and_warnings_come_back_in_job_order(cpus, handoff, recwarn):
 
     parent = os.getpid()
     cpus(2)
-    assert report._fan_out(_jobs(job, 5), [4, 3, 2, 1], 2) == [0, 1, 4, 9, 16]
+    assert report._fan_out(_jobs(job, 5), [4, 3, 2, 1]) == [0, 1, 4, 9, 16]
     texts = [str(w.message) for w in recwarn]
     assert [t.split(" from ")[0] for t in texts] == [f"job {i}" for i in range(5)]
     assert texts[0] == "job 0 from parent" and "job 4 from child" in texts
@@ -421,7 +424,7 @@ def test_each_job_runs_once_whoever_claims_it(cpus, tmp_path, recwarn):
 
     cpus(3)
     try:
-        results = report._fan_out(_jobs(job, 500), list(range(500)), 3)
+        results = report._fan_out(_jobs(job, 500), list(range(500)))
     finally:
         os.close(log)
     assert results == [i * i for i in range(500)]
@@ -452,7 +455,7 @@ def test_a_child_that_dies_holding_the_claim_lock_hangs_nobody(cpus, handoff, mo
     monkeypatch.setattr(fcntl, "lockf", dying)
     cpus(3)
     start = time.monotonic()
-    assert report._fan_out(_jobs(job, 5), [4, 3, 2, 1], 3) == [0, -1, -2, -3, -4]
+    assert report._fan_out(_jobs(job, 5), [4, 3, 2, 1]) == [0, -1, -2, -3, -4]
     assert time.monotonic() - start < 30
 
 
@@ -480,9 +483,9 @@ def test_the_gc_is_frozen_only_while_children_run(cpus, handoff, ending):
     raised = {"error": PipelineError, "interrupt": KeyboardInterrupt, "death": PipelineError}
     if ending in raised:
         with pytest.raises(raised[ending]):
-            report._fan_out(_jobs(job, 3), [1, 2], 2)
+            report._fan_out(_jobs(job, 3), [1, 2])
     else:
-        assert report._fan_out(_jobs(job, 3), [1, 2], 2) == [0, 1, 2]
+        assert report._fan_out(_jobs(job, 3), [1, 2]) == [0, 1, 2]
     assert frozen[0] > 0 and gc.get_freeze_count() == 0
 
 
@@ -501,7 +504,7 @@ def test_the_serial_path_runs_the_jobs_in_job_order_and_nothing_else(cpus, forks
     if serial == "another thread":
         thread.start()
     try:
-        assert report._fan_out(_jobs(lambda i: ran.append(i) or i, 5), [4, 3, 2, 1, 0], 3) == [
+        assert report._fan_out(_jobs(lambda i: ran.append(i) or i, 5), [4, 3, 2, 1, 0]) == [
             0, 1, 2, 3, 4]
     finally:
         stop.set()
@@ -727,10 +730,11 @@ def test_an_unreadable_csv_fails_at_f0_through_the_reader(capsys, cpus, forks, f
 
 
 def test_one_daemok_forks_one_reader_and_is_byte_identical(fixtures_dir, manifest_path, tmp_path):
-    # The fixture's 32 KB of F0 CSV: any CSV is read in a forked reader where a fork can pay.
-    runs = {count: _run_pinned(manifest_path, tmp_path / f"cpus{count}", count, lowered=False)
+    # The fixture's 32 KB of F0 CSV: any CSV is read in a forked reader where a fork can pay,
+    # and the output stage's three jobs fork one child on two CPUs.
+    runs = {count: _run_pinned(manifest_path, tmp_path / f"cpus{count}", count)
             for count in (1, 2)}
-    assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 1}
+    assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 2}
     assert runs[1][:4] == runs[2][:4]
     assert runs[1][0] == 0 and len(runs[1][3]) == 2 * (2 + 1 + 3)
 
@@ -738,11 +742,10 @@ def test_one_daemok_forks_one_reader_and_is_byte_identical(fixtures_dir, manifes
 def test_a_corpus_that_splits_every_stage_is_byte_identical_on_one_two_and_three_cpus(
     capsys, cpus, fixtures_dir, tmp_path, monkeypatch
 ):
-    # 40 copies of the fixture daemok: 40 F0 CSVs, read by one reader a CPU but one, and output
-    # jobs that one process a CPU claims at the measured thresholds (160 in histograms, 80
-    # occurrences).
+    # 40 copies of the fixture daemok: 40 F0 CSVs, read by one reader a CPU but one, and 42
+    # output jobs, claimed by one process a CPU.
     manifest = _manifest_of_copies(fixtures_dir, tmp_path, [f"copy-{i:02d}" for i in range(40)])
-    runs = {count: _run_pinned(manifest, tmp_path / f"cpus{count}", count, lowered=False)
+    runs = {count: _run_pinned(manifest, tmp_path / f"cpus{count}", count)
             for count in (1, 2, 3)}
     # Each fan-out forks a child a CPU but one: the readers, then the output stages' children.
     assert {count: run[4] for count, run in runs.items()} == {1: 0, 2: 2, 3: 4}
@@ -751,7 +754,7 @@ def test_a_corpus_that_splits_every_stage_is_byte_identical_on_one_two_and_three
     assert code == 0 and len(files) == 2 * (2 * 40 + 1 + 3)
     assert json.loads(stdout)["contour_sets"] == {"A4:2/1 C5:2/1": 80}
 
-    # One CPU is the serial path, whatever the thresholds: nothing is forked.
+    # One CPU is the serial path: nothing is forked.
     def no_fork():
         raise AssertionError("forked on one CPU")
 
@@ -781,10 +784,10 @@ def test_jobs_of_random_lengths_give_the_serial_bytes(capsys, cpus, fixtures_dir
     manifest = _manifest(fixtures_dir, tmp_path, PATTERNS, copies=3)
     fan_out = report._fan_out
 
-    def jittered(jobs, order, processes):
+    def jittered(jobs, order):
         rng = random.Random(f"{seed}-{len(jobs)}")
         return fan_out([(stage, daemok_id, partial(_after, rng.uniform(0, 0.005), run))
-                        for stage, daemok_id, run in jobs], order, processes)
+                        for stage, daemok_id, run in jobs], order)
 
     monkeypatch.setattr(report, "_fan_out", jittered)
     runs = []

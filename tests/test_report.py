@@ -555,6 +555,8 @@ class TestPipeline:
     def test_each_placed_contour_is_resampled_once(self, manifest_path, tmp_path, monkeypatch):
         """The contour CSV and the overlay share one resampling pass per pattern with placed
         contours, which resamples each of them once; the vibrato record resamples nothing."""
+        # On one CPU, the serial path: a forked child's work is not seen in this process.
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
         passes, resample = [], sorimir.patterns._resample_rows
         monkeypatch.setattr(sorimir.patterns, "_resample_rows",
                             lambda rows, samples: passes.append(len(rows)) or resample(rows, samples))
@@ -573,6 +575,8 @@ class TestPipeline:
                                                                  monkeypatch):
         """The vibrato of all of a pattern's placed occurrences (on tracks of one hop) is one
         `_vibrato_rows` pass, made once for all three of the pattern's artifacts."""
+        # On one CPU, the serial path: a forked child's work is not seen in this process.
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
         passes, measure = [], sorimir.patterns._vibrato_rows
         monkeypatch.setattr(sorimir.patterns, "_vibrato_rows",
                             lambda rows, hop_s: passes.append(len(rows)) or measure(rows, hop_s))
@@ -664,6 +668,8 @@ class TestPipeline:
     ):
         """A stage that fails once artifacts are being written removes the staging directory,
         and the out dir and its parents if the run made them."""
+        # On one CPU, the serial path: a forked child's work is not seen in this process.
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
         out = tmp_path / "a" / "b" / "out"
         if existing:
             out.mkdir(parents=True)
@@ -684,6 +690,8 @@ class TestPipeline:
             assert list(tmp_path.iterdir()) == []
 
     def test_each_artifact_is_staged_before_the_next_is_built(self, manifest_path, tmp_path, monkeypatch):
+        # On one CPU, the serial path: a forked child's work is not seen in this process.
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
         out = tmp_path / "out"
         seen = {}
 
@@ -936,7 +944,9 @@ def test_each_daemok_with_a_placed_occurrence_is_sliced_once(fixtures_dir, tmp_p
 
 def test_no_contour_outlives_its_pattern(fixtures_dir, tmp_path, monkeypatch):
     """A pattern's contours are freed once its artifacts are staged, before the next pattern's
-    are placed, and none is alive once `run_pipeline` returns."""
+    are placed, and none is alive once `run_pipeline` returns. On one CPU, the serial path: a
+    forked child's contours are not seen in this process."""
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
     to_csv = report.contours_csv
     refs, patterns = [], []
 
